@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from multiprocessing import Pool
 
 from .errors import BudgetExceeded, KjdtError, NonMinusculePoset, PosetError, WindowExceeded
@@ -278,8 +279,9 @@ def cmd_render(args) -> int:
 def _run_fixture(name: str):
     from .fixtures import FIXTURES
 
+    start = time.perf_counter()
     ok, detail = FIXTURES[name]()
-    return name, ok, detail
+    return name, ok, detail, time.perf_counter() - start
 
 
 def cmd_verify(args) -> int:
@@ -291,15 +293,17 @@ def cmd_verify(args) -> int:
             _progress(f"unknown fixture {name!r}; known: {', '.join(FIXTURES)}")
             return EXIT_PARSE
     failures = 0
-    if args.threads > 1 and len(names) > 1:
-        with Pool(args.threads) as pool:
+    workers = min(args.threads, len(names))
+    if workers > 1:
+        with Pool(workers) as pool:
             results = pool.map(_run_fixture, names)
     else:
         results = []
         for name in names:
             _progress(f"running {name} ...")
             results.append(_run_fixture(name))
-    for name, ok, detail in results:
+    for name, ok, detail, seconds in results:
+        _progress(f"{name}: {seconds:.3f} s")
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += not ok
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
@@ -382,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, aliases=["verify-paper"],
             help="run the reference fixture suite")
     p.add_argument("--only")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    # SUPPRESS keeps a top-level --threads given before the subcommand.
+    p.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     return parser
 
 

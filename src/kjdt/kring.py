@@ -44,7 +44,7 @@ from .words import Permutation, hecke_of_word
 
 # -- elements ----------------------------------------------------------------
 
-def _merge(poset, coeffs: dict[int, int]) -> dict[int, int]:
+def _merge(coeffs: dict[int, int]) -> dict[int, int]:
     return {m: c for m, c in coeffs.items() if c}
 
 
@@ -55,7 +55,7 @@ class GammaElement:
 
     def __init__(self, poset: MinusculePoset, coeffs: dict[int, int]):
         self.poset = poset
-        self.coeffs = _merge(poset, coeffs)
+        self.coeffs = _merge(coeffs)
 
     @classmethod
     def basis(cls, shape: Shape) -> "GammaElement":

@@ -79,7 +79,7 @@ class RootSystem:
             r: i for i, r in enumerate(self.positive_roots)
         }
         self.nroots = len(self.positive_roots)
-        self._reflections: dict[tuple, int] | None = None
+        self._reflection_table: dict[Coeffs, WeylElement] | None = None
 
     def __repr__(self):
         return f"RootSystem({self.kind}{self.rank}, {self.nroots} positive roots)"
@@ -162,26 +162,33 @@ class RootSystem:
     def identity(self) -> "WeylElement":
         return WeylElement(self, tuple(range(1, self.nroots + 1)))
 
+    def _reflections_by_root(self) -> dict[Coeffs, "WeylElement"]:
+        """Every reflection, keyed by its positive root; built on first use."""
+        if self._reflection_table is None:
+            self._reflection_table = {
+                alpha: WeylElement(self, tuple(
+                    self.signed_index(self.reflect(r, alpha))
+                    for r in self.positive_roots
+                ))
+                for alpha in self.positive_roots
+            }
+        return self._reflection_table
+
     def reflection(self, alpha: Coeffs) -> "WeylElement":
-        images = tuple(
-            self.signed_index(self.reflect(r, alpha)) for r in self.positive_roots
-        )
-        return WeylElement(self, images)
+        """The reflection in +-alpha; raises PosetError if alpha is not a root."""
+        table = self._reflections_by_root()
+        w = table.get(alpha) or table.get(tuple(-x for x in alpha))
+        if w is None:
+            raise PosetError(f"not a root: {alpha}")
+        return w
 
     def simple_reflection(self, i: int) -> "WeylElement":
-        if not hasattr(self, "_simple_cache"):
-            self._simple_cache = {}
-        if i not in self._simple_cache:
-            alpha = tuple(1 if j == i else 0 for j in range(self.rank))
-            self._simple_cache[i] = self.reflection(alpha)
-        return self._simple_cache[i]
+        alpha = tuple(1 if j == i else 0 for j in range(self.rank))
+        return self._reflections_by_root()[alpha]
 
     def reflections(self) -> dict[tuple, Coeffs]:
-        if self._reflections is None:
-            self._reflections = {
-                self.reflection(alpha).images: alpha for alpha in self.positive_roots
-            }
-        return self._reflections
+        """Map from each reflection's images to its positive root."""
+        return {w.images: alpha for alpha, w in self._reflections_by_root().items()}
 
     def longest_element(self, avoid: int | None = None) -> "WeylElement":
         """Longest element of W, or of the parabolic W_P avoiding one node."""

@@ -1,8 +1,10 @@
 import json
+import os
+import re
 
 import pytest
 
-from kjdt.cli import main
+from kjdt.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -153,8 +155,22 @@ def test_json_output_is_canonical(capsys):
 
 
 def test_verify_single_fixture(capsys):
-    code, out, _ = run(capsys, "--threads", "1", "verify", "--only", "cayley")
+    code, out, err = run(capsys, "--threads", "1", "verify", "--only", "cayley")
     assert code == 0 and out.startswith("PASS cayley")
+    assert len(out.splitlines()) == 1
+    assert re.search(r"^cayley: \d+\.\d{3} s$", err, re.MULTILINE)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--threads", "1", "verify"], ["verify", "--threads", "1"]],
+)
+def test_verify_threads_before_or_after_subcommand(argv):
+    assert build_parser().parse_args(argv).threads == 1
+
+
+def test_verify_threads_default_is_top_level():
+    assert build_parser().parse_args(["verify"]).threads == (os.cpu_count() or 1)
 
 
 def test_verify_alias(capsys):

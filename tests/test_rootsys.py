@@ -89,6 +89,29 @@ def test_weyl_of_shape_basics():
     assert full.inversion_set() == data.shape_root_indices(data.poset.full_shape())
 
 
+@pytest.mark.parametrize(
+    "kind,rank", [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("E6", 6), ("E7", 7)]
+)
+def test_reflection_table_matches_direct_computation(kind, rank):
+    rs = root_system(kind, rank)
+    for alpha in rs.positive_roots:
+        w = rs.reflection(alpha)
+        direct = tuple(rs.signed_index(rs.reflect(r, alpha)) for r in rs.positive_roots)
+        assert w.images == direct
+        assert (w * w).is_identity()
+        assert w.length() % 2 == 1
+        assert rs.reflection(tuple(-x for x in alpha)) == w
+    for i in range(rank):
+        simple = tuple(1 if j == i else 0 for j in range(rank))
+        assert rs.simple_reflection(i) == rs.reflection(simple)
+    assert rs.reflections() == {
+        rs.reflection(alpha).images: alpha for alpha in rs.positive_roots
+    }
+    for bad in [(0,) * rank, (2,) + (0,) * (rank - 1), (1, -1) + (0,) * (rank - 2)]:
+        with pytest.raises(PosetError):
+            rs.reflection(bad)
+
+
 def test_shape_lengths_everywhere():
     data = MarkedRootData("D", 5, 5)
     for shape in enumerate_shapes(data.poset):
