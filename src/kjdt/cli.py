@@ -41,11 +41,28 @@ EXIT_REFUSED = 3
 EXIT_BUDGET = 4
 
 
-def _default_budget() -> int:
+def _positive_int(text: str) -> int:
+    """Argument type of ``--budget``: a positive integer."""
     try:
-        return int(os.environ.get("KJDT_BUDGET", "200000"))
+        value = int(text)
     except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _budget(args) -> int:
+    """``--budget`` if given, else ``KJDT_BUDGET``, else 200000."""
+    if args.budget is not None:
+        return args.budget
+    text = os.environ.get("KJDT_BUDGET")
+    if text is None:
         return 200000
+    try:
+        return _positive_int(text)
+    except argparse.ArgumentTypeError:
+        raise KjdtError("KJDT_BUDGET must be a positive integer") from None
 
 
 def _progress(msg: str):
@@ -137,7 +154,7 @@ def cmd_product(args) -> int:
 
 def cmd_urt(args) -> int:
     poset = parse_poset(args.poset)
-    budget = args.budget or _default_budget()
+    budget = _budget(args)
     if args.all:
         report = urt_census(poset, max_size=args.max_size, budget=budget)
         summary = {
@@ -185,7 +202,7 @@ def cmd_urt(args) -> int:
 def cmd_rectify(args) -> int:
     poset = parse_poset(args.poset)
     tab = parse_tableau(poset, args.tableau)
-    budget = args.budget or _default_budget()
+    budget = _budget(args)
     if args.greedy:
         out = rect_greedy(tab)
         _emit(tableau_to_json(out), args.json, out.render())
@@ -209,7 +226,7 @@ def cmd_rectify(args) -> int:
 def cmd_class(args) -> int:
     poset = parse_poset(args.poset)
     tab = parse_tableau(poset, args.tableau)
-    budget = args.budget or _default_budget()
+    budget = _budget(args)
     cls = jdt_class(tab, budget=budget)
     data = {
         "size": cls.size,
@@ -228,7 +245,7 @@ def cmd_word(args) -> int:
         if args.u is None or args.v is None:
             _progress("word equiv needs --u and --v")
             return EXIT_PARSE
-        budget = args.budget or _default_budget()
+        budget = _budget(args)
         verdict = kknuth_equiv(
             _parse_word(args.u), _parse_word(args.v),
             slack=args.slack, budget=budget, weak=args.weak,
@@ -351,19 +368,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--max-size", type=int)
     p.add_argument("--pad", type=int, default=2)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
 
     p = add("rectify", cmd_rectify, help="rectification")
     p.add_argument("--poset", required=True)
     p.add_argument("--tableau", required=True)
     p.add_argument("--all", action="store_true")
     p.add_argument("--greedy", action="store_true")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
 
     p = add("class", cmd_class, help="jeu de taquin class")
     p.add_argument("--poset", required=True)
     p.add_argument("--tableau", required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
 
     p = add("word", cmd_word, help="word operations")
     p.add_argument("action", choices=["equiv", "hecke", "stats"])
@@ -372,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w")
     p.add_argument("--weak", action="store_true")
     p.add_argument("--slack", type=int, default=3)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
 
     p = add("minimal", cmd_minimal, help="minimal increasing tableau")
     p.add_argument("--poset", required=True)

@@ -39,7 +39,7 @@ from .tableau import (
     minimal_tableau,
     rect_greedy,
 )
-from .words import Permutation, hecke_of_word
+from .words import Permutation, bruhat_leq, hecke_of_word
 
 
 # -- elements ----------------------------------------------------------------
@@ -385,19 +385,57 @@ def pieri_A_by_counting(lam, p: int, rows: int, cols: int) -> GammaElement:
     poset = ambient_grid(rows, cols)
     lam_shape = poset.shape(list(lam))
     target = hecke_of_word(tuple(range(1, p + 1)))
-    coeffs = {}
-    for nu in enumerate_shapes_over(poset, lam_shape):
-        skew = nu.mask & ~lam_shape.mask
-        if skew == 0:
-            continue
-        n = 0
-        for filling in increasing_fillings(poset, skew, 1, p):
-            values = tuple(filling[i] for i in bits(skew))
-            if hecke_of_word(Tableau(poset, skew, values).row_word()) == target:
-                n += 1
-        if n:
-            coeffs[nu.mask] = n
-    return GammaElement(poset, coeffs)
+    return GammaElement(poset, _count_hecke_fillings(poset, lam_shape.mask, 1, p, target))
+
+
+def _count_hecke_fillings(
+    poset: MinusculePoset, lam_mask: int, lo: int, hi: int, target: Permutation
+) -> dict[int, int]:
+    """Hecke counts {nu mask: count} over the straight shapes nu above lam.
+
+    The count of nu (strictly containing lam) is the number of increasing
+    fillings of nu/lam with values in [lo, hi] whose row word has Hecke
+    permutation ``target``; shapes with no such filling are left out.
+    Shapes grow breadth-first from lam by minimal absent boxes, and a shape
+    is grown only if one of its fillings has a Hecke permutation Bruhat-below
+    ``target``.  This loses nothing: a filling of a larger shape restricts
+    to a filling of each smaller one whose row word is a subword, and the
+    Hecke product of a subword is Bruhat-below that of the word.
+    """
+    boxes = poset.boxes
+    below = {target: True}  # Hecke permutation -> bruhat_leq(it, target)
+    counts: dict[int, int] = {}
+    seen = {lam_mask}
+    frontier = [lam_mask]
+    while frontier:
+        grown = []
+        for mask in frontier:
+            skew = mask & ~lam_mask
+            if skew:
+                order = sorted(bits(skew), key=lambda i: (-boxes[i][0], boxes[i][1]))
+                n = 0
+                witness = False
+                for filling in increasing_fillings(poset, skew, lo, hi):
+                    h = hecke_of_word(tuple(filling[i] for i in order))
+                    if h == target:
+                        n += 1
+                        witness = True
+                    elif not witness:
+                        ok = below.get(h)
+                        if ok is None:
+                            ok = below[h] = bruhat_leq(h, target)
+                        witness = ok
+                if n:
+                    counts[mask] = n
+                if not witness:
+                    continue
+            for i in poset.minimal_absent_boxes(mask):
+                nxt = mask | (1 << i)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    grown.append(nxt)
+        frontier = grown
+    return counts
 
 
 def enumerate_shapes_over(poset: MinusculePoset, lam: Shape):
@@ -495,20 +533,7 @@ def stable_grothendieck_coeffs(w: Permutation) -> GammaElement:
     lo, hi = _letter_range(w)
     d = hi - lo + 1
     poset = ambient_grid(d, d)
-    w_inv = w.inverse()
-    coeffs = {}
-    for shape in enumerate_shapes_over(poset, poset.empty_shape()):
-        if shape.size < w.length():
-            continue
-        n = 0
-        for filling in increasing_fillings(poset, shape.mask, lo, hi):
-            values = tuple(filling[i] for i in bits(shape.mask))
-            tab = Tableau(poset, shape.mask, values)
-            if hecke_of_word(tab.row_word()) == w_inv:
-                n += 1
-        if n:
-            coeffs[shape.mask] = n
-    return GammaElement(poset, coeffs)
+    return GammaElement(poset, _count_hecke_fillings(poset, 0, lo, hi, w.inverse()))
 
 
 def grothendieck_times_shape(w: Permutation, lam) -> GammaElement:
@@ -522,22 +547,8 @@ def grothendieck_times_shape(w: Permutation, lam) -> GammaElement:
     rows = len(lam) + d
     cols = (lam[0] if lam else 0) + d
     poset = ambient_grid(rows, cols)
-    lam_shape = poset.shape(list(lam))
-    w_inv = w.inverse()
-    coeffs = {}
-    for nu in enumerate_shapes_over(poset, lam_shape):
-        skew = nu.mask & ~lam_shape.mask
-        if skew == 0:
-            continue
-        n = 0
-        for filling in increasing_fillings(poset, skew, lo, hi):
-            values = tuple(filling[i] for i in bits(skew))
-            tab = Tableau(poset, skew, values)
-            if hecke_of_word(tab.row_word()) == w_inv:
-                n += 1
-        if n:
-            coeffs[nu.mask] = n
-    return GammaElement(poset, coeffs)
+    lam_mask = poset.shape(list(lam)).mask
+    return GammaElement(poset, _count_hecke_fillings(poset, lam_mask, lo, hi, w.inverse()))
 
 
 def shifted_class_coeffs(w: Permutation) -> GammaElement:

@@ -12,6 +12,7 @@ differs, or ``inconclusive``.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import product as iter_product
 
@@ -141,13 +142,6 @@ class Permutation:
         return f"{self.window}:[{','.join(str(x) for x in self.images)}]"
 
 
-def hecke_mul_s(u: Permutation, i: int) -> Permutation:
-    """Hecke product u . s_i: absorb the letter if it would shorten u."""
-    if u(i) < u(i + 1):
-        return u * Permutation.transposition(i)
-    return u
-
-
 def reduced_word(w: Permutation) -> Word:
     """One reduced word for ``w`` (peeled off right descents)."""
     word: list[int] = []
@@ -163,9 +157,7 @@ def reduced_word(w: Permutation) -> Word:
 
 def hecke_product(u: Permutation, v: Permutation) -> Permutation:
     """Associative monoid product on permutations."""
-    for i in reduced_word(v):
-        u = hecke_mul_s(u, i)
-    return u
+    return hecke_of_word(reduced_word(u) + reduced_word(v))
 
 
 def is_reduced_product(u: Permutation, v: Permutation) -> bool:
@@ -173,11 +165,41 @@ def is_reduced_product(u: Permutation, v: Permutation) -> bool:
 
 
 def hecke_of_word(word) -> Permutation:
-    """The Hecke permutation of a word of simple-reflection indices."""
-    u = Permutation.identity()
+    """The Hecke permutation of a word of simple-reflection indices.
+
+    Letters act on the right: the letter ``a`` swaps the images of a and
+    a+1 unless that would shorten the permutation.  The images live in one
+    list over [min letter, max letter + 1] and are swapped in place.
+    """
+    word = tuple(word)
+    if not word:
+        return Permutation.identity()
+    lo = min(word)
+    im = list(range(lo, max(word) + 2))
     for a in word:
-        u = hecke_mul_s(u, a)
-    return u
+        k = a - lo
+        x, y = im[k], im[k + 1]
+        if x < y:
+            im[k], im[k + 1] = y, x
+    return Permutation(lo - 1, tuple(im))
+
+
+def bruhat_leq(u: Permutation, w: Permutation) -> bool:
+    """Bruhat order u <= w, by the tableau criterion on a common window.
+
+    For every k, the sorted images of the first k window points under u
+    must be componentwise at most those under w.
+    """
+    lo = min(u.window, w.window) + 1
+    hi = max(u.window + len(u.images), w.window + len(w.images))
+    us: list[int] = []
+    ws: list[int] = []
+    for x in range(lo, hi):
+        insort(us, u(x))
+        insort(ws, w(x))
+        if any(a > b for a, b in zip(us, ws)):
+            return False
+    return True
 
 
 def hecke_of_tableau(tab) -> Permutation:
@@ -293,9 +315,9 @@ def kknuth_basic_moves(word, weak: bool = False, max_len: int | None = None):
         a, b, c = w[i], w[i + 1], w[i + 2]
         if a == c and a != b:
             out.add(w[:i] + (b, a, b) + w[i + 3 :])  # braid
-        if min(b, c) < a < max(b, c):
+        if b < a < c or c < a < b:
             out.add(w[:i] + (a, c, b) + w[i + 3 :])  # swap last two
-        if min(a, b) < c < max(a, b):
+        if a < c < b or b < c < a:
             out.add(w[:i] + (b, a, c) + w[i + 3 :])  # swap first two
     if weak and n >= 2 and w[0] != w[1]:
         out.add((w[1], w[0]) + w[2:])

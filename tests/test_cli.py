@@ -124,6 +124,27 @@ def test_word_equiv_budget_exit(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("budget", ["0", "-5", "ten"])
+def test_budget_must_be_positive_integer(capsys, budget):
+    code, _, err = run(
+        capsys, "word", "equiv", "--u", "1,2,1", "--v", "2,1,2", "--budget", budget,
+    )
+    assert code == 2
+    assert "--budget: must be a positive integer" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "lots", ""])
+def test_bad_budget_environment_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("KJDT_BUDGET", value)
+    code, out, err = run(capsys, "word", "equiv", "--u", "1,2,1", "--v", "2,1,2")
+    assert code == 2 and out == ""
+    assert "error: KJDT_BUDGET must be a positive integer" in err
+    code, out, _ = run(
+        capsys, "word", "equiv", "--u", "1,2,1", "--v", "2,1,2", "--budget", "50",
+    )
+    assert code == 0 and out.strip() == "equivalent"
+
+
 def test_minimal_render_fixture(capsys):
     code, out, _ = run(capsys, "minimal", "--poset", "og:6", "--outer", "5,3,2")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -10,6 +11,7 @@ from kjdt.kring import (
     check_symmetry,
     class_supports,
     dual_class,
+    enumerate_shapes_over,
     euler_pairing,
     fat_hook_urt,
     from_schubert_basis,
@@ -25,8 +27,10 @@ from kjdt.kring import (
     to_schubert_basis,
 )
 from kjdt.poset import (
+    Shape,
     ambient_grid,
     ambient_shifted,
+    bits,
     cayley_plane,
     enumerate_shapes,
     freudenthal,
@@ -35,7 +39,7 @@ from kjdt.poset import (
     quadric_even,
     type_a,
 )
-from kjdt.tableau import Tableau, minimal_tableau
+from kjdt.tableau import Tableau, increasing_fillings, minimal_tableau
 from kjdt.words import Permutation, grassmannian_permutation, hecke_of_word
 
 
@@ -379,6 +383,60 @@ def test_grothendieck_times_shape_specializations():
     assert terms(grothendieck_times_shape(w1, ())) == terms(
         stable_grothendieck_coeffs(w1)
     )
+
+
+def _unpruned_hecke_counts(poset, lam_mask, lo, hi, target):
+    """Hecke counts over every shape above lam, folding each row word by hand."""
+    counts = {}
+    for nu in enumerate_shapes_over(poset, Shape(poset, lam_mask)):
+        skew = nu.mask & ~lam_mask
+        if skew == 0:
+            continue
+        n = 0
+        for filling in increasing_fillings(poset, skew, lo, hi):
+            values = tuple(filling[i] for i in bits(skew))
+            u = Permutation.identity()
+            for a in Tableau(poset, skew, values).row_word():
+                if u(a) < u(a + 1):
+                    u = u * Permutation.transposition(a)
+            n += u == target
+        if n:
+            counts[nu.mask] = n
+    return counts
+
+
+def _sym(n):
+    return [Permutation.from_one_line(p) for p in permutations(range(1, n + 1))]
+
+
+def test_stable_grothendieck_pruning_matches_unpruned():
+    checked = 0
+    for w in _sym(3) + _sym(4):
+        got = stable_grothendieck_coeffs(w)
+        if w.is_identity():
+            assert got.coeffs == {0: 1}
+        else:
+            lo, hi = w.support()
+            want = _unpruned_hecke_counts(got.poset, 0, lo, hi - 1, w.inverse())
+            assert got.coeffs == want, w
+        checked += 1
+    assert checked == 30
+
+
+def test_grothendieck_times_shape_pruning_matches_unpruned():
+    checked = 0
+    for w in _sym(3):
+        for lam in [(), (1,), (2, 1), (2, 2)]:
+            got = grothendieck_times_shape(w, lam)
+            lam_mask = got.poset.shape(list(lam)).mask
+            if w.is_identity():
+                assert got.coeffs == {lam_mask: 1}
+            else:
+                lo, hi = w.support()
+                want = _unpruned_hecke_counts(got.poset, lam_mask, lo, hi - 1, w.inverse())
+                assert got.coeffs == want, (w, lam)
+            checked += 1
+    assert checked == 24
 
 
 # -- minimal products and the shape monoid ----------------------------------------

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from kjdt.poset import ambient_grid, ambient_shifted, max_orthogonal, type_a
 from kjdt.tableau import Tableau, WeakTableau, minimal_tableau, parse_tableau
 from kjdt.words import (
     Permutation,
+    bruhat_leq,
     conjecture_search,
     doubled_word,
     grassmannian_permutation,
@@ -68,6 +70,69 @@ def test_hecke_product_fixtures():
     assert w.length() == 3
     assert [w(i) for i in (1, 2, 3)] == [3, 2, 1]
     assert hecke_of_word(()).is_identity()
+
+
+def _hecke_fold(word, u=Permutation.identity()):
+    """Hecke product of u and a word, letter by letter through Permutation products."""
+    for a in word:
+        if u(a) < u(a + 1):
+            u = u * Permutation.transposition(a)
+    return u
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(min_value=-2, max_value=6), max_size=10))
+def test_hecke_of_word_matches_product_fold(word):
+    assert hecke_of_word(word) == _hecke_fold(word)
+    assert hecke_of_word(word + word[-1:]) == hecke_of_word(word)
+
+
+def test_hecke_of_word_edge_cases():
+    assert hecke_of_word(()) == Permutation.identity()
+    assert hecke_of_word((0, 0, -1)) == _hecke_fold((0, 0, -1))
+    assert hecke_of_word((-2,)) == Permutation.transposition(-2)
+    assert hecke_of_word((3, 3, 3)) == Permutation.transposition(3)
+
+
+def _bruhat_interval(w):
+    """Permutations with a reduced word that is a subword of one of w's."""
+    word = reduced_word(w)
+    out = set()
+    for keep in product((False, True), repeat=len(word)):
+        sub = [a for a, k in zip(word, keep) if k]
+        u = Permutation.identity()
+        for a in sub:
+            u = u * Permutation.transposition(a)
+        if u.length() == len(sub):
+            out.add(u)
+    return out
+
+
+def test_bruhat_leq_matches_subword_definition_on_s4():
+    s4 = [Permutation.from_one_line(p) for p in permutations(range(1, 5))]
+    pairs = 0
+    for w in s4:
+        below = _bruhat_interval(w)
+        for u in s4:
+            assert bruhat_leq(u, w) == (u in below), (u, w)
+            pairs += 1
+    assert pairs == 576
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=-1, max_value=5), st.booleans()), max_size=10))
+def test_hecke_of_subword_is_bruhat_below(marked):
+    word = tuple(a for a, _ in marked)
+    sub = tuple(a for a, keep in marked if keep)
+    assert bruhat_leq(hecke_of_word(sub), hecke_of_word(word))
+
+
+def test_hecke_product_matches_fold():
+    rng = random.Random(11)
+    for _ in range(100):
+        u = _hecke_fold(rng.choices(range(1, 6), k=rng.randint(0, 6)))
+        v = _hecke_fold(rng.choices(range(1, 6), k=rng.randint(0, 6)))
+        assert hecke_product(u, v) == _hecke_fold(reduced_word(v), u)
 
 
 def test_hecke_reducedness():
@@ -176,6 +241,41 @@ def test_basic_moves_fixtures():
     assert (3, 1, 2) in kknuth_basic_moves((1, 3, 2))
     assert (1, 2, 3) not in kknuth_basic_moves((2, 1, 3))
     assert (2, 1, 3) not in kknuth_basic_moves((1, 2, 3))
+
+
+def _basic_moves_minmax(word, weak=False, max_len=None):
+    """The K-Knuth moves with the commutation tests spelled by min and max."""
+    w = tuple(word)
+    n = len(w)
+    out = set()
+    grow = max_len is None or n < max_len
+    for i in range(n - 1):
+        if w[i] == w[i + 1]:
+            out.add(w[:i] + w[i + 1 :])
+    if grow:
+        for i in range(n):
+            out.add(w[: i + 1] + (w[i],) + w[i + 1 :])
+    for i in range(n - 2):
+        a, b, c = w[i], w[i + 1], w[i + 2]
+        if a == c and a != b:
+            out.add(w[:i] + (b, a, b) + w[i + 3 :])
+        if min(b, c) < a < max(b, c):
+            out.add(w[:i] + (a, c, b) + w[i + 3 :])
+        if min(a, b) < c < max(a, b):
+            out.add(w[:i] + (b, a, c) + w[i + 3 :])
+    if weak and n >= 2 and w[0] != w[1]:
+        out.add((w[1], w[0]) + w[2:])
+    out.discard(w)
+    return out
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_basic_moves_match_minmax_spelling(weak):
+    for n in range(6):
+        for word in product(range(1, 5), repeat=n):
+            got = kknuth_basic_moves(word, weak=weak)
+            want = _basic_moves_minmax(word, weak=weak)
+            assert list(got) == list(want), word
 
 
 def test_weak_move_swaps_prefix():
