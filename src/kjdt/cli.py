@@ -1,9 +1,11 @@
 """Command-line surface for posets, products, classes, and verification.
 
-Exit codes: 0 ok, 1 fixture mismatch, 2 parse error, 3 refused poset,
-4 budget exhausted.  The environment variable ``KJDT_BUDGET`` sets the
-default node budget for bounded searches.  All long-running enumerations
-report progress on standard error only.
+Exit codes: 0 ok, 1 fixture mismatch, 2 bad input, 3 refused poset,
+4 budget exhausted.  Only library errors (``KjdtError``) become exit
+codes; any other exception is a bug and propagates.  The environment
+variable ``KJDT_BUDGET`` sets the default node budget for bounded
+searches.  All long-running enumerations report progress on standard
+error only.
 """
 from __future__ import annotations
 
@@ -11,17 +13,16 @@ import argparse
 import json
 import os
 import sys
-import time
 from multiprocessing import Pool
 
-from .errors import BudgetExceeded, KjdtError, NonMinusculePoset, PosetError, WindowExceeded
+from .errors import BudgetExceeded, KjdtError, NonMinusculePoset, PosetError
 from .kring import (
     GammaElement,
     SignedKElement,
     basis_product,
     structure_constant,
 )
-from .poset import SkewShape, enumerate_shapes, parse_poset
+from .poset import SkewShape, enumerate_shapes, parse_entry, parse_poset
 from .tableau import (
     is_urt,
     jdt_class,
@@ -73,7 +74,7 @@ def _parse_word(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(t) for t in text.split(","))
+    return tuple(parse_entry(t, "word") for t in text.split(","))
 
 
 def _emit(data, as_json: bool, text: str | None = None):
@@ -293,16 +294,8 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _run_fixture(name: str):
-    from .fixtures import FIXTURES
-
-    start = time.perf_counter()
-    ok, detail = FIXTURES[name]()
-    return name, ok, detail, time.perf_counter() - start
-
-
 def cmd_verify(args) -> int:
-    from .fixtures import FIXTURES
+    from .fixtures import FIXTURES, run_fixture
 
     names = [args.only] if args.only else list(FIXTURES)
     for name in names:
@@ -313,12 +306,12 @@ def cmd_verify(args) -> int:
     workers = min(args.threads, len(names))
     if workers > 1:
         with Pool(workers) as pool:
-            results = pool.map(_run_fixture, names)
+            results = pool.map(run_fixture, names)
     else:
         results = []
         for name in names:
             _progress(f"running {name} ...")
-            results.append(_run_fixture(name))
+            results.append(run_fixture(name))
     for name, ok, detail, seconds in results:
         _progress(f"{name}: {seconds:.3f} s")
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -422,9 +415,6 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         _progress(f"budget exhausted: {exc}")
         return EXIT_BUDGET
-    except (PosetError, WindowExceeded, KeyError, ValueError) as exc:
-        _progress(f"error: {exc}")
-        return EXIT_PARSE
     except KjdtError as exc:
         _progress(f"error: {exc}")
         return EXIT_PARSE

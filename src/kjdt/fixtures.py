@@ -6,6 +6,8 @@ expected numbers live in exactly one place.
 """
 from __future__ import annotations
 
+import time
+
 from .kring import SignedKElement, basis_product, multiply, structure_constant
 from .poset import (
     Shape,
@@ -26,10 +28,12 @@ from .tableau import (
     infusion,
     is_urt,
     jdt_class,
+    levels_support,
     minimal_tableau,
     parse_tableau,
     rectify_all,
     superstandard,
+    value_rows,
 )
 from .words import hecke_of_word, reading_words
 
@@ -94,13 +98,6 @@ def check_e7_products():
     return ok, f"{detail}; contributing tableaux: {total} (want 25)"
 
 
-def _support(levels):
-    s = 0
-    for _, m in levels:
-        s |= m
-    return s
-
-
 def check_e8_fails():
     e7 = freudenthal()
     lam, mu, nu = _shapes(e7, "5,1", "5,3,3", "5,5,5,2,1,1")
@@ -111,7 +108,7 @@ def check_e8_fails():
     for orient in ("row", "col"):
         target = superstandard(mu, orient)
         cls = jdt_class(target)
-        cands = [k for k in cls.member_keys if _support(k) == skew]
+        cands = [k for k in cls.member_keys if levels_support(k) == skew]
         has = unique = 0
         for key in cands:
             tab = Tableau.from_levels(e7, key)
@@ -273,12 +270,8 @@ def check_minimal_displays():
     theta = SkewShape(grid.shape("9,7,6,6,4"), grid.shape("5,3,2"))
     from .tableau import maximal_tableau
 
-    mt, xt = minimal_tableau(theta), maximal_tableau(theta)
-    rows_of = lambda t: {
-        r: tuple(v for _, v in sorted((c, v) for (rr, c), v in t.as_dict().items() if rr == r))
-        for r in {rr for rr, _ in t.as_dict()}
-    }
-    got_min, got_max = rows_of(mt), rows_of(xt)
+    got_min = value_rows(minimal_tableau(theta).as_dict())
+    got_max = value_rows(maximal_tableau(theta).as_dict())
     ok = ok and got_min[4] == (1, 2, 3, 4, 5, 6) and got_min[1] == (1, 2, 3, 4)
     ok = ok and got_max[4] == (-6, -5, -4, -3, -2, -1) and got_max[2] == (-5, -4, -3, -1)
     return ok, "minimal and maximal skew fillings match"
@@ -392,11 +385,8 @@ FIXTURES = {
 }
 
 
-def run_fixtures(only=None):
-    """Run the fixture suite; yields (name, ok, detail)."""
-    names = [only] if only else list(FIXTURES)
-    for name in names:
-        if name not in FIXTURES:
-            raise KeyError(f"unknown fixture {name!r}")
-        ok, detail = FIXTURES[name]()
-        yield name, ok, detail
+def run_fixture(name: str) -> tuple[str, bool, str, float]:
+    """Run one fixture: (name, ok, detail, seconds it took)."""
+    start = time.perf_counter()
+    ok, detail = FIXTURES[name]()
+    return name, ok, detail, time.perf_counter() - start

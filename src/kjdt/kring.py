@@ -36,6 +36,7 @@ from .tableau import (
     increasing_fillings,
     is_urt,
     jdt_class,
+    levels_support,
     minimal_tableau,
     rect_greedy,
 )
@@ -187,14 +188,23 @@ def class_supports(poset: MinusculePoset, mu: Shape) -> dict[int, int]:
         return _SUPPORT_CACHE[key]
     except KeyError:
         counts: dict[int, int] = {}
-        cls = jdt_class(minimal_tableau(mu))
-        for levels in cls.member_keys:
-            s = 0
-            for _, m in levels:
-                s |= m
+        for levels in jdt_class(minimal_tableau(mu)).member_keys:
+            s = levels_support(levels)
             counts[s] = counts.get(s, 0) + 1
         _SUPPORT_CACHE[key] = counts
         return counts
+
+
+def _attach(poset: MinusculePoset, lam: int, supports: dict[int, int]) -> dict[int, int]:
+    """Counts of ``lam | s`` over supports ``s`` that extend ``lam`` to a shape."""
+    out: dict[int, int] = {}
+    for support, count in supports.items():
+        if support & lam:
+            continue
+        nu = lam | support
+        if poset.is_ideal(nu):
+            out[nu] = out.get(nu, 0) + count
+    return out
 
 
 def basis_product(
@@ -203,14 +213,7 @@ def basis_product(
     """Coefficients of G_lam * G_mu as a map from outer-shape masks."""
     poset = lam.poset
     _require_ring_poset(poset, assume_urp)
-    out: dict[int, int] = {}
-    for support, count in class_supports(poset, mu).items():
-        if support & lam.mask:
-            continue
-        nu = lam.mask | support
-        if poset.is_ideal(nu):
-            out[nu] = out.get(nu, 0) + count
-    return out
+    return _attach(poset, lam.mask, class_supports(poset, mu))
 
 
 def multiply(a: GammaElement, b: GammaElement, assume_urp: bool = False) -> GammaElement:
@@ -271,9 +274,7 @@ def _greedy_count(poset, lam: Shape, mu: Shape, nu: Shape) -> int:
     vmax = max(target.values)
     count = 0
     for filling in increasing_fillings(poset, skew, 1, vmax, surjective=True):
-        values = tuple(filling[i] for i in bits(skew))
-        tab = Tableau(poset, skew, values)
-        if rect_greedy(tab, inner=lam.mask) == target:
+        if rect_greedy(Tableau(poset, skew, filling), inner=lam.mask) == target:
             count += 1
     return count
 
@@ -348,11 +349,15 @@ def _horizontal_strips(lam: tuple[int, ...], max_rows: int, max_cols: int):
     yield from rec(0, [])
 
 
+def _check_row_length(p: int):
+    if p < 1:
+        raise PosetError("the Pieri row length must be positive")
+
+
 def pieri_A(lam, p: int, rows: int | None = None, cols: int | None = None) -> GammaElement:
     """Single-row product in the grid ring by the closed binomial formula."""
     lam = tuple(x for x in lam if x)
-    if p < 1:
-        raise PosetError("the Pieri row length must be positive")
+    _check_row_length(p)
     need_rows = len(lam) + 1
     need_cols = (lam[0] if lam else 0) + p
     rows = need_rows if rows is None else rows
@@ -382,6 +387,7 @@ def pieri_A(lam, p: int, rows: int | None = None, cols: int | None = None) -> Ga
 def pieri_A_by_counting(lam, p: int, rows: int, cols: int) -> GammaElement:
     """Independent Pieri check: count tableaux with the one-row Hecke class."""
     lam = tuple(x for x in lam if x)
+    _check_row_length(p)
     poset = ambient_grid(rows, cols)
     lam_shape = poset.shape(list(lam))
     target = hecke_of_word(tuple(range(1, p + 1)))
@@ -402,7 +408,6 @@ def _count_hecke_fillings(
     to a filling of each smaller one whose row word is a subword, and the
     Hecke product of a subword is Bruhat-below that of the word.
     """
-    boxes = poset.boxes
     below = {target: True}  # Hecke permutation -> bruhat_leq(it, target)
     counts: dict[int, int] = {}
     seen = {lam_mask}
@@ -412,11 +417,13 @@ def _count_hecke_fillings(
         for mask in frontier:
             skew = mask & ~lam_mask
             if skew:
-                order = sorted(bits(skew), key=lambda i: (-boxes[i][0], boxes[i][1]))
+                # Positions of the filling in row-word order: bottom row first.
+                boxes = [poset.boxes[i] for i in bits(skew)]
+                order = sorted(range(len(boxes)), key=lambda k: (-boxes[k][0], boxes[k][1]))
                 n = 0
                 witness = False
                 for filling in increasing_fillings(poset, skew, lo, hi):
-                    h = hecke_of_word(tuple(filling[i] for i in order))
+                    h = hecke_of_word(tuple(filling[k] for k in order))
                     if h == target:
                         n += 1
                         witness = True
@@ -438,24 +445,6 @@ def _count_hecke_fillings(
     return counts
 
 
-def enumerate_shapes_over(poset: MinusculePoset, lam: Shape):
-    """All straight shapes containing ``lam`` inside a bounded window."""
-    masks = {lam.mask}
-    frontier = [lam.mask]
-    while frontier:
-        new = []
-        for mask in frontier:
-            for i in poset.minimal_absent_boxes(mask):
-                grown = mask | (1 << i)
-                if grown not in masks:
-                    masks.add(grown)
-                    new.append(grown)
-        frontier = new
-    shapes = [Shape(poset, m) for m in sorted(masks)]
-    shapes.sort(key=lambda s: (s.size, s.row_lengths))
-    return shapes
-
-
 def is_pieri_word_b(word) -> bool:
     """Each letter is weakly below or weakly above all of its predecessors."""
     for i, a in enumerate(word):
@@ -469,48 +458,33 @@ def is_pieri_word_b(word) -> bool:
 def pieri_B(lam, p: int, cols: int | None = None) -> GammaElement:
     """Single-row product in the shifted ring by Pieri-word counting."""
     lam = tuple(x for x in lam if x)
-    if p < 1:
-        raise PosetError("the Pieri row length must be positive")
+    _check_row_length(p)
     need = (lam[0] if lam else 0) + p
     cols = need if cols is None else cols
     if cols < need:
         raise WindowExceeded(f"shifted window {cols} too small; need {need}")
     poset = ambient_shifted(cols)
-    lam_shape = poset.shape(list(lam))
+    lam_mask = poset.shape(list(lam)).mask
     coeffs = {}
-    for nu in enumerate_shapes_over(poset, lam_shape):
-        skew = nu.mask & ~lam_shape.mask
-        if skew == 0:
-            continue
+    for nu in poset.ideals_between(lam_mask, poset.full_mask)[1:]:
+        skew = nu & ~lam_mask
         n = 0
         for filling in increasing_fillings(poset, skew, 1, p, surjective=True):
-            values = tuple(filling[i] for i in bits(skew))
-            tab = Tableau(poset, skew, values)
-            if is_pieri_word_b(tab.row_word()):
+            if is_pieri_word_b(Tableau(poset, skew, filling).row_word()):
                 n += 1
         if n:
-            coeffs[nu.mask] = n
+            coeffs[nu] = n
     return GammaElement(poset, coeffs)
 
 
 def pieri_B_by_class(lam, p: int, cols: int) -> GammaElement:
     """Independent shifted Pieri check via the class of the one-row tableau."""
     lam = tuple(x for x in lam if x)
+    _check_row_length(p)
     poset = ambient_shifted(cols)
-    lam_shape = poset.shape(list(lam))
-    row = minimal_tableau(poset.shape([p]))
-    coeffs: dict[int, int] = {}
-    cls = jdt_class(row)
-    for levels in cls.member_keys:
-        s = 0
-        for _, m in levels:
-            s |= m
-        if s & lam_shape.mask:
-            continue
-        nu = lam_shape.mask | s
-        if poset.is_ideal(nu):
-            coeffs[nu] = coeffs.get(nu, 0) + 1
-    coeffs.pop(lam_shape.mask, None)
+    lam_mask = poset.shape(list(lam)).mask
+    coeffs = _attach(poset, lam_mask, class_supports(poset, poset.shape([p])))
+    coeffs.pop(lam_mask, None)
     return GammaElement(poset, coeffs)
 
 
@@ -549,61 +523,6 @@ def grothendieck_times_shape(w: Permutation, lam) -> GammaElement:
     poset = ambient_grid(rows, cols)
     lam_mask = poset.shape(list(lam)).mask
     return GammaElement(poset, _count_hecke_fillings(poset, lam_mask, lo, hi, w.inverse()))
-
-
-def shifted_class_coeffs(w: Permutation) -> GammaElement:
-    """Experimental shifted analogue of the permutation class expansion.
-
-    Coefficients count shifted straight tableaux whose doubled tableau
-    has Hecke permutation ``w``; they vanish unless ``w`` is an
-    involution.  No geometric interpretation is asserted.
-    """
-    from .words import hecke_of_tableau
-
-    if w.is_identity():
-        return GammaElement(ambient_shifted(1), {0: 1})
-    lo, hi = _letter_range(w)
-    d = hi - lo + 1
-    poset = ambient_shifted(d)
-    coeffs = {}
-    for shape in enumerate_shapes_over(poset, poset.empty_shape()):
-        if shape.size == 0:
-            continue
-        n = 0
-        for filling in increasing_fillings(poset, shape.mask, lo, hi):
-            values = tuple(filling[i] for i in bits(shape.mask))
-            if hecke_of_tableau(Tableau(poset, shape.mask, values)) == w:
-                n += 1
-        if n:
-            coeffs[shape.mask] = n
-    return GammaElement(poset, coeffs)
-
-
-def shifted_class_times_shape(w: Permutation, lam) -> GammaElement:
-    """Experimental product of a shifted class element with a shape basis element."""
-    from .words import hecke_of_tableau
-
-    lam = tuple(x for x in lam if x)
-    if w.is_identity():
-        poset = ambient_shifted(max(lam[0] if lam else 1, 1))
-        return GammaElement(poset, {poset.shape(list(lam)).mask: 1})
-    lo, hi = _letter_range(w)
-    d = hi - lo + 1
-    poset = ambient_shifted((lam[0] if lam else 0) + d)
-    lam_shape = poset.shape(list(lam))
-    coeffs = {}
-    for nu in enumerate_shapes_over(poset, lam_shape):
-        skew = nu.mask & ~lam_shape.mask
-        if skew == 0:
-            continue
-        n = 0
-        for filling in increasing_fillings(poset, skew, lo, hi):
-            values = tuple(filling[i] for i in bits(skew))
-            if hecke_of_tableau(Tableau(poset, skew, values)) == w:
-                n += 1
-        if n:
-            coeffs[nu.mask] = n
-    return GammaElement(poset, coeffs)
 
 
 # -- fat hooks --------------------------------------------------------------------

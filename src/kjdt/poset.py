@@ -59,8 +59,21 @@ ROTATION_KINDS = frozenset({"a", "qodd", "qeven_even", "e6"})
 REFLECTION_KINDS = frozenset({"og", "lg", "qeven_odd", "e7"})
 
 
+# Number of integer parameters each family takes.
+_ARITY = {
+    "a": 2, "og": 1, "lg": 1, "qodd": 1, "qeven": 1,
+    "e6": 0, "e7": 0, "grid": 2, "shifted": 1,
+}
+
+
 def _family_boxes(family: PosetFamily) -> list[Box]:
     kind, params = family.kind, family.params
+    if kind not in _ARITY:
+        raise PosetError(f"unknown poset family {kind!r}")
+    if len(params) != _ARITY[kind]:
+        raise PosetError(
+            f"{kind} poset takes {_ARITY[kind]} parameter(s), got {len(params)}"
+        )
     if kind == "a":
         m, k = params
         if m < 1 or k < 1:
@@ -102,12 +115,10 @@ def _family_boxes(family: PosetFamily) -> list[Box]:
         if rows < 1 or cols < 1:
             raise PosetError(f"grid window needs positive sides, got {rows}x{cols}")
         return [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
-    if kind == "shifted":
-        (cols,) = params
-        if cols < 1:
-            raise PosetError(f"shifted window needs positive size, got {cols}")
-        return [(r, c) for r in range(1, cols + 1) for c in range(r, cols + 1)]
-    raise PosetError(f"unknown poset family {kind!r}")
+    (cols,) = params  # shifted
+    if cols < 1:
+        raise PosetError(f"shifted window needs positive size, got {cols}")
+    return [(r, c) for r in range(1, cols + 1) for c in range(r, cols + 1)]
 
 
 class MinusculePoset:
@@ -213,6 +224,16 @@ class MinusculePoset:
             m ^= b
         return out
 
+    def up_closure(self, mask: int) -> int:
+        """Upper order ideal generated by the boxes of ``mask``."""
+        out = 0
+        m = mask
+        while m:
+            b = m & -m
+            out |= self.above[b.bit_length() - 1]
+            m ^= b
+        return out
+
     def expand_neighbors(self, mask: int) -> int:
         """Union of Hasse neighbors of all boxes in ``mask`` (cached)."""
         try:
@@ -237,6 +258,26 @@ class MinusculePoset:
             for i in bits(mask)
             if not any(mask & (1 << j) for j in self.up[i])
         ]
+
+    def ideals_between(self, lo: int, hi: int) -> list[int]:
+        """Every order ideal ``m`` with ``lo <= m <= hi`` (as box sets).
+
+        Breadth-first from the ideal generated by ``lo``, adding one
+        minimal absent box of ``hi`` at a time, so smaller ideals come
+        first; empty when that ideal does not fit inside ``hi``.
+        """
+        start = self.down_closure(lo)
+        if start & ~hi:
+            return []
+        found = [start]
+        seen = {start}
+        for mask in found:  # grows while iterating: a queue
+            for i in self.minimal_absent_boxes(mask):
+                grown = mask | (1 << i)
+                if hi & (1 << i) and grown not in seen:
+                    seen.add(grown)
+                    found.append(grown)
+        return found
 
     def minimal_absent_boxes(self, mask: int) -> list[int]:
         """Minimal boxes of the complement of the ideal ``mask``."""
@@ -264,7 +305,7 @@ class MinusculePoset:
     def shape(self, rows: "list[int] | tuple[int, ...] | str") -> "Shape":
         """Shape from its partition view (row lengths, or a text literal)."""
         if isinstance(rows, str):
-            rows = [int(t) for t in rows.split(",") if t.strip()] if rows.strip() else []
+            rows = [parse_entry(t, "shape") for t in rows.split(",") if t.strip()]
         rows = [r for r in rows]
         while rows and rows[-1] == 0:
             rows.pop()
@@ -281,9 +322,6 @@ class MinusculePoset:
                 mask |= 1 << i
         if not self.is_ideal(mask):
             raise PosetError(f"shape {rows} is not a lower order ideal here")
-        return Shape(self, mask)
-
-    def shape_of_mask(self, mask: int) -> "Shape":
         return Shape(self, mask)
 
     def empty_shape(self) -> "Shape":
@@ -386,6 +424,14 @@ class SkewShape:
         return f"SkewShape({self.outer.literal()!r}/{self.inner.literal()!r})"
 
 
+def parse_entry(token: str, what: str) -> int:
+    """One integer entry of a text literal; ``PosetError`` names a bad one."""
+    try:
+        return int(token)
+    except ValueError:
+        raise PosetError(f"bad {what} entry {token.strip()!r}") from None
+
+
 def bits(mask: int):
     """Iterate set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -465,18 +511,7 @@ def enumerate_shapes(poset: MinusculePoset) -> list[Shape]:
     """All straight shapes, each once, ordered by size then row lengths."""
     if poset.is_ambient:
         raise PosetError("shape enumeration is only meaningful on bounded posets")
-    masks = {0}
-    frontier = [0]
-    while frontier:
-        new = []
-        for mask in frontier:
-            for i in poset.minimal_absent_boxes(mask):
-                grown = mask | (1 << i)
-                if grown not in masks:
-                    masks.add(grown)
-                    new.append(grown)
-        frontier = new
-    shapes = [Shape(poset, m) for m in masks]
+    shapes = [Shape(poset, m) for m in poset.ideals_between(0, poset.full_mask)]
     shapes.sort(key=lambda s: (s.size, s.row_lengths))
     return shapes
 

@@ -27,6 +27,7 @@ from .poset import (
     ambient_grid,
     ambient_shifted,
     bits,
+    parse_entry,
 )
 
 
@@ -69,9 +70,7 @@ class Tableau:
 
     @classmethod
     def from_levels(cls, poset: MinusculePoset, levels: Levels) -> "Tableau":
-        mask = 0
-        for _, m in levels:
-            mask |= m
+        mask = levels_support(levels)
         val_at = {}
         for v, m in levels:
             for i in bits(m):
@@ -135,24 +134,13 @@ class Tableau:
 
     def row_word(self) -> tuple[int, ...]:
         """Rows read left to right, starting with the bottom row."""
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), v in self.as_dict().items():
-            rows.setdefault(r, []).append((c, v))
-        word = []
-        for r in sorted(rows, reverse=True):
-            word.extend(v for _, v in sorted(rows[r]))
-        return tuple(word)
+        return _row_word(self.as_dict())
 
     def straight_rows(self) -> tuple[tuple[int, ...], ...]:
         """Value rows of a straight tableau, poset-independent."""
         if not self.is_straight:
             raise PosetError("straight_rows needs a straight tableau")
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), v in self.as_dict().items():
-            rows.setdefault(r, []).append((c, v))
-        return tuple(
-            tuple(v for _, v in sorted(rows[r])) for r in sorted(rows)
-        )
+        return tuple(value_rows(self.as_dict()).values())
 
     def restrict(self, lo: int, hi: int) -> "Tableau":
         """Sub-tableau of boxes whose values lie in [lo, hi]."""
@@ -225,6 +213,21 @@ class Tableau:
         return "\n".join(lines)
 
 
+def value_rows(filling: dict[Box, object]) -> dict[int, tuple]:
+    """Values of a ``{box: value}`` filling by row number, top row first.
+
+    Each row lists its values left to right; empty rows are absent.
+    """
+    rows: dict[int, list] = {}
+    for (r, _), v in sorted(filling.items()):
+        rows.setdefault(r, []).append(v)
+    return {r: tuple(vs) for r, vs in rows.items()}
+
+
+def _row_word(filling: dict[Box, int]) -> tuple[int, ...]:
+    return tuple(v for row in reversed(value_rows(filling).values()) for v in row)
+
+
 def parse_tableau(poset: MinusculePoset, literal: str) -> Tableau:
     """Parse the row literal form, e.g. ``".,.,.,1/.,2,4,6/3,4,5"``."""
     filling: dict[Box, int] = {}
@@ -237,12 +240,8 @@ def parse_tableau(poset: MinusculePoset, literal: str) -> Tableau:
         if len(toks) > len(boxes):
             raise WindowExceeded(f"row {k + 1} of literal exceeds the poset row")
         for i, tok in zip(boxes, toks):
-            if tok == ".":
-                continue
-            try:
-                filling[poset.boxes[i]] = int(tok)
-            except ValueError as exc:
-                raise PosetError(f"bad tableau entry {tok!r}") from exc
+            if tok != ".":
+                filling[poset.boxes[i]] = parse_entry(tok, "tableau")
     return Tableau.from_dict(poset, filling)
 
 
@@ -252,17 +251,8 @@ def tableau_to_json(tab: Tableau) -> dict:
         "poset": {"family": fam.kind, "params": list(fam.params)},
         "inner": list(tab.poset.row_lengths(tab.inner_mask())),
         "outer": list(tab.poset.row_lengths(tab.outer_mask())),
-        "rows": _value_rows(tab),
+        "rows": [list(row) for row in value_rows(tab.as_dict()).values()],
     }
-
-
-def _value_rows(tab: Tableau) -> list[list[int]]:
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for (r, c), v in tab.as_dict().items():
-        rows.setdefault(r, []).append((c, v))
-    return [
-        [v for _, v in sorted(rows[r])] for r in sorted(rows)
-    ] if rows else []
 
 
 def tableau_from_json(data: dict, poset: MinusculePoset | None = None) -> Tableau:
@@ -353,16 +343,6 @@ def _is_antichain(poset: MinusculePoset, mask: int) -> bool:
     return True
 
 
-def _up_closure(poset: MinusculePoset, mask: int) -> int:
-    out = 0
-    m = mask
-    while m:
-        b = m & -m
-        out |= poset.above[b.bit_length() - 1]
-        m ^= b
-    return out
-
-
 def _check_slide_start(poset, support: int, c_mask: int, forward: bool):
     """Starting holes must be legal under some presentation of the shape.
 
@@ -379,7 +359,7 @@ def _check_slide_start(poset, support: int, c_mask: int, forward: bool):
     if not _is_antichain(poset, c_mask):
         raise PosetError("slide start must be an antichain")
     dc = poset.down_closure(support)
-    up = _up_closure(poset, support)
+    up = poset.up_closure(support)
     inner = dc & ~support
     inner_max = sum(1 << i for i in poset.maximal_boxes(inner))
     for i in bits(c_mask):
@@ -431,7 +411,8 @@ def _nonempty_subsets(items: list[int]):
         yield mask
 
 
-def _key_mask(levels: Levels) -> int:
+def levels_support(levels: Levels) -> int:
+    """The boxes a levels key fills: the union of its masks."""
     mask = 0
     for _, m in levels:
         mask |= m
@@ -448,7 +429,7 @@ def rect_greedy(tab: Tableau, inner: int | None = None) -> Tableau:
     poset = tab.poset
     levels = tab.levels()
     pres = tab.inner_mask() if inner is None else inner
-    if pres & _key_mask(levels):
+    if pres & levels_support(levels):
         raise PosetError("presentation inner shape overlaps the filling")
     while pres:
         c_mask = sum(1 << i for i in poset.maximal_boxes(pres))
@@ -470,7 +451,7 @@ def rectify_all(tab: Tableau, budget: int | None = None) -> set[Tableau]:
     while frontier:
         new = []
         for levels in frontier:
-            mask = _key_mask(levels)
+            mask = levels_support(levels)
             inner = poset.down_closure(mask) & ~mask
             if inner == 0:
                 results.add(Tableau.from_levels(poset, levels))
@@ -528,7 +509,7 @@ def jdt_class(
     while frontier:
         new = []
         for levels in frontier:
-            mask = _key_mask(levels)
+            mask = levels_support(levels)
             outer = poset.down_closure(mask)
             inner = outer & ~mask
             if boundary & outer:
@@ -574,10 +555,12 @@ def increasing_fillings(
     vmax: int,
     surjective: bool = False,
 ):
-    """Yield increasing fillings of a convex box set as {box index: value}.
+    """Yield increasing fillings of a convex box set as value tuples.
 
-    Values range over [vmin, vmax]; with ``surjective`` every value in the
-    range must appear.  Fillings are built along a linear extension with
+    A filling lists one value per box of ``mask`` in the order of
+    ``bits(mask)``, the ``Tableau.values`` format.  Values range over
+    [vmin, vmax]; with ``surjective`` every value in the range must
+    appear.  Fillings are built along a linear extension with
     chain-length pruning on both sides.
     """
     order = list(bits(mask))
@@ -585,17 +568,20 @@ def increasing_fillings(
     width = vmax - vmin + 1
     if n == 0:
         if not surjective or width <= 0:
-            yield {}
+            yield ()
         return
     if width <= 0:
         return
-    up_chain: dict[int, int] = {}
-    for i in reversed(order):
-        up_chain[i] = 1 + max(
-            (up_chain[j] for j in poset.up[i] if mask & (1 << j)), default=0
+    pos = {i: k for k, i in enumerate(order)}
+    # Covers inside the mask, by position; row-major order puts the
+    # boxes below a box at earlier positions.
+    down_in = [[pos[j] for j in poset.down[i] if j in pos] for i in order]
+    up_chain = [0] * n
+    for k in reversed(range(n)):
+        up_chain[k] = 1 + max(
+            (up_chain[pos[j]] for j in poset.up[order[k]] if j in pos), default=0
         )
-    down_in = {i: [j for j in poset.down[i] if mask & (1 << j)] for i in order}
-    vals: dict[int, int] = {}
+    vals = [0] * n
     used = [0] * (width + 1)
     distinct = 0
 
@@ -603,17 +589,16 @@ def increasing_fillings(
         nonlocal distinct
         if k == n:
             if not surjective or distinct == width:
-                yield dict(vals)
+                yield tuple(vals)
             return
-        i = order[k]
-        lo = max(vmin, 1 + max((vals[j] for j in down_in[i]), default=vmin - 1))
-        hi = vmax - up_chain[i] + 1
+        lo = max(vmin, 1 + max((vals[j] for j in down_in[k]), default=vmin - 1))
+        hi = vmax - up_chain[k] + 1
         for v in range(lo, hi + 1):
             slot = v - vmin
             newly = used[slot] == 0
             if surjective and (width - distinct - (1 if newly else 0)) > n - k - 1:
                 continue
-            vals[i] = v
+            vals[k] = v
             used[slot] += 1
             if newly:
                 distinct += 1
@@ -621,7 +606,6 @@ def increasing_fillings(
             used[slot] -= 1
             if newly and used[slot] == 0:
                 distinct -= 1
-        vals.pop(i, None)
 
     yield from rec(0)
 
@@ -630,26 +614,14 @@ def straight_tableaux_with_values(poset: MinusculePoset, letters, max_rows, max_
     """All straight tableaux in a window using exactly the given value set."""
     letters = sorted(set(letters))
     d = len(letters)
-    masks = {0}
-    frontier = [0]
-    while frontier:
-        new = []
-        for mask in frontier:
-            for i in poset.minimal_absent_boxes(mask):
-                r, c = poset.boxes[i]
-                if r > max_rows or c > max_cols:
-                    continue
-                grown = mask | (1 << i)
-                if grown not in masks:
-                    masks.add(grown)
-                    new.append(grown)
-        frontier = new
-    for mask in masks:
-        if not mask:
-            continue
+    window = sum(
+        1 << i
+        for i, (r, c) in enumerate(poset.boxes)
+        if r <= max_rows and c <= max_cols
+    )
+    for mask in poset.ideals_between(0, window)[1:]:
         for filling in increasing_fillings(poset, mask, 1, d, surjective=True):
-            values = tuple(letters[filling[i] - 1] for i in bits(mask))
-            yield Tableau(poset, mask, values)
+            yield Tableau(poset, mask, tuple(letters[v - 1] for v in filling))
 
 
 def _urt_by_words(tab: Tableau, shifted: bool, budget: int) -> URTVerdict:
@@ -663,17 +635,14 @@ def _urt_by_words(tab: Tableau, shifted: bool, budget: int) -> URTVerdict:
     """
     from .words import hecke_of_tableau, kknuth_equiv, lds, lis
 
-    rows = tab.straight_rows()
+    rows = doubling(tab).straight_rows() if shifted and tab.size else tab.straight_rows()
     letters = sorted(tab.value_set())
     word = tab.row_word()
     target = hecke_of_tableau(tab)
+    nrows, ncols = len(rows), max((len(r) for r in rows), default=0)
     if shifted:
-        probe = doubling(tab) if tab.size else tab
-        nrows = len(probe.straight_rows()) if tab.size else 0
-        ncols = max((len(r) for r in probe.straight_rows()), default=0) if tab.size else 0
         window = ambient_shifted(max(ncols, 1))
     else:
-        nrows, ncols = len(rows), max((len(r) for r in rows), default=0)
         window = ambient_grid(max(nrows, 1), max(ncols, 1))
     inv = (lis(word), lds(word)) if not shifted else None
     inconclusive = False
@@ -739,8 +708,7 @@ def packed_straight_tableaux(poset: MinusculePoset, shape: Shape):
     chain = max((poset.heights[i] for i in bits(shape.mask)), default=0)
     for d in range(chain, shape.size + 1):
         for filling in increasing_fillings(poset, shape.mask, 1, d, surjective=True):
-            values = tuple(filling[i] for i in bits(shape.mask))
-            yield Tableau(poset, shape.mask, values)
+            yield Tableau(poset, shape.mask, filling)
 
 
 def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int | None = None):
@@ -920,10 +888,6 @@ class DottedTableau:
         self.filling = dict(filling)
         self.witness = self._witness()
 
-    @classmethod
-    def from_dict(cls, poset, filling):
-        return cls(poset, filling)
-
     def _witness(self) -> int:
         for b, v in self.filling.items():
             if v is DOT:
@@ -988,13 +952,7 @@ class WeakTableau:
         return self.filling[box]
 
     def row_word(self) -> tuple[int, ...]:
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), v in self.filling.items():
-            rows.setdefault(r, []).append((c, v))
-        word = []
-        for r in sorted(rows, reverse=True):
-            word.extend(v for _, v in sorted(rows[r]))
-        return tuple(word)
+        return _row_word(self.filling)
 
     def is_weakly_increasing(self) -> bool:
         f = self.filling

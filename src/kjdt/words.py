@@ -42,10 +42,6 @@ def lds(word) -> int:
     return lis([-x for x in word])
 
 
-def reverse_word(word) -> Word:
-    return tuple(reversed(word))
-
-
 def doubled_word(word) -> Word:
     """The palindromic composition: reverse(u) followed by u."""
     return tuple(reversed(word)) + tuple(word)

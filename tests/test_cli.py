@@ -202,3 +202,34 @@ def test_verify_alias(capsys):
 def test_verify_unknown_fixture(capsys):
     code, _, err = run(capsys, "--threads", "1", "verify", "--only", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["word", "stats", "--w", "a"], "error: bad word entry 'a'"),
+        (["word", "hecke", "--w", "1,,2"], "error: bad word entry ''"),
+        (["word", "equiv", "--u", "1,2", "--v", "2;1"], "error: bad word entry '2;1'"),
+        (["lr", "--poset", "e6", "--l", "a", "--m", "1"], "error: bad shape entry 'a'"),
+        (["poset", "a:2"], "error: a poset takes 2 parameter(s), got 1"),
+        (["poset", "og:1,2"], "error: og poset takes 1 parameter(s), got 2"),
+        (["poset", "e6:1"], "error: e6 poset takes 0 parameter(s), got 1"),
+        (["shapes", "grid:3"], "error: grid poset takes 2 parameter(s), got 1"),
+    ],
+)
+def test_bad_input_exits_2_with_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == message
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, KeyError])
+def test_internal_errors_are_not_reported_as_bad_input(monkeypatch, exc_type):
+    from kjdt import cli
+
+    def broken(args):
+        raise exc_type("internal")
+
+    monkeypatch.setattr(cli, "cmd_poset", broken)
+    with pytest.raises(exc_type):
+        main(["poset", "e6"])

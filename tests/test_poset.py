@@ -200,3 +200,32 @@ def test_ambient_windows():
         (r, c) for r in range(1, 4) for c in range(1, 5)
     }
     assert all(r <= c for r, c in sh.boxes)
+
+
+# -- the order-ideal walk -----------------------------------------------------
+
+
+def _ideals_by_filter(poset, lo, hi):
+    return sorted(
+        m
+        for m in range(1 << poset.n)
+        if poset.is_ideal(m) and not lo & ~m and not m & ~hi
+    )
+
+
+@pytest.mark.parametrize("spec", ["grid:3,3", "shifted:4", "og:4", "a:2,3"])
+def test_ideals_between_matches_subset_filter(spec):
+    poset = parse_poset(spec)
+    cut = sum(1 << i for i, (r, c) in enumerate(poset.boxes) if r <= 2 and c <= 2)
+    ideal_lo = poset.shape("1").mask
+    loose_lo = 0b10  # the second box, (1, 2): not an ideal on its own
+    cases = [(0, poset.full_mask), (0, cut), (ideal_lo, poset.full_mask),
+             (ideal_lo, cut), (loose_lo, poset.full_mask), (loose_lo, cut),
+             (poset.full_mask, cut)]
+    for lo, hi in cases:
+        got = poset.ideals_between(lo, hi)
+        assert len(set(got)) == len(got), (lo, hi)
+        assert sorted(got) == _ideals_by_filter(poset, lo, hi), (lo, hi)
+        sizes = [m.bit_count() for m in got]
+        assert sizes == sorted(sizes), (lo, hi)  # breadth-first
+

@@ -1,10 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 from kjdt.errors import PosetError, WindowExceeded
 from kjdt.poset import (
     SkewShape,
+    parse_poset,
     ambient_grid,
     ambient_shifted,
     bits,
@@ -22,6 +24,7 @@ from kjdt.tableau import (
     conjugate,
     doubling,
     forward_slide,
+    increasing_fillings,
     infusion,
     is_urt,
     jdt_class,
@@ -38,6 +41,7 @@ from kjdt.tableau import (
     tableau_product,
     tableau_to_json,
     urt_census,
+    value_rows,
     wx_act,
 )
 
@@ -611,3 +615,84 @@ def test_single_box_poset_involution_identity():
     a = type_a(1, 1)
     assert a.wx == (0,)
     assert minimal_tableau(a.shape("1")).values == (1,)
+
+
+# -- filling enumeration and row reading -------------------------------------
+
+
+def _fillings_by_filter(poset, mask, vmin, vmax, surjective):
+    """Value tuples in [vmin, vmax], kept when they increase along every cover."""
+    order = list(bits(mask))
+    pos = {i: k for k, i in enumerate(order)}
+    covers = [(pos[i], pos[j]) for i in order for j in poset.up[i] if j in pos]
+    return [
+        vals
+        for vals in product(range(vmin, vmax + 1), repeat=len(order))
+        if all(vals[a] < vals[b] for a, b in covers)
+        and (not surjective or set(vals) == set(range(vmin, vmax + 1)))
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, outer, inner, vmin, vmax",
+    [
+        ("grid:3,3", "3,2,1", "1", 1, 4),
+        ("grid:3,3", "2,2", "", 0, 3),
+        ("a:2,3", "3,3", "2", 1, 4),
+        ("og:4", "3,1", "1", 1, 3),
+        ("shifted:4", "3,2", "", 2, 5),
+        ("e6", "4,2", "3", 1, 3),
+        ("e6", "1", "1", 1, 2),  # empty skew shape
+        ("e6", "2", "", 3, 2),  # empty value range
+    ],
+)
+@pytest.mark.parametrize("surjective", [False, True])
+def test_increasing_fillings_match_tuple_filter(spec, outer, inner, vmin, vmax, surjective):
+    poset = parse_poset(spec)
+    mask = poset.shape(outer).mask & ~poset.shape(inner).mask
+    got = list(increasing_fillings(poset, mask, vmin, vmax, surjective=surjective))
+    assert got == _fillings_by_filter(poset, mask, vmin, vmax, surjective)
+
+
+def _rows_by_sorting(filling):
+    """Row grouping as the reader did it before it was shared."""
+    rows = {}
+    for (r, c), v in filling.items():
+        rows.setdefault(r, []).append((c, v))
+    return {r: tuple(v for _, v in sorted(rows[r])) for r in sorted(rows)}
+
+
+def _fixture_tableaux():
+    e6, og, e7 = cayley_plane(), max_orthogonal(6), freudenthal()
+    grid = ambient_grid(6, 10)
+    theta = SkewShape(grid.shape("9,7,6,6,4"), grid.shape("5,3,2"))
+    return [
+        parse_tableau(type_a(3, 3), ".,.,./.,.,2/1,3,4"),
+        parse_tableau(e6, ".,.,.,1/.,2,4,5/3,4,5"),
+        parse_tableau(e6, ".,.,.,2/1,3,4/3"),
+        Tableau.from_dict(og, {(1, 5): 2, (2, 3): 1, (2, 4): 2, (2, 5): 4,
+                               (3, 3): 3, (3, 4): 5, (4, 4): 6}),
+        minimal_tableau(og.shape("5,3,2")),
+        superstandard(og.shape("5,3,2"), "col"),
+        superstandard(e7.shape("5,3,3"), "row"),
+        minimal_tableau(theta),
+        maximal_tableau(theta),
+        minimal_tableau(e6.empty_shape()),
+    ]
+
+
+def test_row_reader_matches_sorting_each_row():
+    for tab in _fixture_tableaux():
+        rows = _rows_by_sorting(tab.as_dict())
+        assert value_rows(tab.as_dict()) == rows
+        assert list(value_rows(tab.as_dict())) == list(rows)  # top row first
+        word = tuple(v for r in reversed(list(rows)) for v in rows[r])
+        assert tab.row_word() == word
+        # a weak tableau's dict need not list its boxes in row-major order
+        assert WeakTableau(dict(reversed(tab.as_dict().items()))).row_word() == word
+        assert tableau_to_json(tab)["rows"] == [list(row) for row in rows.values()]
+        if tab.is_straight:
+            assert tab.straight_rows() == tuple(rows.values())
+    m = minimal_tableau(max_orthogonal(6).shape("5,3,2"))
+    assert m.straight_rows() == ((1, 2, 3, 4, 5), (3, 4, 5), (5, 6))
+    assert m.row_word() == (5, 6, 3, 4, 5, 1, 2, 3, 4, 5)
