@@ -264,8 +264,9 @@ def cmd_word(args) -> int:
         return EXIT_PARSE
     if args.action == "hecke":
         w = hecke_of_word(_parse_word(args.w))
-        _emit({"one_line": w.one_line(), "length": w.length()}, args.json,
-              f"{w.one_line()} length {w.length()}")
+        one_line, length = w.one_line(), w.length()
+        _emit({"one_line": one_line, "length": length}, args.json,
+              f"{one_line} length {length}")
         return EXIT_OK
     if args.action == "stats":
         word = _parse_word(args.w)

@@ -29,6 +29,7 @@ from .poset import (
     ambient_grid,
     ambient_shifted,
     bits,
+    remember,
     rook_strips_over,
 )
 from .tableau import (
@@ -164,9 +165,6 @@ def from_schubert_basis(o: SignedKElement) -> GammaElement:
 
 # -- products ----------------------------------------------------------------
 
-_SUPPORT_CACHE: dict[tuple[int, int], dict[int, int]] = {}
-
-
 def _require_ring_poset(poset: MinusculePoset, assume_urp: bool):
     if poset.is_ambient:
         raise NonMinusculePoset(
@@ -182,28 +180,31 @@ def _require_ring_poset(poset: MinusculePoset, assume_urp: bool):
 
 
 def class_supports(poset: MinusculePoset, mu: Shape) -> dict[int, int]:
-    """Support multiset of the jeu de taquin class of M_mu (cached)."""
-    key = (id(poset), mu.mask)
+    """Support multiset of the jeu de taquin class of M_mu (memoised per poset)."""
     try:
-        return _SUPPORT_CACHE[key]
+        return poset.class_supports_memo[mu.mask]
     except KeyError:
         counts: dict[int, int] = {}
         for levels in jdt_class(minimal_tableau(mu)).member_keys:
             s = levels_support(levels)
             counts[s] = counts.get(s, 0) + 1
-        _SUPPORT_CACHE[key] = counts
-        return counts
+        return remember(poset.class_supports_memo, mu.mask, counts)
 
 
 def _attach(poset: MinusculePoset, lam: int, supports: dict[int, int]) -> dict[int, int]:
-    """Counts of ``lam | s`` over supports ``s`` that extend ``lam`` to a shape."""
+    """Counts of ``lam | s`` over supports ``s`` that extend ``lam`` to a shape.
+
+    A support is convex, so for the ideal ``lam`` and a support disjoint
+    from it, ``lam | s`` is an ideal exactly when the inner shape of ``s``
+    lies inside ``lam``.
+    """
+    geometry = poset.skew_geometry
     out: dict[int, int] = {}
     for support, count in supports.items():
-        if support & lam:
+        if support & lam or geometry(support)[1] & ~lam:
             continue
         nu = lam | support
-        if poset.is_ideal(nu):
-            out[nu] = out.get(nu, 0) + count
+        out[nu] = out.get(nu, 0) + count
     return out
 
 

@@ -127,7 +127,10 @@ class MinusculePoset:
     Boxes are stored in row-major order; sets of boxes (shapes, tableau
     supports) are bitmasks over that ordering.  All derived structure
     (covers, heights, the ``wx`` involution) is computed once at
-    construction, and instances are immutable and safe to share.
+    construction, and instances are immutable and safe to share.  Geometry
+    that depends only on a mask (neighbor unions, skew presentations and
+    their slide starts, greedy layers, class supports) is memoised per
+    poset on first use, each memo holding at most ``MEMO_CAP`` entries.
     """
 
     def __init__(self, family: PosetFamily):
@@ -196,6 +199,9 @@ class MinusculePoset:
             r: tuple(i for i, (rr, _) in enumerate(boxes) if rr == r) for r in rows
         }
         self._expand_cache: dict[int, int] = {}
+        self._skew_memo: dict[int, tuple] = {}
+        self._layer_memo: dict[int, tuple[int, ...]] = {}
+        self.class_supports_memo: dict[int, dict[int, int]] = {}
 
     # -- basic queries ---------------------------------------------------
 
@@ -245,8 +251,7 @@ class MinusculePoset:
                 b = m & -m
                 out |= self.nbr_mask[b.bit_length() - 1]
                 m ^= b
-            self._expand_cache[mask] = out
-            return out
+            return remember(self._expand_cache, mask, out)
 
     def is_ideal(self, mask: int) -> bool:
         return self.down_closure(mask) == mask
@@ -258,6 +263,46 @@ class MinusculePoset:
             for i in bits(mask)
             if not any(mask & (1 << j) for j in self.up[i])
         ]
+
+    def skew_geometry(
+        self, support: int
+    ) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+        """``(outer, inner, forward starts, reverse starts)`` of a support (memoised).
+
+        ``outer`` is the ideal the support generates and ``inner`` its
+        boxes outside the support.  The forward starts are the nonempty
+        subsets of the maximal boxes of ``inner``, the reverse starts the
+        nonempty subsets of the minimal absent boxes of ``outer``: every
+        slide a breadth-first closure applies to a state with this support.
+        """
+        try:
+            return self._skew_memo[support]
+        except KeyError:
+            outer = self.down_closure(support)
+            inner = outer & ~support
+            entry = (
+                outer,
+                inner,
+                tuple(_nonempty_subsets(self.maximal_boxes(inner))),
+                tuple(_nonempty_subsets(self.minimal_absent_boxes(outer))),
+            )
+            return remember(self._skew_memo, support, entry)
+
+    def greedy_layers(self, inner: int) -> tuple[int, ...]:
+        """Maximal-box layers peeled off the ideal ``inner``, outermost first (memoised).
+
+        Greedy rectification slides from each layer in turn.
+        """
+        try:
+            return self._layer_memo[inner]
+        except KeyError:
+            layers = []
+            rest = inner
+            while rest:
+                top = sum(1 << i for i in self.maximal_boxes(rest))
+                layers.append(top)
+                rest &= ~top
+            return remember(self._layer_memo, inner, tuple(layers))
 
     def ideals_between(self, lo: int, hi: int) -> list[int]:
         """Every order ideal ``m`` with ``lo <= m <= hi`` (as box sets).
@@ -430,6 +475,31 @@ def parse_entry(token: str, what: str) -> int:
         return int(token)
     except ValueError:
         raise PosetError(f"bad {what} entry {token.strip()!r}") from None
+
+
+# Entries kept in each per-poset memo; a full memo is emptied and refilled.
+MEMO_CAP = 1 << 14
+
+
+def remember(memo: dict, key, value):
+    """Store ``value`` under ``key`` in a memo bounded by ``MEMO_CAP``."""
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+def _nonempty_subsets(items: list[int]):
+    """Masks of the nonempty subsets of the boxes ``items``."""
+    n = len(items)
+    for pick in range(1, 1 << n):
+        mask = 0
+        p = pick
+        while p:
+            b = p & -p
+            mask |= 1 << items[b.bit_length() - 1]
+            p ^= b
+        yield mask
 
 
 def bits(mask: int):

@@ -399,18 +399,6 @@ def reverse_slide(tab: Tableau, start) -> Tableau:
     return Tableau.from_levels(poset, levels)
 
 
-def _nonempty_subsets(items: list[int]):
-    n = len(items)
-    for pick in range(1, 1 << n):
-        mask = 0
-        p = pick
-        while p:
-            b = p & -p
-            mask |= 1 << items[b.bit_length() - 1]
-            p ^= b
-        yield mask
-
-
 def levels_support(levels: Levels) -> int:
     """The boxes a levels key fills: the union of its masks."""
     mask = 0
@@ -428,13 +416,11 @@ def rect_greedy(tab: Tableau, inner: int | None = None) -> Tableau:
     """
     poset = tab.poset
     levels = tab.levels()
-    pres = tab.inner_mask() if inner is None else inner
-    if pres & levels_support(levels):
+    pres = poset.skew_geometry(tab.mask)[1] if inner is None else inner
+    if pres & tab.mask:
         raise PosetError("presentation inner shape overlaps the filling")
-    while pres:
-        c_mask = sum(1 << i for i in poset.maximal_boxes(pres))
+    for c_mask in poset.greedy_layers(pres):
         levels, _ = _slide_levels(poset, levels, c_mask, forward=True)
-        pres &= ~c_mask
     result = Tableau.from_levels(poset, levels)
     if not result.is_straight:
         raise PosetError("greedy rectification started from an invalid inner shape")
@@ -451,12 +437,11 @@ def rectify_all(tab: Tableau, budget: int | None = None) -> set[Tableau]:
     while frontier:
         new = []
         for levels in frontier:
-            mask = levels_support(levels)
-            inner = poset.down_closure(mask) & ~mask
-            if inner == 0:
+            forward_starts = poset.skew_geometry(levels_support(levels))[2]
+            if not forward_starts:
                 results.add(Tableau.from_levels(poset, levels))
                 continue
-            for c_mask in _nonempty_subsets(poset.maximal_boxes(inner)):
+            for c_mask in forward_starts:
                 nxt, _ = _slide_levels(poset, levels, c_mask, forward=True)
                 if nxt not in seen:
                     seen.add(nxt)
@@ -499,6 +484,7 @@ def jdt_class(
 ) -> JdtClass:
     """Breadth-first closure of ``tab`` under slides inside its poset."""
     poset = tab.poset
+    geometry = poset.skew_geometry
     boundary = poset.boundary_mask()
     start = tab.levels()
     seen = {start}
@@ -509,27 +495,21 @@ def jdt_class(
     while frontier:
         new = []
         for levels in frontier:
-            mask = levels_support(levels)
-            outer = poset.down_closure(mask)
-            inner = outer & ~mask
+            outer, inner, forward_starts, reverse_starts = geometry(
+                levels_support(levels)
+            )
             if boundary & outer:
                 touched = True
             if inner == 0:
                 straight.append(Tableau.from_levels(poset, levels))
                 if stop_second_straight and len(straight) > 1:
                     return JdtClass(tab, poset, seen, straight, False, touched)
-            moves = [
-                (c, True) for c in _nonempty_subsets(poset.maximal_boxes(inner))
-            ]
-            moves += [
-                (c, False)
-                for c in _nonempty_subsets(poset.minimal_absent_boxes(outer))
-            ]
-            for c_mask, fwd in moves:
-                nxt, _ = _slide_levels(poset, levels, c_mask, forward=fwd)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    new.append(nxt)
+            for starts, fwd in ((forward_starts, True), (reverse_starts, False)):
+                for c_mask in starts:
+                    nxt, _ = _slide_levels(poset, levels, c_mask, forward=fwd)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        new.append(nxt)
             if budget is not None and len(seen) > budget:
                 return JdtClass(tab, poset, seen, straight, False, touched)
         frontier = new

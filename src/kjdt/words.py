@@ -12,7 +12,7 @@ differs, or ``inconclusive``.
 """
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import product as iter_product
 
@@ -110,14 +110,26 @@ class Permutation:
         return Permutation(self.window, tuple(inv[x] for x in range(lo, hi + 1)))
 
     def length(self) -> int:
-        """Coxeter length: the number of inversions."""
-        im = self.images
-        return sum(
-            1
-            for i in range(len(im))
-            for j in range(i + 1, len(im))
-            if im[i] > im[j]
-        )
+        """Coxeter length: the number of inversions.
+
+        Only moved points take part.  Two fixed points are never inverted,
+        and a moved point i and a fixed point j are inverted exactly when j
+        lies strictly between i and w(i), so the cost follows the number
+        of moved points.
+        """
+        moved = [
+            (x, y) for x, y in enumerate(self.images, self.window + 1) if x != y
+        ]
+        points = [x for x, _ in moved]
+        images: list[int] = []
+        count = 0
+        for k, (x, y) in enumerate(moved):
+            count += k - bisect_right(images, y)  # earlier moved points above
+            insort(images, y)
+            lo, hi = min(x, y), max(x, y)
+            between = bisect_left(points, hi) - bisect_right(points, lo)
+            count += hi - lo - 1 - between  # fixed points strictly between
+        return count
 
     def __eq__(self, other):
         return (

@@ -112,6 +112,8 @@ def test_word_commands(capsys):
     assert code == 0 and "refuted" in out
     code, out, _ = run(capsys, "word", "hecke", "--w", "2,1,2")
     assert code == 0 and "length 3" in out
+    code, out, _ = run(capsys, "word", "hecke", "--w", "1,100000")
+    assert code == 0 and out.endswith(",100001,100000] length 2\n")
     code, out, _ = run(capsys, "word", "stats", "--w", "3,2,1")
     assert code == 0 and "lis 1 lds 3" in out
 

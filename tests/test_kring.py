@@ -6,6 +6,7 @@ import pytest
 from kjdt.errors import NonMinusculePoset, PosetError, WindowExceeded
 from kjdt.kring import (
     GammaElement,
+    _attach,
     SignedKElement,
     basis_product,
     check_symmetry,
@@ -34,6 +35,7 @@ from kjdt.poset import (
     freudenthal,
     lagrangian,
     max_orthogonal,
+    parse_poset,
     quadric_even,
     type_a,
 )
@@ -46,6 +48,30 @@ def terms(el):
 
 
 # -- structure constants and products ------------------------------------------
+
+
+def _attach_by_is_ideal(poset, lam, supports):
+    out = {}
+    for support, count in supports.items():
+        if not support & lam and poset.is_ideal(lam | support):
+            out[lam | support] = out.get(lam | support, 0) + count
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, rows", [("e6", None), ("e7", None), ("shifted:6", ["1", "2", "3"])]
+)
+def test_attach_inner_test_matches_is_ideal(spec, rows):
+    # Counts are positive and distinct supports disjoint from lam give
+    # distinct unions, so equal outputs mean the two tests agree on every
+    # (lam, support) pair.  The shifted window is the pieri_B_by_class path.
+    poset = parse_poset(spec)
+    mus = enumerate_shapes(poset) if rows is None else [poset.shape(r) for r in rows]
+    lams = poset.ideals_between(0, poset.full_mask)
+    for mu in mus:
+        supports = class_supports(poset, mu)
+        for lam in lams:
+            assert _attach(poset, lam, supports) == _attach_by_is_ideal(poset, lam, supports)
 
 
 def test_cayley_squares_of_row_two():

@@ -1,7 +1,10 @@
 import pytest
 
+from kjdt import poset as poset_module
 from kjdt.errors import PosetError
+from kjdt.kring import class_supports
 from kjdt.poset import (
+    MinusculePoset,
     PosetFamily,
     Shape,
     SkewShape,
@@ -229,3 +232,73 @@ def test_ideals_between_matches_subset_filter(spec):
         sizes = [m.bit_count() for m in got]
         assert sizes == sorted(sizes), (lo, hi)  # breadth-first
 
+
+# -- the per-poset memos ------------------------------------------------------
+
+
+def _subset_masks(items):
+    """Masks of the nonempty subsets of ``items``, by the binary count of picks."""
+    return tuple(
+        sum(1 << items[k] for k in range(len(items)) if pick >> k & 1)
+        for pick in range(1, 1 << len(items))
+    )
+
+
+def _skew_supports(poset):
+    ideals = poset.ideals_between(0, poset.full_mask)
+    return sorted({o & ~i for o in ideals for i in ideals if not i & ~o})
+
+
+def _direct_geometry(poset, support):
+    outer = poset.down_closure(support)
+    inner = outer & ~support
+    return (
+        outer,
+        inner,
+        _subset_masks(poset.maximal_boxes(inner)),
+        _subset_masks(poset.minimal_absent_boxes(outer)),
+    )
+
+
+def _direct_layers(poset, inner):
+    layers = []
+    while inner:
+        top = sum(1 << i for i in poset.maximal_boxes(inner))
+        layers.append(top)
+        inner &= ~top
+    return tuple(layers)
+
+
+@pytest.mark.parametrize("spec", ["e6", "e7", "og:6", "a:3,4", "grid:3,3", "shifted:4"])
+def test_skew_geometry_matches_direct_computation(spec):
+    poset = parse_poset(spec)
+    for support in _skew_supports(poset):
+        assert poset.skew_geometry(support) == _direct_geometry(poset, support), support
+    for inner in poset.ideals_between(0, poset.full_mask):
+        assert poset.greedy_layers(inner) == _direct_layers(poset, inner), inner
+
+
+def test_memos_stay_bounded_past_the_cap(monkeypatch):
+    cap = 7
+    cached = cayley_plane()
+    shapes = enumerate_shapes(cached)
+    classes = {mu.mask: class_supports(cached, mu) for mu in shapes}
+    supports = _skew_supports(cached)
+    monkeypatch.setattr(poset_module, "MEMO_CAP", cap)
+    fresh = MinusculePoset(PosetFamily("e6"))  # outside the poset cache: empty memos
+    for _ in range(2):  # the second round reads entries evicted in the first
+        for support in supports:
+            assert fresh.skew_geometry(support) == _direct_geometry(fresh, support)
+            assert len(fresh._skew_memo) <= cap
+        for mu in shapes:
+            assert fresh.greedy_layers(mu.mask) == _direct_layers(fresh, mu.mask)
+            assert len(fresh._layer_memo) <= cap
+            assert class_supports(fresh, Shape(fresh, mu.mask)) == classes[mu.mask]
+            assert len(fresh.class_supports_memo) <= cap
+        for mask in range(0, 1 << 12, 3):
+            expected = 0
+            for i in range(fresh.n):
+                if mask >> i & 1:
+                    expected |= fresh.nbr_mask[i]
+            assert fresh.expand_neighbors(mask) == expected
+            assert len(fresh._expand_cache) <= cap

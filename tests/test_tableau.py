@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kjdt.errors import PosetError, WindowExceeded
 from kjdt.poset import (
@@ -21,6 +23,7 @@ from kjdt.tableau import (
     DottedTableau,
     Tableau,
     WeakTableau,
+    _slide_levels,
     conjugate,
     doubling,
     forward_slide,
@@ -171,6 +174,44 @@ def test_reverse_slide_anti_rectification_step():
     anti = wx_act(rect_greedy(wx_act(m)))
     expected = minimal_tableau(SkewShape(e6.full_shape(), e6.shape("2").dual()))
     assert anti == expected
+
+
+# One poset of every family, bounded and ambient.
+SLIDE_FAMILIES = [
+    "a:3,4", "og:5", "lg:4", "qodd:3", "qeven:4", "qeven:5",
+    "e6", "e7", "grid:4,5", "shifted:5",
+]
+
+
+def _slide_by_swaps(poset, tab, start, forward):
+    """A slide as the composite of dict swaps of the holes with each value."""
+    filling = tab.as_dict()
+    for i in start:
+        filling[poset.boxes[i]] = DOT
+    for v in sorted(tab.value_set(), reverse=not forward):
+        filling = swap(poset, filling, DOT, v)
+    holes = sum(1 << poset.index[b] for b, v in filling.items() if v is DOT)
+    return {b: v for b, v in filling.items() if v is not DOT}, holes
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SLIDE_FAMILIES), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_slide_levels_matches_swap_composition(spec, seed, forward, data):
+    poset = parse_poset(spec)
+    tab = random_skew_tableau(random.Random(seed), poset)
+    outer = poset.down_closure(tab.mask)
+    if forward:
+        candidates = poset.maximal_boxes(outer & ~tab.mask)
+    else:
+        candidates = poset.minimal_absent_boxes(outer)
+    if not candidates:  # straight (forward) or full (reverse): no slide
+        return
+    start = data.draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True))
+    c_mask = sum(1 << i for i in start)
+    levels, holes = _slide_levels(poset, tab.levels(), c_mask, forward)
+    assert (Tableau.from_levels(poset, levels).as_dict(), holes) == _slide_by_swaps(
+        poset, tab, start, forward
+    )
 
 
 # -- rectification ----------------------------------------------------------------

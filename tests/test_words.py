@@ -46,6 +46,28 @@ def test_permutation_window_is_tight():
     assert p == Permutation.transposition(3)
 
 
+def _inversions_by_pairs(w):
+    lo, hi = w.support()
+    return sum(1 for i in range(lo, hi + 1) for j in range(i + 1, hi + 1) if w(i) > w(j))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=-3, max_value=8), max_size=8), st.permutations(range(6)))
+def test_length_counts_inversions_over_moved_points(word, perm):
+    # Hecke permutations of sparse words leave fixed points inside the window.
+    assert hecke_of_word(word).length() == _inversions_by_pairs(hecke_of_word(word))
+    w = Permutation.from_one_line([x - 2 for x in perm], start=-2)
+    assert w.length() == _inversions_by_pairs(w)
+
+
+def test_length_of_a_wide_window_is_fast():
+    n = 10**6
+    assert hecke_of_word((1, n)).length() == 2
+    # the transposition (1 n): every point strictly between is inverted twice
+    far = Permutation.from_one_line([n] + list(range(2, n)) + [1])
+    assert far.length() == 2 * (n - 2) + 1
+
+
 def test_reduced_word_round_trip():
     rng = random.Random(5)
     for _ in range(50):
