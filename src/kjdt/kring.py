@@ -21,6 +21,8 @@ codimension.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from .errors import NonMinusculePoset, PosetError, WindowExceeded
 from .poset import (
@@ -37,6 +39,7 @@ from .tableau import (
     increasing_fillings,
     is_urt,
     jdt_class,
+    level_fillings,
     levels_support,
     minimal_tableau,
     rect_greedy,
@@ -179,8 +182,8 @@ def _require_ring_poset(poset: MinusculePoset, assume_urp: bool):
         )
 
 
-def class_supports(poset: MinusculePoset, mu: Shape) -> dict[int, int]:
-    """Support multiset of the jeu de taquin class of M_mu (memoised per poset)."""
+def class_supports(poset: MinusculePoset, mu: Shape) -> Mapping[int, int]:
+    """Support multiset of the jeu de taquin class of M_mu (memoised, read-only)."""
     try:
         return poset.class_supports_memo[mu.mask]
     except KeyError:
@@ -188,10 +191,10 @@ def class_supports(poset: MinusculePoset, mu: Shape) -> dict[int, int]:
         for levels in jdt_class(minimal_tableau(mu)).member_keys:
             s = levels_support(levels)
             counts[s] = counts.get(s, 0) + 1
-        return remember(poset.class_supports_memo, mu.mask, counts)
+        return remember(poset.class_supports_memo, mu.mask, MappingProxyType(counts))
 
 
-def _attach(poset: MinusculePoset, lam: int, supports: dict[int, int]) -> dict[int, int]:
+def _attach(poset: MinusculePoset, lam: int, supports: Mapping[int, int]) -> dict[int, int]:
     """Counts of ``lam | s`` over supports ``s`` that extend ``lam`` to a shape.
 
     A support is convex, so for the ideal ``lam`` and a support disjoint
@@ -319,12 +322,6 @@ def check_symmetry(lam: Shape, mu: Shape, nu: Shape) -> dict:
 
 
 # -- Pieri rules ----------------------------------------------------------------
-
-def _partition_contains(nu, lam) -> bool:
-    return len(nu) >= len(lam) and all(
-        n >= l for n, l in zip(nu, lam)
-    ) and all(n >= 0 for n in nu)
-
 
 def _horizontal_strips(lam: tuple[int, ...], max_rows: int, max_cols: int):
     """Partitions nu >= lam with at most one new box per column.
@@ -468,10 +465,9 @@ def pieri_B(lam, p: int, cols: int | None = None) -> GammaElement:
     lam_mask = poset.shape(list(lam)).mask
     coeffs = {}
     for nu in poset.ideals_between(lam_mask, poset.full_mask)[1:]:
-        skew = nu & ~lam_mask
         n = 0
-        for filling in increasing_fillings(poset, skew, 1, p, surjective=True):
-            if is_pieri_word_b(Tableau(poset, skew, filling).row_word()):
+        for key in level_fillings(poset, lam_mask, nu, p):
+            if is_pieri_word_b(Tableau.from_levels(poset, key).row_word()):
                 n += 1
         if n:
             coeffs[nu] = n

@@ -19,7 +19,7 @@ raise :class:`~kjdt.errors.WindowExceeded` instead of silently clipping.
 """
 from __future__ import annotations
 
-import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import PosetError
@@ -201,7 +201,7 @@ class MinusculePoset:
         self._expand_cache: dict[int, int] = {}
         self._skew_memo: dict[int, tuple] = {}
         self._layer_memo: dict[int, tuple[int, ...]] = {}
-        self.class_supports_memo: dict[int, dict[int, int]] = {}
+        self.class_supports_memo: dict[int, Mapping[int, int]] = {}
 
     # -- basic queries ---------------------------------------------------
 
@@ -622,7 +622,3 @@ def shape_to_json(shape: Shape) -> dict:
         "params": list(fam.params),
         "rows": list(shape.row_lengths),
     }
-
-
-def shape_json_literal(shape: Shape) -> str:
-    return json.dumps(shape_to_json(shape), sort_keys=True)

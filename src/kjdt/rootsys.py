@@ -218,9 +218,6 @@ class WeylElement:
     system: RootSystem
     images: tuple[int, ...]  # images[i] = +-(j+1): root_i -> +-root_j
 
-    def act_index(self, i: int) -> int:
-        return self.images[i]
-
     def act(self, root: Coeffs) -> tuple[int, int]:
         """Image of +-root as (sign, positive root index)."""
         si = self.system.signed_index(root)

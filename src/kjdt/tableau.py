@@ -4,15 +4,14 @@ A tableau is an integer filling of a finite set of poset boxes that is
 strictly increasing along the order.  The support set determines a
 canonical skew presentation: the outer shape is the lower order ideal it
 generates and the inner shape is the rest of that ideal.  Tableaux are
-immutable and hash by (box set, value sequence), so breadth-first
-closures can deduplicate millions of states cheaply.
+immutable and stored as "levels": for each value, the bitmask of boxes
+carrying it.  Equality, hashing, slides and closures all use levels.
 
-The slide engine works on "levels": for each value, the bitmask of boxes
-carrying it.  A swap between a value and the moving holes is four mask
-operations, which keeps exhaustive class enumeration tractable in pure
-Python.  Values may repeat across incomparable boxes; slides duplicate
-entries exactly when several holes border the same value, and the set of
-values present is preserved by every slide.
+A swap between a value and the moving holes is four mask operations,
+which keeps exhaustive class enumeration tractable in pure Python.
+Values may repeat across incomparable boxes; slides duplicate entries
+exactly when several holes border the same value, and the set of values
+present is preserved by every slide.
 """
 from __future__ import annotations
 
@@ -44,15 +43,20 @@ Levels = tuple[tuple[int, int], ...]  # ((value, boxmask), ...) sorted by value
 
 
 class Tableau:
-    """Strictly increasing filling of a skew box set."""
+    """Strictly increasing filling of a skew box set, keyed by its levels."""
 
-    __slots__ = ("poset", "mask", "values", "_hash")
+    __slots__ = ("poset", "mask", "_levels", "_values", "_hash")
 
     def __init__(self, poset: MinusculePoset, mask: int, values: tuple[int, ...]):
+        values = tuple(values)
+        d: dict[int, int] = {}
+        for i, v in zip(bits(mask), values):
+            d[v] = d.get(v, 0) | (1 << i)
         self.poset = poset
         self.mask = mask
-        self.values = values
-        self._hash = hash((id(poset), mask, values))
+        self._levels: Levels = tuple(sorted(d.items()))
+        self._values: tuple[int, ...] | None = values
+        self._hash: int | None = None
 
     # -- constructors ----------------------------------------------------
 
@@ -70,13 +74,14 @@ class Tableau:
 
     @classmethod
     def from_levels(cls, poset: MinusculePoset, levels: Levels) -> "Tableau":
-        mask = levels_support(levels)
-        val_at = {}
-        for v, m in levels:
-            for i in bits(m):
-                val_at[i] = v
-        values = tuple(val_at[i] for i in bits(mask))
-        return cls(poset, mask, values)
+        """Wrap a levels key (sorted by value, no empty mask) without copying it."""
+        tab = cls.__new__(cls)
+        tab.poset = poset
+        tab.mask = levels_support(levels)
+        tab._levels = levels
+        tab._values = None
+        tab._hash = None
+        return tab
 
     def validate(self) -> None:
         poset, mask = self.poset, self.mask
@@ -114,6 +119,17 @@ class Tableau:
     def size(self) -> int:
         return self.mask.bit_count()
 
+    @property
+    def values(self) -> tuple[int, ...]:
+        """One value per box of ``mask``, in the order of ``bits(mask)``."""
+        if self._values is None:
+            val_at = {}
+            for v, m in self._levels:
+                for i in bits(m):
+                    val_at[i] = v
+            self._values = tuple(val_at[i] for i in bits(self.mask))
+        return self._values
+
     def value_at(self, i: int) -> int:
         offset = (self.mask & ((1 << i) - 1)).bit_count()
         return self.values[offset]
@@ -124,13 +140,10 @@ class Tableau:
         }
 
     def levels(self) -> Levels:
-        d: dict[int, int] = {}
-        for i, v in zip(bits(self.mask), self.values):
-            d[v] = d.get(v, 0) | (1 << i)
-        return tuple(sorted(d.items()))
+        return self._levels
 
     def value_set(self) -> set[int]:
-        return set(self.values)
+        return {v for v, _ in self._levels}
 
     def row_word(self) -> tuple[int, ...]:
         """Rows read left to right, starting with the bottom row."""
@@ -149,8 +162,8 @@ class Tableau:
 
     def pack(self) -> "Tableau":
         """Order-isomorphic copy with values renumbered to 1..d."""
-        ranks = {v: k + 1 for k, v in enumerate(sorted(set(self.values)))}
-        return Tableau(self.poset, self.mask, tuple(ranks[v] for v in self.values))
+        packed = tuple((k, m) for k, (_, m) in enumerate(self._levels, start=1))
+        return Tableau.from_levels(self.poset, packed)
 
     # -- identity --------------------------------------------------------
 
@@ -158,18 +171,16 @@ class Tableau:
         return (
             isinstance(other, Tableau)
             and self.poset is other.poset
-            and self.mask == other.mask
-            and self.values == other.values
+            and self._levels == other._levels
         )
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((id(self.poset), self._levels))
         return self._hash
 
     def __repr__(self):
         return f"Tableau({self.literal()!r})"
-
-    def key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.mask, self.values)
 
     # -- text forms --------------------------------------------------------
 
@@ -590,6 +601,44 @@ def increasing_fillings(
     yield from rec(0)
 
 
+def level_fillings(poset: MinusculePoset, lam: int, nu: int, d: int):
+    """Levels keys of the surjective increasing fillings of nu/lam by 1..d.
+
+    A filling is a chain of ideals lam = I_0 < ... < I_d = nu; the boxes
+    of value k are a reverse slide start of I_(k-1) inside nu.  A branch
+    is cut when fewer boxes, or a longer chain of boxes, than values remain.
+    """
+    rest = nu & ~lam
+    if rest.bit_count() < d:
+        return
+    chain: dict[int, int] = {}  # longest chain in nu starting at a box
+    for i in reversed(list(bits(rest))):
+        chain[i] = 1 + max((chain[j] for j in poset.up[i] if nu >> j & 1), default=0)
+    # deep[r]: boxes that cannot be filled when r values are left.
+    deep = [sum(1 << i for i, c in chain.items() if c > r) for r in range(d + 1)]
+    if rest & deep[d]:
+        return
+    geometry = poset.skew_geometry
+    key: list[tuple[int, int]] = []
+
+    def rec(ideal: int, left: int):
+        if not left:
+            yield tuple(key)
+            return
+        value = d - left + 1
+        left -= 1
+        for step in geometry(ideal)[3]:
+            grown = ideal | step
+            rest = nu & ~grown
+            if step & ~nu or rest.bit_count() < left or rest & deep[left]:
+                continue
+            key.append((value, step))
+            yield from rec(grown, left)
+            key.pop()
+
+    yield from rec(lam, d)
+
+
 def straight_tableaux_with_values(poset: MinusculePoset, letters, max_rows, max_cols):
     """All straight tableaux in a window using exactly the given value set."""
     letters = sorted(set(letters))
@@ -684,11 +733,10 @@ def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
 
 
 def packed_straight_tableaux(poset: MinusculePoset, shape: Shape):
-    """All increasing tableaux of a straight shape with values packed to 1..d."""
+    """Levels keys of the increasing tableaux of a straight shape with values 1..d."""
     chain = max((poset.heights[i] for i in bits(shape.mask)), default=0)
     for d in range(chain, shape.size + 1):
-        for filling in increasing_fillings(poset, shape.mask, 1, d, surjective=True):
-            yield Tableau(poset, shape.mask, filling)
+        yield from level_fillings(poset, 0, shape.mask, d)
 
 
 def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int | None = None):
@@ -696,8 +744,8 @@ def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int |
 
     Classes are enumerated once each: all straight members of a class
     share one verdict (certified when the class has a single straight
-    member).  Returns a report with per-shape counts and any refuted
-    tableaux.
+    member).  Returns a report with the certified tableaux, in no
+    specified order, and the refuted ones sorted by size, then literal.
     """
     from .poset import enumerate_shapes
 
@@ -710,10 +758,10 @@ def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int |
     for shape in enumerate_shapes(poset):
         if shape.size == 0 or (max_size is not None and shape.size > max_size):
             continue
-        for tab in packed_straight_tableaux(poset, shape):
-            if tab.levels() in visited:
+        for key in packed_straight_tableaux(poset, shape):
+            if key in visited:
                 continue
-            cls = jdt_class(tab, budget=budget)
+            cls = jdt_class(Tableau.from_levels(poset, key), budget=budget)
             visited.update(cls.member_keys)
             if not cls.exhausted:
                 exhausted = False
@@ -728,6 +776,7 @@ def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int |
                 certified.extend(packed)
             else:
                 refuted.extend(packed)
+    refuted.sort(key=lambda t: (t.size, t.literal()))
     return {
         "poset": poset.family.spec(),
         "max_size": max_size,

@@ -74,6 +74,18 @@ def test_attach_inner_test_matches_is_ideal(spec, rows):
             assert _attach(poset, lam, supports) == _attach_by_is_ideal(poset, lam, supports)
 
 
+def test_class_supports_is_read_only():
+    e6 = cayley_plane()
+    lam, mu = e6.shape("2"), e6.shape("4,1")
+    before = basis_product(lam, mu)
+    supports = class_supports(e6, mu)
+    with pytest.raises(TypeError):
+        supports[0] = 1
+    with pytest.raises(TypeError):
+        del supports[next(iter(supports))]
+    assert basis_product(lam, mu) == before
+
+
 def test_cayley_squares_of_row_two():
     e6 = cayley_plane()
     g2 = GammaElement.basis(e6.shape("2"))

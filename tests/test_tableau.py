@@ -31,6 +31,7 @@ from kjdt.tableau import (
     infusion,
     is_urt,
     jdt_class,
+    level_fillings,
     maximal_tableau,
     minimal_tableau,
     parse_tableau,
@@ -341,6 +342,10 @@ def test_urt_census_og6_finds_failures():
     assert not report["all_certified"]
     target = superstandard(og.shape("4,2"), "col")
     assert any(t == target for t in report["refuted"])
+    # The report order does not follow the order classes were seeded in.
+    refuted = report["refuted"]
+    assert len(refuted) == 244
+    assert refuted == sorted(refuted, key=lambda t: (t.size, t.literal()))
 
 
 # -- distinguished tableaux ------------------------------------------------------
@@ -640,6 +645,24 @@ def test_pack():
     assert tab.pack().values == (1, 2, 2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SLIDE_FAMILIES), st.integers(0, 2**32 - 1))
+def test_tableau_identity_does_not_depend_on_constructor(spec, seed):
+    poset = parse_poset(spec)
+    tab = random_skew_tableau(random.Random(seed), poset)
+    copies = [
+        Tableau.from_levels(poset, tab.levels()),
+        Tableau(poset, tab.mask, tab.values),
+        Tableau.from_dict(poset, tab.as_dict()),
+    ]
+    for other in copies:
+        assert other == tab and hash(other) == hash(tab)
+        assert other.values == tab.values and other.literal() == tab.literal()
+    # pack() renumbers levels; compare with renumbering the value tuple.
+    ranks = {v: k for k, v in enumerate(sorted(set(tab.values)), start=1)}
+    assert tab.pack() == Tableau(poset, tab.mask, tuple(ranks[v] for v in tab.values))
+
+
 def test_budget_paths():
     from kjdt.errors import BudgetExceeded
 
@@ -693,6 +716,34 @@ def test_increasing_fillings_match_tuple_filter(spec, outer, inner, vmin, vmax, 
     mask = poset.shape(outer).mask & ~poset.shape(inner).mask
     got = list(increasing_fillings(poset, mask, vmin, vmax, surjective=surjective))
     assert got == _fillings_by_filter(poset, mask, vmin, vmax, surjective)
+
+
+@pytest.mark.parametrize(
+    "spec, outer, inner",
+    [
+        ("grid:3,3", "3,2,1", "1"),
+        ("grid:3,3", "2,2", ""),
+        ("a:2,3", "3,3", "2"),
+        ("og:4", "3,1", "1"),
+        ("shifted:4", "3,2", ""),
+        ("e6", "4,2", "3"),
+        ("e6", "1", "1"),  # empty skew shape
+        ("e6", "2", ""),
+        ("e7", "5,3,2", "4,1"),
+        ("og:6", "5,3,1", "2"),
+    ],
+)
+def test_level_fillings_match_increasing_fillings(spec, outer, inner):
+    poset = parse_poset(spec)
+    lam, nu = poset.shape(inner).mask, poset.shape(outer).mask
+    skew = nu & ~lam
+    for d in range(skew.bit_count() + 2):  # d = |nu/lam| + 1 has no filling
+        got = list(level_fillings(poset, lam, nu, d))
+        assert len(got) == len(set(got))
+        assert set(got) == {
+            Tableau(poset, skew, f).levels()
+            for f in increasing_fillings(poset, skew, 1, d, surjective=True)
+        }
 
 
 def _rows_by_sorting(filling):
