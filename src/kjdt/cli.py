@@ -24,6 +24,7 @@ from .kring import (
 )
 from .poset import SkewShape, enumerate_shapes, parse_entry, parse_poset
 from .tableau import (
+    DEFAULT_BUDGET,
     is_urt,
     jdt_class,
     minimal_tableau,
@@ -54,12 +55,12 @@ def _positive_int(text: str) -> int:
 
 
 def _budget(args) -> int:
-    """``--budget`` if given, else ``KJDT_BUDGET``, else 200000."""
+    """``--budget`` if given, else ``KJDT_BUDGET``, else ``DEFAULT_BUDGET``."""
     if args.budget is not None:
         return args.budget
     text = os.environ.get("KJDT_BUDGET")
     if text is None:
-        return 200000
+        return DEFAULT_BUDGET
     try:
         return _positive_int(text)
     except argparse.ArgumentTypeError:
@@ -208,11 +209,7 @@ def cmd_rectify(args) -> int:
         out = rect_greedy(tab)
         _emit(tableau_to_json(out), args.json, out.render())
         return EXIT_OK
-    try:
-        rects = rectify_all(tab, budget=budget)
-    except BudgetExceeded:
-        _progress(f"budget {budget} exhausted")
-        return EXIT_BUDGET
+    rects = rectify_all(tab, budget=budget)
     data = [tableau_to_json(t) for t in sorted(rects, key=lambda t: t.values)]
     if args.json:
         _emit(data, True)

@@ -39,7 +39,6 @@ from .tableau import (
     increasing_fillings,
     is_urt,
     jdt_class,
-    level_fillings,
     levels_support,
     minimal_tableau,
     rect_greedy,
@@ -275,10 +274,9 @@ def _greedy_count(poset, lam: Shape, mu: Shape, nu: Shape) -> int:
     if skew == 0:
         return 0
     target = minimal_tableau(mu)
-    vmax = max(target.values)
     count = 0
-    for filling in increasing_fillings(poset, skew, 1, vmax, surjective=True):
-        if rect_greedy(Tableau(poset, skew, filling), inner=lam.mask) == target:
+    for key in increasing_fillings(poset, lam.mask, nu.mask, max(target.values)):
+        if rect_greedy(Tableau.from_levels(poset, key), inner=lam.mask) == target:
             count += 1
     return count
 
@@ -415,13 +413,20 @@ def _count_hecke_fillings(
         for mask in frontier:
             skew = mask & ~lam_mask
             if skew:
-                # Positions of the filling in row-word order: bottom row first.
-                boxes = [poset.boxes[i] for i in bits(skew)]
-                order = sorted(range(len(boxes)), key=lambda k: (-boxes[k][0], boxes[k][1]))
+                # Row-word position of each box: bottom row first.
+                boxes = poset.boxes
+                order = sorted(bits(skew), key=lambda i: (-boxes[i][0], boxes[i][1]))
+                pos = {i: k for k, i in enumerate(order)}
+                word = [0] * len(order)
                 n = 0
                 witness = False
-                for filling in increasing_fillings(poset, skew, lo, hi):
-                    h = hecke_of_word(tuple(filling[k] for k in order))
+                for key in increasing_fillings(
+                    poset, lam_mask, mask, hi - lo + 1, surjective=False
+                ):
+                    for v, m in key:
+                        for i in bits(m):
+                            word[pos[i]] = v + lo - 1
+                    h = hecke_of_word(tuple(word))
                     if h == target:
                         n += 1
                         witness = True
@@ -466,7 +471,7 @@ def pieri_B(lam, p: int, cols: int | None = None) -> GammaElement:
     coeffs = {}
     for nu in poset.ideals_between(lam_mask, poset.full_mask)[1:]:
         n = 0
-        for key in level_fillings(poset, lam_mask, nu, p):
+        for key in increasing_fillings(poset, lam_mask, nu, p):
             if is_pieri_word_b(Tableau.from_levels(poset, key).row_word()):
                 n += 1
         if n:

@@ -41,6 +41,8 @@ DOT = _Dot()
 
 Levels = tuple[tuple[int, int], ...]  # ((value, boxmask), ...) sorted by value
 
+DEFAULT_BUDGET = 200000  # node budget of bounded searches when none is given
+
 
 class Tableau:
     """Strictly increasing filling of a skew box set, keyed by its levels."""
@@ -540,76 +542,19 @@ class URTVerdict:
 
 
 def increasing_fillings(
-    poset: MinusculePoset,
-    mask: int,
-    vmin: int,
-    vmax: int,
-    surjective: bool = False,
+    poset: MinusculePoset, lam: int, nu: int, d: int, surjective: bool = True
 ):
-    """Yield increasing fillings of a convex box set as value tuples.
+    """Levels keys of the increasing fillings of nu/lam by the values 1..d.
 
-    A filling lists one value per box of ``mask`` in the order of
-    ``bits(mask)``, the ``Tableau.values`` format.  Values range over
-    [vmin, vmax]; with ``surjective`` every value in the range must
-    appear.  Fillings are built along a linear extension with
-    chain-length pruning on both sides.
-    """
-    order = list(bits(mask))
-    n = len(order)
-    width = vmax - vmin + 1
-    if n == 0:
-        if not surjective or width <= 0:
-            yield ()
-        return
-    if width <= 0:
-        return
-    pos = {i: k for k, i in enumerate(order)}
-    # Covers inside the mask, by position; row-major order puts the
-    # boxes below a box at earlier positions.
-    down_in = [[pos[j] for j in poset.down[i] if j in pos] for i in order]
-    up_chain = [0] * n
-    for k in reversed(range(n)):
-        up_chain[k] = 1 + max(
-            (up_chain[pos[j]] for j in poset.up[order[k]] if j in pos), default=0
-        )
-    vals = [0] * n
-    used = [0] * (width + 1)
-    distinct = 0
-
-    def rec(k: int):
-        nonlocal distinct
-        if k == n:
-            if not surjective or distinct == width:
-                yield tuple(vals)
-            return
-        lo = max(vmin, 1 + max((vals[j] for j in down_in[k]), default=vmin - 1))
-        hi = vmax - up_chain[k] + 1
-        for v in range(lo, hi + 1):
-            slot = v - vmin
-            newly = used[slot] == 0
-            if surjective and (width - distinct - (1 if newly else 0)) > n - k - 1:
-                continue
-            vals[k] = v
-            used[slot] += 1
-            if newly:
-                distinct += 1
-            yield from rec(k + 1)
-            used[slot] -= 1
-            if newly and used[slot] == 0:
-                distinct -= 1
-
-    yield from rec(0)
-
-
-def level_fillings(poset: MinusculePoset, lam: int, nu: int, d: int):
-    """Levels keys of the surjective increasing fillings of nu/lam by 1..d.
-
-    A filling is a chain of ideals lam = I_0 < ... < I_d = nu; the boxes
-    of value k are a reverse slide start of I_(k-1) inside nu.  A branch
-    is cut when fewer boxes, or a longer chain of boxes, than values remain.
+    A filling is a chain of ideals lam = I_0 <= ... <= I_d = nu; the boxes
+    of value k are a reverse slide start of I_(k-1) inside nu.  With
+    ``surjective`` every value fills at least one box; otherwise a value
+    may fill none (an empty step).  A branch is cut when a longer chain of
+    boxes, or (surjective only) fewer boxes, than values remain.  The
+    order of the fillings is unspecified.
     """
     rest = nu & ~lam
-    if rest.bit_count() < d:
+    if surjective and rest.bit_count() < d:
         return
     chain: dict[int, int] = {}  # longest chain in nu starting at a box
     for i in reversed(list(bits(rest))):
@@ -627,10 +572,12 @@ def level_fillings(poset: MinusculePoset, lam: int, nu: int, d: int):
             return
         value = d - left + 1
         left -= 1
+        if not surjective and not nu & ~ideal & deep[left]:
+            yield from rec(ideal, left)
         for step in geometry(ideal)[3]:
             grown = ideal | step
             rest = nu & ~grown
-            if step & ~nu or rest.bit_count() < left or rest & deep[left]:
+            if step & ~nu or rest & deep[left] or surjective and rest.bit_count() < left:
                 continue
             key.append((value, step))
             yield from rec(grown, left)
@@ -640,7 +587,12 @@ def level_fillings(poset: MinusculePoset, lam: int, nu: int, d: int):
 
 
 def straight_tableaux_with_values(poset: MinusculePoset, letters, max_rows, max_cols):
-    """All straight tableaux in a window using exactly the given value set."""
+    """All straight tableaux in a window using exactly the given value set.
+
+    Each shape's tableaux come in the order of their ``values`` tuples, so
+    the URT certificate names the same first refuting witness whatever
+    order the enumerator uses.
+    """
     letters = sorted(set(letters))
     d = len(letters)
     window = sum(
@@ -649,8 +601,11 @@ def straight_tableaux_with_values(poset: MinusculePoset, letters, max_rows, max_
         if r <= max_rows and c <= max_cols
     )
     for mask in poset.ideals_between(0, window)[1:]:
-        for filling in increasing_fillings(poset, mask, 1, d, surjective=True):
-            yield Tableau(poset, mask, tuple(letters[v - 1] for v in filling))
+        tabs = [
+            Tableau.from_levels(poset, tuple((letters[k - 1], m) for k, m in key))
+            for key in increasing_fillings(poset, 0, mask, d)
+        ]
+        yield from sorted(tabs, key=lambda t: t.values)
 
 
 def _urt_by_words(tab: Tableau, shifted: bool, budget: int) -> URTVerdict:
@@ -724,19 +679,19 @@ def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
     else:
         window = ambient_grid(nrows + pad, ncols + pad)
     embedded = Tableau.from_dict(window, tab.as_dict())
-    cls = jdt_class(embedded, budget=budget or 200000, stop_second_straight=True)
+    cls = jdt_class(embedded, budget=budget or DEFAULT_BUDGET, stop_second_straight=True)
     others = [t for t in cls.straight if t.as_dict() != embedded.as_dict()]
     if others:
         witness = Tableau.from_dict(poset, others[0].as_dict())
         return URTVerdict("refuted", witness=witness, class_size=cls.size)
-    return _urt_by_words(tab, shifted, budget=budget or 200000)
+    return _urt_by_words(tab, shifted, budget=budget or DEFAULT_BUDGET)
 
 
 def packed_straight_tableaux(poset: MinusculePoset, shape: Shape):
     """Levels keys of the increasing tableaux of a straight shape with values 1..d."""
     chain = max((poset.heights[i] for i in bits(shape.mask)), default=0)
     for d in range(chain, shape.size + 1):
-        yield from level_fillings(poset, 0, shape.mask, d)
+        yield from increasing_fillings(poset, 0, shape.mask, d)
 
 
 def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int | None = None):

@@ -126,6 +126,16 @@ def test_word_equiv_budget_exit(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["rectify", "urt"])
+def test_exhausted_rectification_budget_exits_4(capsys, command):
+    code, out, err = run(
+        capsys, command, "--poset", "a:3,3", "--tableau", ".,.,./.,.,2/1,3,4",
+        "--budget", "1",
+    )
+    assert code == 4 and out == ""
+    assert err.startswith("budget exhausted: rectify_all exceeded 1 ")
+
+
 @pytest.mark.parametrize("budget", ["0", "-5", "ten"])
 def test_budget_must_be_positive_integer(capsys, budget):
     code, _, err = run(

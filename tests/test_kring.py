@@ -168,8 +168,11 @@ def test_type_a_constants_match_hecke_counting():
                     count = 0
                 else:
                     count = 0
-                    for filling in increasing_fillings(a23, skew, 1, vmax):
-                        word = Tableau(a23, skew, filling).row_word()
+                    fillings = increasing_fillings(
+                        a23, lam.mask, nu.mask, vmax, surjective=False
+                    )
+                    for key in fillings:
+                        word = Tableau.from_levels(a23, key).row_word()
                         if hecke_of_word(word) == target:
                             count += 1
                 assert count == coeffs.get(nu.mask, 0), (
@@ -200,8 +203,11 @@ def test_type_b_constants_match_doubled_hecke_counting():
                     count = 0
                 else:
                     count = 0
-                    for filling in increasing_fillings(og, skew, 1, vmax):
-                        tab = Tableau(og, skew, filling)
+                    fillings = increasing_fillings(
+                        og, lam.mask, nu.mask, vmax, surjective=False
+                    )
+                    for key in fillings:
+                        tab = Tableau.from_levels(og, key)
                         if hecke_of_tableau(tab) == target:
                             count += 1
                 assert count == coeffs.get(nu.mask, 0), (
@@ -421,11 +427,11 @@ def _unpruned_hecke_counts(poset, lam_mask, lo, hi, target):
     """Hecke counts over every shape above lam, folding each row word by hand."""
     counts = {}
     for nu in poset.ideals_between(lam_mask, poset.full_mask)[1:]:
-        skew = nu & ~lam_mask
         n = 0
-        for filling in increasing_fillings(poset, skew, lo, hi):
+        for key in increasing_fillings(poset, lam_mask, nu, hi - lo + 1, surjective=False):
             u = Permutation.identity()
-            for a in Tableau(poset, skew, filling).row_word():
+            for v in Tableau.from_levels(poset, key).row_word():
+                a = v + lo - 1
                 if u(a) < u(a + 1):
                     u = u * Permutation.transposition(a)
             n += u == target

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -31,7 +32,7 @@ from kjdt.tableau import (
     infusion,
     is_urt,
     jdt_class,
-    level_fillings,
+    levels_support,
     maximal_tableau,
     minimal_tableau,
     parse_tableau,
@@ -322,6 +323,14 @@ def test_ambient_urt_certificates():
     sh = ambient_shifted(6)
     assert is_urt(superstandard(sh.shape("4,2"), "row")).status == "certified"
     assert is_urt(superstandard(sh.shape("4,2"), "col")).status == "refuted"
+
+
+def test_ambient_urt_witness_is_first_candidate_by_values():
+    # the word certificate names the first refuting candidate of a shape in
+    # the order of its values tuple, whatever order the enumerator uses
+    v = is_urt(parse_tableau(ambient_grid(3, 3), "1,3,5/2/4"), budget=3000)
+    assert v.status == "refuted"
+    assert v.witness.literal() == "1,3,5/2,4/4"
 
 
 def test_urt_census_small_grid():
@@ -708,42 +717,42 @@ def _fillings_by_filter(poset, mask, vmin, vmax, surjective):
         ("e6", "4,2", "3", 1, 3),
         ("e6", "1", "1", 1, 2),  # empty skew shape
         ("e6", "2", "", 3, 2),  # empty value range
+        ("e7", "5,3,2", "4,1", 1, 5),
+        ("og:6", "5,3,1", "2", 1, 3),  # d capped: 7 boxes
     ],
 )
 @pytest.mark.parametrize("surjective", [False, True])
 def test_increasing_fillings_match_tuple_filter(spec, outer, inner, vmin, vmax, surjective):
-    poset = parse_poset(spec)
-    mask = poset.shape(outer).mask & ~poset.shape(inner).mask
-    got = list(increasing_fillings(poset, mask, vmin, vmax, surjective=surjective))
-    assert got == _fillings_by_filter(poset, mask, vmin, vmax, surjective)
-
-
-@pytest.mark.parametrize(
-    "spec, outer, inner",
-    [
-        ("grid:3,3", "3,2,1", "1"),
-        ("grid:3,3", "2,2", ""),
-        ("a:2,3", "3,3", "2"),
-        ("og:4", "3,1", "1"),
-        ("shifted:4", "3,2", ""),
-        ("e6", "4,2", "3"),
-        ("e6", "1", "1"),  # empty skew shape
-        ("e6", "2", ""),
-        ("e7", "5,3,2", "4,1"),
-        ("og:6", "5,3,1", "2"),
-    ],
-)
-def test_level_fillings_match_increasing_fillings(spec, outer, inner):
+    # every d up to one past the width of [vmin, vmax], values vmin..vmin+d-1
     poset = parse_poset(spec)
     lam, nu = poset.shape(inner).mask, poset.shape(outer).mask
     skew = nu & ~lam
-    for d in range(skew.bit_count() + 2):  # d = |nu/lam| + 1 has no filling
-        got = list(level_fillings(poset, lam, nu, d))
+    for d in range(vmax - vmin + 2):
+        got = list(increasing_fillings(poset, lam, nu, d, surjective=surjective))
         assert len(got) == len(set(got))
-        assert set(got) == {
-            Tableau(poset, skew, f).levels()
-            for f in increasing_fillings(poset, skew, 1, d, surjective=True)
+        assert all(levels_support(key) == skew for key in got)
+        got_values = {
+            tuple(v + vmin - 1 for v in Tableau.from_levels(poset, key).values)
+            for key in got
         }
+        want = _fillings_by_filter(poset, skew, vmin, vmin + d - 1, surjective)
+        assert got_values == set(want), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SLIDE_FAMILIES), st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_non_surjective_fillings_count_by_value_sets(spec, seed, d):
+    # a filling by 1..d uses some k of the values; packing them gives a
+    # surjective filling by 1..k, and each k-subset of 1..d unpacks it
+    poset = parse_poset(spec)
+    tab = random_skew_tableau(random.Random(seed), poset, max_size=6)
+    nu = tab.outer_mask()
+    lam = nu & ~tab.mask
+    total = sum(1 for _ in increasing_fillings(poset, lam, nu, d, surjective=False))
+    assert total == sum(
+        math.comb(d, k) * sum(1 for _ in increasing_fillings(poset, lam, nu, k))
+        for k in range(d + 1)
+    )
 
 
 def _rows_by_sorting(filling):
