@@ -739,6 +739,33 @@ def test_increasing_fillings_match_tuple_filter(spec, outer, inner, vmin, vmax, 
         assert got_values == set(want), d
 
 
+@pytest.mark.parametrize(
+    "spec, outer, inner",
+    [
+        ("grid:3,3", "3,2,1", "1"),
+        ("grid:3,3", "2,2", ""),
+        ("a:2,3", "3,3", "2"),
+        ("og:4", "3,1", "1"),
+        ("shifted:4", "3,2", ""),
+        ("e6", "4,2", "3"),
+        ("e6", "1", "1"),  # empty skew shape
+    ],
+)
+def test_level_fillings_match_increasing_fillings(spec, outer, inner):
+    # the walk's levels keys are exactly the levels of the surjective value
+    # tuples, for every d up to one past the box count
+    poset = parse_poset(spec)
+    lam, nu = poset.shape(inner).mask, poset.shape(outer).mask
+    skew = nu & ~lam
+    for d in range(skew.bit_count() + 2):  # d = |nu/lam| + 1 has no filling
+        got = list(increasing_fillings(poset, lam, nu, d))
+        assert len(got) == len(set(got))
+        assert set(got) == {
+            Tableau(poset, skew, f).levels()
+            for f in _fillings_by_filter(poset, skew, 1, d, surjective=True)
+        }, d
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(SLIDE_FAMILIES), st.integers(0, 2**32 - 1), st.integers(0, 4))
 def test_non_surjective_fillings_count_by_value_sets(spec, seed, d):
