@@ -44,13 +44,26 @@ EXIT_BUDGET = 4
 
 
 def _positive_int(text: str) -> int:
-    """Argument type of ``--budget``: a positive integer."""
+    """Argument type of ``--budget`` and ``--threads``: a positive integer."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """Argument type of ``--slack``, ``--pad`` and ``--max-size``: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
+        )
     return value
 
 
@@ -322,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kjdt",
         description="K-theoretic jeu de taquin on minuscule posets",
     )
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    parser.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
                         help="worker processes for sweep commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -357,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poset", required=True)
     p.add_argument("--tableau")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--max-size", type=int)
-    p.add_argument("--pad", type=int, default=2)
+    p.add_argument("--max-size", type=_non_negative_int)
+    p.add_argument("--pad", type=_non_negative_int, default=2)
     p.add_argument("--budget", type=_positive_int)
 
     p = add("rectify", cmd_rectify, help="rectification")
@@ -379,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v")
     p.add_argument("--w")
     p.add_argument("--weak", action="store_true")
-    p.add_argument("--slack", type=int, default=3)
+    p.add_argument("--slack", type=_non_negative_int, default=3)
     p.add_argument("--budget", type=_positive_int)
 
     p = add("minimal", cmd_minimal, help="minimal increasing tableau")
@@ -395,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="run the reference fixture suite")
     p.add_argument("--only")
     # SUPPRESS keeps a top-level --threads given before the subcommand.
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--threads", type=_positive_int, default=argparse.SUPPRESS)
     return parser
 
 

@@ -293,18 +293,25 @@ def _slide_levels(
 
     Forward slides sweep values in increasing order, reverse slides in
     decreasing order.  Returns the new levels and the final hole mask.
+    Each swap is an involution, so the slide the other way from the
+    returned holes gives back ``(levels, dots)``; and the union of the
+    level masks with the holes never changes, so the new levels fill
+    ``(levels_support(levels) | dots) & ~holes``.
     """
     expand = poset.expand_neighbors
+    near = expand(dots)  # boxes next to a hole; looked up again only after a move
     out = []
     seq = levels if forward else reversed(levels)
-    for v, m in seq:
-        if dots:
-            moved = m & expand(dots)
-            if moved:
-                recv = dots & expand(m)
-                m = (m & ~moved) | recv
-                dots = (dots & ~recv) | moved
-        out.append((v, m))
+    for pair in seq:
+        m = pair[1]
+        moved = m & near
+        if moved:
+            # Adjacency is symmetric: a hole next to m is next to a box of moved.
+            recv = dots & expand(moved)
+            pair = (pair[0], (m & ~moved) | recv)
+            dots = (dots & ~recv) | moved
+            near = expand(dots)
+        out.append(pair)
     if not forward:
         out.reverse()
     return tuple(out), dots
@@ -445,20 +452,20 @@ def rectify_all(tab: Tableau, budget: int | None = None) -> set[Tableau]:
     poset = tab.poset
     start = tab.levels()
     seen = {start}
-    frontier = [start]
+    frontier = [(start, tab.mask)]
     results: set[Tableau] = set()
     while frontier:
         new = []
-        for levels in frontier:
-            forward_starts = poset.skew_geometry(levels_support(levels))[2]
+        for levels, support in frontier:
+            forward_starts = poset.skew_geometry(support)[2]
             if not forward_starts:
                 results.add(Tableau.from_levels(poset, levels))
                 continue
             for c_mask in forward_starts:
-                nxt, _ = _slide_levels(poset, levels, c_mask, forward=True)
+                nxt, holes = _slide_levels(poset, levels, c_mask, forward=True)
                 if nxt not in seen:
                     seen.add(nxt)
-                    new.append(nxt)
+                    new.append((nxt, (support | c_mask) & ~holes))
                     if budget is not None and len(seen) > budget:
                         raise BudgetExceeded(
                             f"rectify_all exceeded {budget} intermediate tableaux"
@@ -495,22 +502,27 @@ def jdt_class(
     budget: int | None = None,
     stop_second_straight: bool = False,
 ) -> JdtClass:
-    """Breadth-first closure of ``tab`` under slides inside its poset."""
+    """Breadth-first closure of ``tab`` under slides inside its poset.
+
+    Each frontier state carries its support and the start that slides it
+    back to the state that found it (the holes of that slide, taken in
+    the other direction).  That slide would only give back a state
+    already seen, so it is skipped.
+    """
     poset = tab.poset
     geometry = poset.skew_geometry
     boundary = poset.boundary_mask()
     start = tab.levels()
     seen = {start}
-    frontier = [start]
+    # (levels, support, start back, whether it slides forward); the seed's 0 skips nothing
+    frontier = [(start, tab.mask, 0, True)]
     straight: list[Tableau] = []
     exhausted = True
     touched = False
     while frontier:
         new = []
-        for levels in frontier:
-            outer, inner, forward_starts, reverse_starts = geometry(
-                levels_support(levels)
-            )
+        for levels, support, back, back_forward in frontier:
+            outer, inner, forward_starts, reverse_starts = geometry(support)
             if boundary & outer:
                 touched = True
             if inner == 0:
@@ -518,11 +530,14 @@ def jdt_class(
                 if stop_second_straight and len(straight) > 1:
                     return JdtClass(tab, poset, seen, straight, False, touched)
             for starts, fwd in ((forward_starts, True), (reverse_starts, False)):
+                skip = back if fwd == back_forward else 0
                 for c_mask in starts:
-                    nxt, _ = _slide_levels(poset, levels, c_mask, forward=fwd)
+                    if c_mask == skip:
+                        continue
+                    nxt, holes = _slide_levels(poset, levels, c_mask, forward=fwd)
                     if nxt not in seen:
                         seen.add(nxt)
-                        new.append(nxt)
+                        new.append((nxt, (support | c_mask) & ~holes, holes, not fwd))
             if budget is not None and len(seen) > budget:
                 return JdtClass(tab, poset, seen, straight, False, touched)
         frontier = new

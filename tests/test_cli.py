@@ -145,6 +145,43 @@ def test_budget_must_be_positive_integer(capsys, budget):
     assert "--budget: must be a positive integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--threads", "0", "verify", "--only", "cayley"],
+         "--threads: must be a positive integer, got '0'"),
+        (["verify", "--threads", "-3", "--only", "cayley"],
+         "--threads: must be a positive integer, got '-3'"),
+        (["word", "equiv", "--u", "1,2,1", "--v", "2,1,2", "--slack", "-5"],
+         "--slack: must be a non-negative integer, got '-5'"),
+        (["urt", "--poset", "a:2,2", "--all", "--max-size", "-1"],
+         "--max-size: must be a non-negative integer, got '-1'"),
+        (["urt", "--poset", "grid:3,3", "--tableau", "1,2", "--pad", "-1"],
+         "--pad: must be a non-negative integer, got '-1'"),
+        (["urt", "--poset", "grid:3,3", "--tableau", "1,2", "--pad", "two"],
+         "--pad: must be a non-negative integer, got 'two'"),
+    ],
+)
+def test_counts_out_of_range_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["word", "equiv", "--u", "1,2,1", "--v", "2,1,2", "--slack", "0"], "equivalent"),
+        (["urt", "--poset", "a:2,2", "--all", "--max-size", "0"],
+         "census for a:2,2: 0 certified, 0 refuted"),
+        (["urt", "--poset", "grid:3,3", "--tableau", "1,2", "--pad", "0"], "certified"),
+    ],
+)
+def test_zero_counts_are_accepted(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip() == expected
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "lots", ""])
 def test_bad_budget_environment_variable(capsys, monkeypatch, value):
     monkeypatch.setenv("KJDT_BUDGET", value)

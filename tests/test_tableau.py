@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kjdt.errors import PosetError, WindowExceeded
+import kjdt.tableau as tableau_module
+from kjdt.errors import BudgetExceeded, PosetError, WindowExceeded
 from kjdt.poset import (
     SkewShape,
     parse_poset,
@@ -216,6 +217,23 @@ def test_slide_levels_matches_swap_composition(spec, seed, forward, data):
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SLIDE_FAMILIES), st.integers(0, 2**32 - 1))
+def test_slide_is_undone_from_its_holes_and_keeps_its_support(spec, seed):
+    # jdt_class skips the slide back from a state's final holes and carries
+    # supports from slide to slide; these are the two facts it relies on.
+    # The final holes need not be a canonical start, so that is not asserted.
+    poset = parse_poset(spec)
+    tab = random_skew_tableau(random.Random(seed), poset)
+    _, _, forward_starts, reverse_starts = poset.skew_geometry(tab.mask)
+    for starts, forward in ((forward_starts, True), (reverse_starts, False)):
+        for start in starts:
+            levels, holes = _slide_levels(poset, tab.levels(), start, forward)
+            back = _slide_levels(poset, levels, holes, not forward)
+            assert back == (tab.levels(), start)
+            assert (tab.mask | start) & ~holes == levels_support(levels)
+
+
 # -- rectification ----------------------------------------------------------------
 
 
@@ -267,6 +285,124 @@ def test_cayley_class_of_row_two():
     )
     assert attached == [(3, 1), (4,), (4, 1)]
     assert len(cls.straight) == 1
+
+
+def _jdt_class_reference(tab, budget=None, stop_second_straight=False):
+    """``jdt_class`` as a plain loop: every start of every state is slid.
+
+    Returns ``(member_keys, straight, exhausted, touched_boundary)``.
+    """
+    poset = tab.poset
+    boundary = poset.boundary_mask()
+    start = tab.levels()
+    seen = {start}
+    frontier = [start]
+    straight = []
+    touched = False
+    while frontier:
+        new = []
+        for levels in frontier:
+            outer, inner, forward_starts, reverse_starts = poset.skew_geometry(
+                levels_support(levels)
+            )
+            if boundary & outer:
+                touched = True
+            if inner == 0:
+                straight.append(Tableau.from_levels(poset, levels))
+                if stop_second_straight and len(straight) > 1:
+                    return seen, straight, False, touched
+            for starts, fwd in ((forward_starts, True), (reverse_starts, False)):
+                for c_mask in starts:
+                    nxt, _ = tableau_module._slide_levels(poset, levels, c_mask, fwd)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        new.append(nxt)
+            if budget is not None and len(seen) > budget:
+                return seen, straight, False, touched
+        frontier = new
+    return seen, straight, True, touched
+
+
+def _rectify_all_reference(tab, budget=None):
+    """``rectify_all`` as a plain loop, recomputing each state's support."""
+    poset = tab.poset
+    seen = {tab.levels()}
+    frontier = [tab.levels()]
+    results = set()
+    while frontier:
+        new = []
+        for levels in frontier:
+            forward_starts = poset.skew_geometry(levels_support(levels))[2]
+            if not forward_starts:
+                results.add(Tableau.from_levels(poset, levels))
+                continue
+            for c_mask in forward_starts:
+                nxt, _ = _slide_levels(poset, levels, c_mask, True)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    new.append(nxt)
+                    if budget is not None and len(seen) > budget:
+                        raise BudgetExceeded(f"exceeded {budget}")
+        frontier = new
+    return results
+
+
+def _closure_seeds():
+    for spec in ["e6", "og:5"]:
+        poset = parse_poset(spec)
+        for shape in enumerate_shapes(poset):
+            yield minimal_tableau(shape)
+    for spec in ["grid:3,3", "shifted:4"]:
+        poset = parse_poset(spec)
+        for seed in range(40):
+            yield random_skew_tableau(random.Random(seed), poset)
+
+
+def _as_reference(cls):
+    return cls.member_keys, cls.straight, cls.exhausted, cls.touched_boundary
+
+
+def test_closures_match_the_reference_loops():
+    for tab in _closure_seeds():
+        assert _as_reference(jdt_class(tab)) == _jdt_class_reference(tab)
+        assert rectify_all(tab) == _rectify_all_reference(tab)
+        if tab.poset.is_ambient:
+            for budget in (1, 3, 10):
+                assert _as_reference(jdt_class(tab, budget=budget)) == (
+                    _jdt_class_reference(tab, budget=budget)
+                )
+            assert _as_reference(jdt_class(tab, stop_second_straight=True)) == (
+                _jdt_class_reference(tab, stop_second_straight=True)
+            )
+            for budget in range(1, 40):
+                try:
+                    expected = _rectify_all_reference(tab, budget=budget)
+                except BudgetExceeded:
+                    with pytest.raises(BudgetExceeded):
+                        rectify_all(tab, budget=budget)
+                else:
+                    assert rectify_all(tab, budget=budget) == expected
+
+
+def test_closure_skips_the_slide_back_to_each_parent(monkeypatch):
+    # One slide per state reached: the one back to the state that found it.
+    calls = []
+    slide = tableau_module._slide_levels
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return slide(*args, **kwargs)
+
+    monkeypatch.setattr(tableau_module, "_slide_levels", counted)
+    e6 = cayley_plane()
+    for shape in enumerate_shapes(e6):
+        tab = minimal_tableau(shape)
+        _jdt_class_reference(tab)
+        reference = len(calls)
+        calls.clear()
+        cls = jdt_class(tab)
+        assert len(calls) == reference - (cls.size - 1)
+        calls.clear()
 
 
 def test_restriction_compatibility(rng):
