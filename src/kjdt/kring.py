@@ -30,12 +30,12 @@ from .poset import (
     Shape,
     ambient_grid,
     ambient_shifted,
-    bits,
     remember,
     rook_strips_over,
 )
 from .tableau import (
     Tableau,
+    filling_row_words,
     increasing_fillings,
     is_urt,
     jdt_class,
@@ -150,19 +150,18 @@ class SignedKElement(GammaElement):
     basis_symbol = "O"
 
 
+def _flip_signs(coeffs: dict[int, int]) -> dict[int, int]:
+    """Multiply the coefficient of each shape by (-1)^size."""
+    return {m: (-1) ** m.bit_count() * c for m, c in coeffs.items()}
+
+
 def to_schubert_basis(g: GammaElement) -> SignedKElement:
     """G_lambda maps to (-1)^size O_lambda."""
-    return SignedKElement(
-        g.poset,
-        {m: (-1) ** m.bit_count() * c for m, c in g.coeffs.items()},
-    )
+    return SignedKElement(g.poset, _flip_signs(g.coeffs))
 
 
 def from_schubert_basis(o: SignedKElement) -> GammaElement:
-    return GammaElement(
-        o.poset,
-        {m: (-1) ** m.bit_count() * c for m, c in o.coeffs.items()},
-    )
+    return GammaElement(o.poset, _flip_signs(o.coeffs))
 
 
 # -- products ----------------------------------------------------------------
@@ -238,11 +237,7 @@ def multiply(a: GammaElement, b: GammaElement, assume_urp: bool = False) -> Gamm
 
 
 def structure_constant(
-    lam: Shape,
-    mu: Shape,
-    nu: Shape,
-    assume_urp: bool = False,
-    check_symmetric: bool = False,
+    lam: Shape, mu: Shape, nu: Shape, assume_urp: bool = False
 ) -> int:
     """One structure constant by direct enumeration plus greedy rectification.
 
@@ -256,15 +251,7 @@ def structure_constant(
         raise PosetError("shapes live on different posets")
     if lam.mask & ~nu.mask:
         return 0
-    count = _greedy_count(poset, lam, mu, nu)
-    if check_symmetric:
-        other = _greedy_count(poset, mu, lam, nu)
-        if other != count:
-            raise AssertionError(
-                f"commutativity failure: c({lam.literal()},{mu.literal()})"
-                f" = {count} but c({mu.literal()},{lam.literal()}) = {other}"
-            )
-    return count
+    return _greedy_count(poset, lam, mu, nu)
 
 
 def _greedy_count(poset, lam: Shape, mu: Shape, nu: Shape) -> int:
@@ -404,6 +391,10 @@ def _count_hecke_fillings(
     to a filling of each smaller one whose row word is a subword, and the
     Hecke product of a subword is Bruhat-below that of the word.
     """
+    # Words are read with values 1..hi-lo+1; shifting every letter by
+    # lo-1 shifts the Hecke permutation by as much, so shift the target back.
+    shift = lo - 1
+    target = Permutation(target.window - shift, tuple(y - shift for y in target.images))
     below = {target: True}  # Hecke permutation -> bruhat_leq(it, target)
     counts: dict[int, int] = {}
     seen = {lam_mask}
@@ -411,22 +402,13 @@ def _count_hecke_fillings(
     while frontier:
         grown = []
         for mask in frontier:
-            skew = mask & ~lam_mask
-            if skew:
-                # Row-word position of each box: bottom row first.
-                boxes = poset.boxes
-                order = sorted(bits(skew), key=lambda i: (-boxes[i][0], boxes[i][1]))
-                pos = {i: k for k, i in enumerate(order)}
-                word = [0] * len(order)
+            if mask != lam_mask:
                 n = 0
                 witness = False
-                for key in increasing_fillings(
+                for word in filling_row_words(
                     poset, lam_mask, mask, hi - lo + 1, surjective=False
                 ):
-                    for v, m in key:
-                        for i in bits(m):
-                            word[pos[i]] = v + lo - 1
-                    h = hecke_of_word(tuple(word))
+                    h = hecke_of_word(word)
                     if h == target:
                         n += 1
                         witness = True
@@ -470,10 +452,7 @@ def pieri_B(lam, p: int, cols: int | None = None) -> GammaElement:
     lam_mask = poset.shape(list(lam)).mask
     coeffs = {}
     for nu in poset.ideals_between(lam_mask, poset.full_mask)[1:]:
-        n = 0
-        for key in increasing_fillings(poset, lam_mask, nu, p):
-            if is_pieri_word_b(Tableau.from_levels(poset, key).row_word()):
-                n += 1
+        n = sum(map(is_pieri_word_b, filling_row_words(poset, lam_mask, nu, p)))
         if n:
             coeffs[nu] = n
     return GammaElement(poset, coeffs)

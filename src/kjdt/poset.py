@@ -222,36 +222,18 @@ class MinusculePoset:
 
     def down_closure(self, mask: int) -> int:
         """Lower order ideal generated by the boxes of ``mask``."""
-        out = 0
-        m = mask
-        while m:
-            b = m & -m
-            out |= self.below[b.bit_length() - 1]
-            m ^= b
-        return out
+        return _union(self.below, mask)
 
     def up_closure(self, mask: int) -> int:
         """Upper order ideal generated by the boxes of ``mask``."""
-        out = 0
-        m = mask
-        while m:
-            b = m & -m
-            out |= self.above[b.bit_length() - 1]
-            m ^= b
-        return out
+        return _union(self.above, mask)
 
     def expand_neighbors(self, mask: int) -> int:
         """Union of Hasse neighbors of all boxes in ``mask`` (cached)."""
         try:
             return self._expand_cache[mask]
         except KeyError:
-            out = 0
-            m = mask
-            while m:
-                b = m & -m
-                out |= self.nbr_mask[b.bit_length() - 1]
-                m ^= b
-            return remember(self._expand_cache, mask, out)
+            return remember(self._expand_cache, mask, _union(self.nbr_mask, mask))
 
     def is_ideal(self, mask: int) -> bool:
         return self.down_closure(mask) == mask
@@ -502,6 +484,16 @@ def _nonempty_subsets(items: list[int]):
         yield mask
 
 
+def _union(table, mask: int) -> int:
+    """Union of ``table[i]`` over the boxes ``i`` of ``mask``."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= table[b.bit_length() - 1]
+        mask ^= b
+    return out
+
+
 def bits(mask: int):
     """Iterate set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -548,6 +540,9 @@ def ambient_shifted(cols: int) -> MinusculePoset:
     return build_poset(PosetFamily("shifted", (cols,)))
 
 
+# Unbounded on purpose: shapes, tableaux and ring elements compare posets
+# with ``is``, so emptying it would split one poset into two; it grows only
+# with the number of distinct families and windows built.
 _POSET_CACHE: dict[PosetFamily, MinusculePoset] = {}
 
 
@@ -591,21 +586,16 @@ def dual_shape(shape: Shape) -> Shape:
 
 
 def rook_strips_over(shape: Shape) -> list[Shape]:
-    """Shapes ``nu >= shape`` whose added boxes are pairwise incomparable."""
+    """Shapes ``nu >= shape`` whose added boxes are pairwise incomparable.
+
+    Such boxes are minimal absent boxes of ``shape`` (a box that becomes
+    minimal only once another is added sits above it), and any set of
+    those extends ``shape`` to an ideal: the strips are ``shape`` and
+    ``shape | s`` for each reverse slide start ``s`` of ``shape``.
+    """
     poset = shape.poset
-    results = {shape.mask}
-    stack = [(shape.mask, 0)]
-    while stack:
-        mask, added = stack.pop()
-        for i in poset.minimal_absent_boxes(mask):
-            bit = 1 << i
-            if added & (poset.below[i] | poset.above[i]):
-                continue
-            grown = mask | bit
-            if grown not in results:
-                results.add(grown)
-                stack.append((grown, added | bit))
-    shapes = [Shape(poset, m) for m in results]
+    starts = poset.skew_geometry(shape.mask)[3]
+    shapes = [Shape(poset, shape.mask | s) for s in (0, *starts)]
     shapes.sort(key=lambda s: (s.size, s.row_lengths))
     return shapes
 

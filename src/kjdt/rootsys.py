@@ -382,15 +382,13 @@ class MarkedRootData:
 
     def __init__(self, kind: str, rank: int, node: int):
         base = root_system(kind, rank)
-        self.node1 = node  # 1-based
         self.system, self.node = cominuscule_realization(base, node - 1)
         self.poset = build_poset(grid_family_for(kind, rank, node))
-        self.lambda_roots = lambda_from_root_data(self.system, self.node)
-        report = verify_poset_embedding(self.system, self.node, self.poset)
-        if not report["pass"]:
-            raise PosetError(f"poset embedding failed: {report.get('witness')}")
+        self.embedding = verify_poset_embedding(self.system, self.node, self.poset)
+        if not self.embedding["pass"]:
+            raise PosetError(f"poset embedding failed: {self.embedding.get('witness')}")
         self.box_to_root: dict[int, Coeffs] = {}
-        for root, box in report["isomorphism"]:
+        for root, box in self.embedding["isomorphism"]:
             self.box_to_root[self.poset.index[tuple(box)]] = tuple(root)
         self.w0 = self.system.longest_element()
         self.wx = self.system.longest_element(avoid=self.node)
@@ -571,20 +569,19 @@ def check_full_commutativity(
     }
 
 
-def run_suite(kind: str, rank: int, node: int, with_bruhat: bool = True) -> dict:
+def run_suite(kind: str, rank: int, node: int) -> dict:
     """The exhaustive per-(type, node) report used by tests and the CLI."""
     data = MarkedRootData(kind, rank, node)
     from .poset import enumerate_shapes
 
     shapes = enumerate_shapes(data.poset)
     checks = [
-        verify_poset_embedding(data.system, data.node, data.poset),
+        data.embedding,
         check_inversion_sets(data, shapes),
         check_poincare_duality(data, shapes),
         check_incomparable_orthogonal(data),
+        check_bruhat_containment(data, shapes),
     ]
-    if with_bruhat:
-        checks.append(check_bruhat_containment(data, shapes))
     return {
         "type": f"{kind}{rank}",
         "node": node,

@@ -243,18 +243,25 @@ def _row_word(filling: dict[Box, int]) -> tuple[int, ...]:
 
 def parse_tableau(poset: MinusculePoset, literal: str) -> Tableau:
     """Parse the row literal form, e.g. ``".,.,.,1/.,2,4,6/3,4,5"``."""
-    filling: dict[Box, int] = {}
-    rows = literal.split("/") if literal.strip() else []
+    rows = []
+    for row in literal.split("/") if literal.strip() else []:
+        toks = [t.strip() for t in row.split(",")] if row.strip() else []
+        rows.append([None if t == "." else parse_entry(t, "tableau") for t in toks])
+    return _place_rows(poset, rows)
+
+
+def _place_rows(poset: MinusculePoset, rows: list[list[int | None]]) -> Tableau:
+    """Put ``rows[k]`` left-aligned on poset row k; ``None`` marks an inner box."""
     if len(rows) > len(poset.row_numbers):
-        raise WindowExceeded("literal has more rows than the poset")
+        raise WindowExceeded("tableau has more rows than the poset")
+    filling: dict[Box, int] = {}
     for k, row in enumerate(rows):
         boxes = poset.row_boxes[poset.row_numbers[k]]
-        toks = [t.strip() for t in row.split(",")] if row.strip() else []
-        if len(toks) > len(boxes):
-            raise WindowExceeded(f"row {k + 1} of literal exceeds the poset row")
-        for i, tok in zip(boxes, toks):
-            if tok != ".":
-                filling[poset.boxes[i]] = parse_entry(tok, "tableau")
+        if len(row) > len(boxes):
+            raise WindowExceeded(f"row {k + 1} of tableau exceeds the poset row")
+        for i, v in zip(boxes, row):
+            if v is not None:
+                filling[poset.boxes[i]] = v
     return Tableau.from_dict(poset, filling)
 
 
@@ -269,19 +276,35 @@ def tableau_to_json(tab: Tableau) -> dict:
 
 
 def tableau_from_json(data: dict, poset: MinusculePoset | None = None) -> Tableau:
+    """Read ``tableau_to_json`` output.
+
+    ``rows`` lists the value rows of the support only, so each entry goes
+    on the next poset row where ``outer`` exceeds ``inner``, after that
+    row's inner boxes.  A missing key, entries left over, rows that do not
+    fit the poset, and values that do not fill ``outer`` raise a
+    ``KjdtError``.
+    """
     from .poset import PosetFamily, build_poset
 
-    if poset is None:
-        p = data["poset"]
-        poset = build_poset(PosetFamily(p["family"], tuple(p["params"])))
-    filling: dict[Box, int] = {}
-    inner = list(data.get("inner", []))
-    for k, row_vals in enumerate(data["rows"]):
-        boxes = poset.row_boxes[poset.row_numbers[k]]
+    try:
+        if poset is None:
+            p = data["poset"]
+            poset = build_poset(PosetFamily(p["family"], tuple(p["params"])))
+        inner, outer = list(data.get("inner", [])), list(data["outer"])
+        entries = iter(data["rows"])
+    except KeyError as exc:
+        raise PosetError(f"JSON tableau has no {exc} entry") from None
+    rows = []
+    for k, length in enumerate(outer):
         skip = inner[k] if k < len(inner) else 0
-        for i, v in zip(boxes[skip:], row_vals):
-            filling[poset.boxes[i]] = v
-    return Tableau.from_dict(poset, filling)
+        values = list(next(entries, [])) if length > skip else []
+        rows.append([None] * skip + values)
+    if next(entries, None) is not None:
+        raise WindowExceeded("JSON tableau has more value rows than its outer shape")
+    tab = _place_rows(poset, rows)
+    if tab.outer_mask() != poset.shape(outer).mask:
+        raise PosetError(f"JSON tableau values do not fill the outer shape {outer}")
+    return tab
 
 
 # -- the slide engine ------------------------------------------------------
@@ -403,19 +426,19 @@ def _check_slide_start(poset, support: int, c_mask: int, forward: bool):
 
 def forward_slide(tab: Tableau, start) -> Tableau:
     """Forward slide from ``start``, maximal boxes of a valid inner shape."""
-    poset = tab.poset
-    c_mask = _boxes_to_mask(poset, start)
-    _check_slide_start(poset, tab.mask, c_mask, forward=True)
-    levels, _ = _slide_levels(poset, tab.levels(), c_mask, forward=True)
-    return Tableau.from_levels(poset, levels)
+    return _checked_slide(tab, start, forward=True)
 
 
 def reverse_slide(tab: Tableau, start) -> Tableau:
     """Reverse slide from ``start``, minimal boxes outside a valid outer shape."""
+    return _checked_slide(tab, start, forward=False)
+
+
+def _checked_slide(tab: Tableau, start, forward: bool) -> Tableau:
     poset = tab.poset
     c_mask = _boxes_to_mask(poset, start)
-    _check_slide_start(poset, tab.mask, c_mask, forward=False)
-    levels, _ = _slide_levels(poset, tab.levels(), c_mask, forward=False)
+    _check_slide_start(poset, tab.mask, c_mask, forward)
+    levels, _ = _slide_levels(poset, tab.levels(), c_mask, forward)
     return Tableau.from_levels(poset, levels)
 
 
@@ -599,6 +622,24 @@ def increasing_fillings(
             key.pop()
 
     yield from rec(lam, d)
+
+
+def filling_row_words(
+    poset: MinusculePoset, lam: int, nu: int, d: int, surjective: bool = True
+):
+    """The row word of each ``increasing_fillings`` key, in the same order.
+
+    Each box's place in the word is looked up once per skew shape, in the
+    order of ``Tableau.row_word``.
+    """
+    order = _row_word({poset.boxes[i]: i for i in bits(nu & ~lam)})
+    pos = {i: k for k, i in enumerate(order)}
+    word = [0] * len(order)
+    for key in increasing_fillings(poset, lam, nu, d, surjective):
+        for v, m in key:
+            for i in bits(m):
+                word[pos[i]] = v
+        yield tuple(word)
 
 
 def straight_tableaux_with_values(poset: MinusculePoset, letters, max_rows, max_cols):
@@ -901,22 +942,15 @@ class DottedTableau:
         for b in dots:
             i = self.poset.index[b]
             for j in self.poset.down[i] + self.poset.up[i]:
-                nb = self.poset.boxes[j]
-                v = self.filling.get(nb)
+                v = self.filling.get(self.poset.boxes[j])
                 if v is None or v is DOT:
-                    if v is DOT and nb in dots:
-                        raise PosetError("comparable dots cannot share a level")
                     continue
                 if self.poset.leq(j, i):
                     lo = v if lo is None else max(lo, v)
                 else:
                     hi = v if hi is None else min(hi, v)
-        for b1 in dots:
-            for b2 in dots:
-                if b1 != b2 and self.poset.comparable(
-                    self.poset.index[b1], self.poset.index[b2]
-                ):
-                    raise PosetError("comparable dots cannot share a level")
+        if not _is_antichain(self.poset, _boxes_to_mask(self.poset, dots)):
+            raise PosetError("comparable dots cannot share a level")
         if lo is not None and hi is not None and lo >= hi:
             raise PosetError("no witness level fits between the dot neighbors")
         return lo if lo is not None else (hi - 1 if hi is not None else 0)
@@ -1047,17 +1081,12 @@ def infusion(s_tab: Tableau, t_tab: Tableau) -> tuple[Tableau, Tableau]:
     lam = mu & ~s_tab.mask
     if not (poset.is_ideal(mu) and poset.is_ideal(lam)):
         raise PosetError("infusion needs nested shapes: S between lam and mu, T above")
-    expand = poset.expand_neighbors
-    s_levels = dict(s_tab.levels())
-    t_levels = dict(t_tab.levels())
-    for a in sorted(s_levels, reverse=True):
-        for b in sorted(t_levels):
-            am, bm = s_levels[a], t_levels[b]
-            moved_a = am & expand(bm)
-            if moved_a:
-                moved_b = bm & expand(am)
-                s_levels[a] = (am & ~moved_a) | moved_b
-                t_levels[b] = (bm & ~moved_b) | moved_a
-    t_out = Tableau.from_levels(poset, tuple(sorted(t_levels.items())))
-    s_out = Tableau.from_levels(poset, tuple(sorted(s_levels.items())))
-    return t_out, s_out
+    # Each S value, largest first, slides T forward from its boxes; the
+    # final holes are where that value lands.
+    t_levels = t_tab.levels()
+    s_levels = []
+    for value, m in reversed(s_tab.levels()):
+        t_levels, holes = _slide_levels(poset, t_levels, m, forward=True)
+        s_levels.append((value, holes))
+    s_levels.reverse()
+    return Tableau.from_levels(poset, t_levels), Tableau.from_levels(poset, tuple(s_levels))

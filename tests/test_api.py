@@ -1,4 +1,6 @@
-"""The public names of ``kjdt``: change this list only on purpose."""
+"""The public names of ``kjdt`` (change this list only on purpose) and the imports of its modules."""
+import ast
+from pathlib import Path
 from types import ModuleType
 
 import kjdt
@@ -32,3 +34,29 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     )
     assert names == PUBLIC
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import statement of a module, with its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    return names
+
+
+def test_library_modules_use_every_name_they_import():
+    # __init__.py imports names to re-export them, so it is exempt
+    unused = []
+    for path in sorted(Path(kjdt.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for name, line in _imported_names(tree).items():
+            if name not in used:
+                unused.append(f"{path.name}:{line} {name}")
+    assert not unused

@@ -169,6 +169,38 @@ def test_rook_strips():
                         assert a == b or not q2.comparable(a, b)
 
 
+def _rook_strips_by_search(shape):
+    """Rook strips as they were found before the slide-start memo: a search."""
+    poset = shape.poset
+    results = {shape.mask}
+    stack = [(shape.mask, 0)]
+    while stack:
+        mask, added = stack.pop()
+        for i in poset.minimal_absent_boxes(mask):
+            bit = 1 << i
+            if added & (poset.below[i] | poset.above[i]):
+                continue
+            grown = mask | bit
+            if grown not in results:
+                results.add(grown)
+                stack.append((grown, added | bit))
+    shapes = [Shape(poset, m) for m in results]
+    shapes.sort(key=lambda s: (s.size, s.row_lengths))
+    return shapes
+
+
+def test_rook_strips_are_reverse_slide_starts():
+    shapes = []
+    for spec in ["e6", "e7", "og:6", "a:3,4", "lg:4", "qodd:3", "qeven:4", "qeven:5"]:
+        shapes += enumerate_shapes(parse_poset(spec))
+    for spec in ["grid:4,5", "shifted:6"]:
+        p = parse_poset(spec)
+        shapes += [Shape(p, m) for m in p.ideals_between(0, p.full_mask)]
+    assert len(shapes) == 384
+    for shape in shapes:
+        assert rook_strips_over(shape) == _rook_strips_by_search(shape), shape
+
+
 def test_shape_literals_and_json():
     og = max_orthogonal(6)
     s = og.shape("5,3,2")

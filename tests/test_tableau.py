@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kjdt.tableau as tableau_module
-from kjdt.errors import BudgetExceeded, PosetError, WindowExceeded
+from kjdt.errors import BudgetExceeded, KjdtError, PosetError, WindowExceeded
 from kjdt.poset import (
     SkewShape,
     parse_poset,
@@ -28,6 +28,7 @@ from kjdt.tableau import (
     _slide_levels,
     conjugate,
     doubling,
+    filling_row_words,
     forward_slide,
     increasing_fillings,
     infusion,
@@ -85,6 +86,38 @@ def test_literal_round_trip():
     assert tab.literal() == lit
     assert tableau_from_json(tableau_to_json(tab)) == tab
     assert parse_tableau(e6, "") .size == 0
+
+
+def test_json_round_trip_with_empty_support_rows():
+    examples = [
+        parse_tableau(type_a(3, 3), ".,./.,2/3"),
+        parse_tableau(cayley_plane(), ".,.,.,./.,.,.,1/2,3"),
+    ]
+    for tab in _fixture_tableaux() + examples:
+        assert tableau_from_json(tableau_to_json(tab)) == tab, tab
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2], [3], [4]],  # an entry left over
+        [[2], [3, 4, 5, 6]],  # longer than the poset row
+        [[2], [3, 4]],  # more values than the outer shape holds
+        [[2]],  # fewer
+    ],
+)
+def test_json_rejects_malformed_rows(rows):
+    data = tableau_to_json(parse_tableau(type_a(3, 3), ".,./.,2/3"))
+    with pytest.raises(KjdtError):
+        tableau_from_json(dict(data, rows=rows))
+
+
+@pytest.mark.parametrize("key", ["poset", "outer", "rows"])
+def test_json_rejects_a_missing_key(key):
+    data = tableau_to_json(parse_tableau(type_a(3, 3), ".,./.,2/3"))
+    del data[key]
+    with pytest.raises(PosetError, match=key):
+        tableau_from_json(data)
 
 
 def test_parse_rejects_rows_beyond_poset():
@@ -668,12 +701,37 @@ def test_conjugate_antihomomorphism(rng):
 # -- infusion ---------------------------------------------------------------------
 
 
-def test_infusion_display_pair():
+def _infusion_by_swaps(s_tab, t_tab):
+    """Infusion as it was computed before it ran on the slide engine."""
+    poset = s_tab.poset
+    expand = poset.expand_neighbors
+    s_levels = dict(s_tab.levels())
+    t_levels = dict(t_tab.levels())
+    for a in sorted(s_levels, reverse=True):
+        for b in sorted(t_levels):
+            am, bm = s_levels[a], t_levels[b]
+            moved_a = am & expand(bm)
+            if moved_a:
+                moved_b = bm & expand(am)
+                s_levels[a] = (am & ~moved_a) | moved_b
+                t_levels[b] = (bm & ~moved_b) | moved_a
+    t_out = Tableau.from_levels(poset, tuple(sorted(t_levels.items())))
+    s_out = Tableau.from_levels(poset, tuple(sorted(s_levels.items())))
+    return t_out, s_out
+
+
+def _display_infusion_pair():
     e6 = cayley_plane()
     s_tab = parse_tableau(e6, ".,.,.,2/1,3,4/3")
     t_tab = Tableau.from_dict(
         e6, {(2, 6): 1, (3, 4): 1, (3, 5): 2, (3, 6): 3, (4, 5): 3, (4, 6): 4, (4, 7): 5}
     )
+    return s_tab, t_tab
+
+
+def test_infusion_display_pair():
+    e6 = cayley_plane()
+    s_tab, t_tab = _display_infusion_pair()
     t_out, s_out = infusion(s_tab, t_tab)
     assert t_out == parse_tableau(e6, ".,.,.,1/1,2,3,4/3,4,5")
     assert s_out == Tableau.from_dict(e6, {(3, 6): 2, (4, 5): 1, (4, 6): 3, (4, 7): 4})
@@ -690,10 +748,11 @@ def test_infusion_empty_cases():
     assert t_out2 == s_tab and s_out2.size == 0
 
 
-def test_infusion_involution_randomized(rng):
+def _random_infusion_pairs(rng, count=200):
+    """Random nested pairs (S, T) that infusion accepts, with its result."""
     posets = [cayley_plane(), max_orthogonal(5), type_a(3, 3)]
     done = 0
-    while done < 200:
+    while done < count:
         poset = rng.choice(posets)
         t_tab = random_skew_tableau(rng, poset)
         inner = t_tab.inner_mask()
@@ -711,8 +770,20 @@ def test_infusion_involution_randomized(rng):
             pair = infusion(s_tab, t_tab)
         except PosetError:
             continue
-        assert infusion(*pair) == (s_tab, t_tab)
+        yield s_tab, t_tab, pair
         done += 1
+
+
+def test_infusion_involution_randomized(rng):
+    for s_tab, t_tab, pair in _random_infusion_pairs(rng):
+        assert infusion(*pair) == (s_tab, t_tab)
+
+
+def test_infusion_matches_swap_loop(rng):
+    s_tab, t_tab = _display_infusion_pair()
+    assert infusion(s_tab, t_tab) == _infusion_by_swaps(s_tab, t_tab)
+    for s_tab, t_tab, pair in _random_infusion_pairs(rng):
+        assert pair == _infusion_by_swaps(s_tab, t_tab)
 
 
 # -- dotted tableaux -----------------------------------------------------------
@@ -842,21 +913,22 @@ def _fillings_by_filter(poset, mask, vmin, vmax, surjective):
     ]
 
 
-@pytest.mark.parametrize(
-    "spec, outer, inner, vmin, vmax",
-    [
-        ("grid:3,3", "3,2,1", "1", 1, 4),
-        ("grid:3,3", "2,2", "", 0, 3),
-        ("a:2,3", "3,3", "2", 1, 4),
-        ("og:4", "3,1", "1", 1, 3),
-        ("shifted:4", "3,2", "", 2, 5),
-        ("e6", "4,2", "3", 1, 3),
-        ("e6", "1", "1", 1, 2),  # empty skew shape
-        ("e6", "2", "", 3, 2),  # empty value range
-        ("e7", "5,3,2", "4,1", 1, 5),
-        ("og:6", "5,3,1", "2", 1, 3),  # d capped: 7 boxes
-    ],
-)
+# (poset, outer, inner, vmin, vmax): skews filled by values in [vmin, vmax]
+FILLING_CASES = [
+    ("grid:3,3", "3,2,1", "1", 1, 4),
+    ("grid:3,3", "2,2", "", 0, 3),
+    ("a:2,3", "3,3", "2", 1, 4),
+    ("og:4", "3,1", "1", 1, 3),
+    ("shifted:4", "3,2", "", 2, 5),
+    ("e6", "4,2", "3", 1, 3),
+    ("e6", "1", "1", 1, 2),  # empty skew shape
+    ("e6", "2", "", 3, 2),  # empty value range
+    ("e7", "5,3,2", "4,1", 1, 5),
+    ("og:6", "5,3,1", "2", 1, 3),  # d capped: 7 boxes
+]
+
+
+@pytest.mark.parametrize("spec, outer, inner, vmin, vmax", FILLING_CASES)
 @pytest.mark.parametrize("surjective", [False, True])
 def test_increasing_fillings_match_tuple_filter(spec, outer, inner, vmin, vmax, surjective):
     # every d up to one past the width of [vmin, vmax], values vmin..vmin+d-1
@@ -873,6 +945,18 @@ def test_increasing_fillings_match_tuple_filter(spec, outer, inner, vmin, vmax, 
         }
         want = _fillings_by_filter(poset, skew, vmin, vmin + d - 1, surjective)
         assert got_values == set(want), d
+
+
+@pytest.mark.parametrize("spec, outer, inner, vmin, vmax", FILLING_CASES)
+@pytest.mark.parametrize("surjective", [False, True])
+def test_filling_row_words_match_tableau_row_words(spec, outer, inner, vmin, vmax, surjective):
+    # key by key, in the order of increasing_fillings
+    poset = parse_poset(spec)
+    lam, nu = poset.shape(inner).mask, poset.shape(outer).mask
+    for d in range(vmax - vmin + 2):
+        keys = list(increasing_fillings(poset, lam, nu, d, surjective=surjective))
+        words = list(filling_row_words(poset, lam, nu, d, surjective=surjective))
+        assert words == [Tableau.from_levels(poset, key).row_word() for key in keys]
 
 
 @pytest.mark.parametrize(
