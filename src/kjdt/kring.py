@@ -9,9 +9,11 @@ nu minus mu.  That class is computed once per factor and cached, which
 makes full multiplication tables over the exceptional posets cheap.
 
 An independent route computes a single structure constant by direct
-enumeration: fill the skew shape with all increasing surjective value
-assignments and keep those whose greedy rectification is M_mu.  The two
-routes are compared in the test suite.
+enumeration: count the increasing surjective fillings of the skew shape
+whose greedy rectification is M_mu.  Rectified level k depends only on
+levels 1..k of a filling, so the enumeration slides each level as it is
+added and drops a partial filling at the first level that differs from
+M_mu.  The two routes are compared in the test suite.
 
 Basis elements carry the Grothendieck-class sign dictionary: the
 Schubert structure sheaf basis O differs from G by the sign (-1)^size,
@@ -41,7 +43,6 @@ from .tableau import (
     jdt_class,
     levels_support,
     minimal_tableau,
-    rect_greedy,
 )
 from .words import Permutation, bruhat_leq, hecke_of_word
 
@@ -243,7 +244,9 @@ def structure_constant(
 
     Counts increasing fillings of nu minus lam whose value set equals the
     value set of M_mu and whose greedy rectification (sliding from the
-    presentation inner shape lam) is M_mu.
+    presentation inner shape lam) is M_mu.  The count runs on
+    ``increasing_fillings(..., rectifies_to=M_mu)``, which cuts a partial
+    filling at the first level whose rectification differs from M_mu.
     """
     poset = lam.poset
     _require_ring_poset(poset, assume_urp)
@@ -255,17 +258,9 @@ def structure_constant(
 
 
 def _greedy_count(poset, lam: Shape, mu: Shape, nu: Shape) -> int:
-    skew = nu.mask & ~lam.mask
-    if mu.size == 0:
-        return 1 if skew == 0 else 0
-    if skew == 0:
-        return 0
-    target = minimal_tableau(mu)
-    count = 0
-    for key in increasing_fillings(poset, lam.mask, nu.mask, max(target.values)):
-        if rect_greedy(Tableau.from_levels(poset, key), inner=lam.mask) == target:
-            count += 1
-    return count
+    target = minimal_tableau(mu).levels()
+    fillings = increasing_fillings(poset, lam.mask, nu.mask, len(target), rectifies_to=target)
+    return sum(1 for _ in fillings)
 
 
 # -- duality, pairing, symmetry ------------------------------------------------

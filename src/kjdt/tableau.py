@@ -527,24 +527,25 @@ def jdt_class(
 ) -> JdtClass:
     """Breadth-first closure of ``tab`` under slides inside its poset.
 
-    Each frontier state carries its support and the start that slides it
-    back to the state that found it (the holes of that slide, taken in
-    the other direction).  That slide would only give back a state
-    already seen, so it is skipped.
+    A slide is undone by the slide the other way from its holes.  So each
+    state not yet expanded keeps, in ``backs``, those back starts of every
+    slide that reached it: ``(forward starts, reverse starts)``.  Sliding
+    from one of them would only give back a state already seen, so all of
+    them are skipped when the state is expanded, and its entry is dropped.
     """
     poset = tab.poset
     geometry = poset.skew_geometry
     boundary = poset.boundary_mask()
     start = tab.levels()
     seen = {start}
-    # (levels, support, start back, whether it slides forward); the seed's 0 skips nothing
-    frontier = [(start, tab.mask, 0, True)]
+    backs: dict[Levels, tuple[list[int], list[int]]] = {start: ([], [])}
+    frontier = [(start, tab.mask)]
     straight: list[Tableau] = []
     exhausted = True
     touched = False
     while frontier:
         new = []
-        for levels, support, back, back_forward in frontier:
+        for levels, support in frontier:
             outer, inner, forward_starts, reverse_starts = geometry(support)
             if boundary & outer:
                 touched = True
@@ -552,15 +553,24 @@ def jdt_class(
                 straight.append(Tableau.from_levels(poset, levels))
                 if stop_second_straight and len(straight) > 1:
                     return JdtClass(tab, poset, seen, straight, False, touched)
-            for starts, fwd in ((forward_starts, True), (reverse_starts, False)):
-                skip = back if fwd == back_forward else 0
+            forward_backs, reverse_backs = backs.pop(levels)
+            for starts, fwd, skip in (
+                (forward_starts, True, forward_backs),
+                (reverse_starts, False, reverse_backs),
+            ):
                 for c_mask in starts:
-                    if c_mask == skip:
+                    if c_mask in skip:
                         continue
                     nxt, holes = _slide_levels(poset, levels, c_mask, forward=fwd)
                     if nxt not in seen:
                         seen.add(nxt)
-                        new.append((nxt, (support | c_mask) & ~holes, holes, not fwd))
+                        new.append((nxt, (support | c_mask) & ~holes))
+                        backs[nxt] = ([], [holes]) if fwd else ([holes], [])
+                    else:
+                        waiting = backs.get(nxt)
+                        if waiting is not None:
+                            # index 1 holds reverse starts, the way back from a forward slide
+                            waiting[fwd].append(holes)
             if budget is not None and len(seen) > budget:
                 return JdtClass(tab, poset, seen, straight, False, touched)
         frontier = new
@@ -580,7 +590,13 @@ class URTVerdict:
 
 
 def increasing_fillings(
-    poset: MinusculePoset, lam: int, nu: int, d: int, surjective: bool = True
+    poset: MinusculePoset,
+    lam: int,
+    nu: int,
+    d: int,
+    surjective: bool = True,
+    *,
+    rectifies_to: Levels | None = None,
 ):
     """Levels keys of the increasing fillings of nu/lam by the values 1..d.
 
@@ -590,6 +606,14 @@ def increasing_fillings(
     may fill none (an empty step).  A branch is cut when a longer chain of
     boxes, or (surjective only) fewer boxes, than values remain.  The
     order of the fillings is unspecified.
+
+    ``rectifies_to``, a straight levels key T, keeps only the fillings
+    whose greedy rectification from the layers of ``lam`` is T (those
+    ``rect_greedy(tab, inner=lam)`` maps to T).  A forward slide sweeps
+    values in increasing order, so rectified level k depends only on
+    levels 1..k: the walk carries the holes of each greedy slide, slides
+    each level as it is added, and cuts a branch as soon as a rectified
+    level differs from T's level at the same place.
     """
     rest = nu & ~lam
     if surjective and rest.bit_count() < d:
@@ -602,26 +626,46 @@ def increasing_fillings(
     if rest & deep[d]:
         return
     geometry = poset.skew_geometry
+    expand = poset.expand_neighbors
+    target = rectifies_to
     key: list[tuple[int, int]] = []
 
-    def rec(ideal: int, left: int):
+    def rec(ideal: int, left: int, holes: list[tuple[int, int]]):
         if not left:
-            yield tuple(key)
+            if target is None or len(key) == len(target):
+                yield tuple(key)
             return
         value = d - left + 1
         left -= 1
         if not surjective and not nu & ~ideal & deep[left]:
-            yield from rec(ideal, left)
+            yield from rec(ideal, left, holes)
         for step in geometry(ideal)[3]:
             grown = ideal | step
             rest = nu & ~grown
             if step & ~nu or rest & deep[left] or surjective and rest.bit_count() < left:
                 continue
+            slid = holes
+            if target is not None:
+                # The swaps _slide_levels makes on this level, one greedy slide at a time.
+                m = step
+                slid = []
+                for dots, near in holes:
+                    moved = m & near
+                    if moved:
+                        recv = dots & expand(moved)
+                        m = (m & ~moved) | recv
+                        dots = (dots & ~recv) | moved
+                        near = expand(dots)
+                    slid.append((dots, near))
+                at = len(key)
+                if at == len(target) or target[at] != (value, m):
+                    continue
             key.append((value, step))
-            yield from rec(grown, left)
+            yield from rec(grown, left, slid)
             key.pop()
 
-    yield from rec(lam, d)
+    layers = () if target is None else poset.greedy_layers(lam)
+    yield from rec(lam, d, [(c, expand(c)) for c in layers])
 
 
 def filling_row_words(
@@ -929,6 +973,7 @@ class DottedTableau:
         self.witness = self._witness()
 
     def _witness(self) -> int:
+        _boxes_to_mask(self.poset, self.filling)  # every box must be in the poset
         for b, v in self.filling.items():
             if v is DOT:
                 continue

@@ -6,6 +6,13 @@ from kjdt.poset import Shape, bits
 from kjdt.tableau import Tableau
 
 
+# One poset of every family, bounded and ambient.
+SLIDE_FAMILIES = [
+    "a:3,4", "og:5", "lg:4", "qodd:3", "qeven:4", "qeven:5",
+    "e6", "e7", "grid:4,5", "shifted:5",
+]
+
+
 def random_ideal(rng: random.Random, poset, max_size=None) -> int:
     """Random lower order ideal mask built by a random growth walk."""
     size_cap = poset.n if max_size is None else min(max_size, poset.n)

@@ -1,5 +1,6 @@
 """The public names of ``kjdt`` (change this list only on purpose) and the imports of its modules."""
 import ast
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -60,3 +61,25 @@ def test_library_modules_use_every_name_they_import():
             if name not in used:
                 unused.append(f"{path.name}:{line} {name}")
     assert not unused
+
+
+def _absolute_imports(tree: ast.Module) -> dict[str, int]:
+    """Top-level package of each absolute import of a module, with its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names[node.module.split(".")[0]] = node.lineno
+    return names
+
+
+def test_library_imports_only_the_standard_library():
+    # kjdt has no dependencies: every absolute import is a stdlib module
+    foreign = []
+    for path in sorted(Path(kjdt.__file__).parent.glob("*.py")):
+        for name, line in _absolute_imports(ast.parse(path.read_text())).items():
+            if name not in sys.stdlib_module_names:
+                foreign.append(f"{path.name}:{line} {name}")
+    assert not foreign

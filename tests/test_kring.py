@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kjdt.errors import NonMinusculePoset, PosetError, WindowExceeded
 from kjdt.kring import (
@@ -39,8 +42,16 @@ from kjdt.poset import (
     quadric_even,
     type_a,
 )
-from kjdt.tableau import Tableau, increasing_fillings, minimal_tableau
+from kjdt.tableau import (
+    Tableau,
+    increasing_fillings,
+    minimal_tableau,
+    packed_straight_tableaux,
+    rect_greedy,
+)
 from kjdt.words import Permutation, grassmannian_permutation, hecke_of_word
+
+from conftest import SLIDE_FAMILIES, random_skew_tableau
 
 
 def terms(el):
@@ -144,6 +155,86 @@ def test_structure_constant_routes_agree_random(rng):
                 )
                 checked += 1
     assert checked >= 120
+
+
+def _greedy_reference(poset, lam: int, nu: int, d: int) -> Counter:
+    """Every filling of nu/lam by 1..d, rectified whole: rectified levels -> count."""
+    return Counter(
+        rect_greedy(Tableau.from_levels(poset, key), inner=lam).levels()
+        for key in increasing_fillings(poset, lam, nu, d)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, max_skew, assume_urp",
+    [
+        ("e6", 6, False),
+        ("e7", 6, False),
+        ("og:5", None, False),
+        ("a:3,4", None, False),
+        # not minuscule: the class route is no oracle here
+        ("lg:3", None, True),
+        ("qodd:3", None, True),
+    ],
+)
+def test_pruned_greedy_count_matches_the_unpruned_loop(spec, max_skew, assume_urp):
+    poset = parse_poset(spec)
+    shapes = enumerate_shapes(poset)
+    minimal = {mu: minimal_tableau(mu).levels() for mu in shapes}
+    nonzero = 0
+    for lam in shapes:
+        for nu in shapes:
+            if lam.mask & ~nu.mask:
+                continue
+            if max_skew is not None and nu.size - lam.size > max_skew:
+                continue
+            rects = {}  # number of values -> rectified levels -> count
+            for mu in shapes:
+                target = minimal[mu]
+                if len(target) not in rects:
+                    rects[len(target)] = _greedy_reference(poset, lam.mask, nu.mask, len(target))
+                c = structure_constant(lam, mu, nu, assume_urp=assume_urp)
+                assert c == rects[len(target)][target], (lam.literal(), mu.literal(), nu.literal())
+                if not assume_urp:
+                    assert c == basis_product(lam, mu).get(nu.mask, 0)
+                nonzero += c > 0
+    assert nonzero > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SLIDE_FAMILIES), st.integers(0, 2**32 - 1))
+def test_walk_yields_the_fillings_that_rectify_to_a_given_tableau(spec, seed):
+    # T is a straight tableau other than the minimal one: the rectification
+    # of a random skew tableau when it is not minimal, else another tableau
+    # of its shape.  Skew tableaux are drawn until their rectified shape has
+    # such a tableau, which a chain (every shape of qodd) never has.
+    rng = random.Random(seed)
+    poset = parse_poset(spec)
+    for _ in range(20):
+        skew = random_skew_tableau(rng, poset, max_size=8).pack()
+        hit = rect_greedy(skew)
+        shape = Shape(poset, hit.mask)
+        others = [
+            key
+            for key in packed_straight_tableaux(poset, shape)
+            if key != minimal_tableau(shape).levels()
+        ]
+        if others:
+            break
+    else:
+        return
+    lam, nu = skew.inner_mask(), skew.outer_mask()
+    target = hit.levels() if hit.levels() in others else rng.choice(others)
+    d = len(target)
+    walked = list(increasing_fillings(poset, lam, nu, d, rectifies_to=target))
+    expected = [
+        key
+        for key in increasing_fillings(poset, lam, nu, d)
+        if rect_greedy(Tableau.from_levels(poset, key), inner=lam).levels() == target
+    ]
+    assert sorted(walked) == sorted(expected)
+    if target == hit.levels():
+        assert skew.levels() in walked
 
 
 def test_type_a_constants_match_hecke_counting():

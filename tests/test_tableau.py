@@ -52,7 +52,7 @@ from kjdt.tableau import (
     wx_act,
 )
 
-from conftest import random_skew_tableau
+from conftest import SLIDE_FAMILIES, random_skew_tableau
 
 
 def grid_straight(rows, pad=4):
@@ -210,13 +210,6 @@ def test_reverse_slide_anti_rectification_step():
     anti = wx_act(rect_greedy(wx_act(m)))
     expected = minimal_tableau(SkewShape(e6.full_shape(), e6.shape("2").dual()))
     assert anti == expected
-
-
-# One poset of every family, bounded and ambient.
-SLIDE_FAMILIES = [
-    "a:3,4", "og:5", "lg:4", "qodd:3", "qeven:4", "qeven:5",
-    "e6", "e7", "grid:4,5", "shifted:5",
-]
 
 
 def _slide_by_swaps(poset, tab, start, forward):
@@ -417,25 +410,39 @@ def test_closures_match_the_reference_loops():
                     assert rectify_all(tab, budget=budget) == expected
 
 
-def test_closure_skips_the_slide_back_to_each_parent(monkeypatch):
-    # One slide per state reached: the one back to the state that found it.
+def test_closure_never_slides_back_along_a_slide_it_made(monkeypatch):
+    # A slide is undone by the slide the other way from its holes, so that
+    # slide only finds a state already seen.  jdt_class skips every such
+    # slide back, not only the one to the state that found each state.
     calls = []
     slide = tableau_module._slide_levels
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return slide(*args, **kwargs)
+    def recorded(poset, levels, dots, forward):
+        out = slide(poset, levels, dots, forward)
+        calls.append((levels, dots, forward, out))
+        return out
 
-    monkeypatch.setattr(tableau_module, "_slide_levels", counted)
+    monkeypatch.setattr(tableau_module, "_slide_levels", recorded)
     e6 = cayley_plane()
-    for shape in enumerate_shapes(e6):
+    shapes = enumerate_shapes(e6)
+    assert len(shapes) == 27
+    made = parent_only = 0
+    for shape in shapes:
         tab = minimal_tableau(shape)
         _jdt_class_reference(tab)
-        reference = len(calls)
+        every_start = len(calls)
         calls.clear()
         cls = jdt_class(tab)
-        assert len(calls) == reference - (cls.size - 1)
+        undone = set()
+        for levels, dots, forward, (nxt, holes) in calls:
+            assert (levels, dots, forward) not in undone
+            undone.add((nxt, holes, not forward))
+        # skipping only the slide back to each parent made this many slides
+        assert len(calls) <= every_start - (cls.size - 1)
+        made += len(calls)
+        parent_only += every_start - (cls.size - 1)
         calls.clear()
+    assert made < parent_only
 
 
 def test_restriction_compatibility(rng):
@@ -821,6 +828,16 @@ def test_dotted_validation():
         DottedTableau(g, {(1, 1): DOT, (1, 2): DOT})  # comparable dots
     with pytest.raises(PosetError):
         DottedTableau(g, {(1, 1): 2, (1, 2): DOT, (1, 3): 2})  # no level fits
+
+
+@pytest.mark.parametrize("filling", [{(3, 3): 1}, {(1, 1): 1, (3, 3): DOT}])
+def test_dotted_box_outside_the_poset_is_a_window_error(filling):
+    # the same error Tableau.from_dict raises for a box outside the poset
+    a = type_a(2, 2)
+    with pytest.raises(WindowExceeded, match="outside the poset"):
+        Tableau.from_dict(a, {(3, 3): 1})
+    with pytest.raises(WindowExceeded, match="outside the poset"):
+        DottedTableau(a, filling)
 
 
 def test_resolutions_are_kknuth_equivalent(rng):
