@@ -15,6 +15,15 @@ levels 1..k of a filling, so the enumeration slides each level as it is
 added and drops a partial filling at the first level that differs from
 M_mu.  The two routes are compared in the test suite.
 
+The Pieri and Grothendieck counts need no jeu de taquin: they count the
+fillings whose row word has a given Hecke permutation w, on one
+open-ended level walk over the values 1..d.  The word of values <= k is
+a subword, and the Hecke product of a subword is Bruhat-below that of
+the word, so a filling is cut at the first level whose permutation is
+not below w.  The same fact fixes the letters: s_a <= w exactly when a
+is in the support of w, so a counted word uses exactly those letters and
+value k stands for the k-th of them.
+
 Basis elements carry the Grothendieck-class sign dictionary: the
 Schubert structure sheaf basis O differs from G by the sign (-1)^size,
 so structure constants appear in K-theory with signs alternating by
@@ -44,7 +53,7 @@ from .tableau import (
     levels_support,
     minimal_tableau,
 )
-from .words import Permutation, bruhat_leq, hecke_of_word
+from .words import Permutation, bruhat_leq, hecke_of_word, reduced_word
 
 
 # -- elements ----------------------------------------------------------------
@@ -65,10 +74,6 @@ class GammaElement:
     @classmethod
     def basis(cls, shape: Shape) -> "GammaElement":
         return cls(shape.poset, {shape.mask: 1})
-
-    @classmethod
-    def zero(cls, poset: MinusculePoset) -> "GammaElement":
-        return cls(poset, {})
 
     @classmethod
     def one(cls, poset: MinusculePoset) -> "GammaElement":
@@ -175,8 +180,8 @@ def _require_ring_poset(poset: MinusculePoset, assume_urp: bool):
         )
     if not poset.is_minuscule and not assume_urp:
         raise NonMinusculePoset(
-            f"poset {poset.family.spec()} is not minuscule; the ring is only "
-            "proven well defined on unique rectification posets "
+            f"poset {poset.family.spec()} is not minuscule; it is unverified that "
+            "its products are the K-theory structure constants of the geometry "
             "(pass assume_urp to experiment, output is then unverified)"
         )
 
@@ -369,59 +374,43 @@ def pieri_A_by_counting(lam, p: int, rows: int, cols: int) -> GammaElement:
     poset = ambient_grid(rows, cols)
     lam_shape = poset.shape(list(lam))
     target = hecke_of_word(tuple(range(1, p + 1)))
-    return GammaElement(poset, _count_hecke_fillings(poset, lam_shape.mask, 1, p, target))
+    return GammaElement(poset, _count_hecke_fillings(poset, lam_shape.mask, target))
 
 
 def _count_hecke_fillings(
-    poset: MinusculePoset, lam_mask: int, lo: int, hi: int, target: Permutation
+    poset: MinusculePoset, lam_mask: int, target: Permutation
 ) -> dict[int, int]:
-    """Hecke counts {nu mask: count} over the straight shapes nu above lam.
+    """Hecke counts {nu mask: count} over the shapes nu above lam.
 
-    The count of nu (strictly containing lam) is the number of increasing
-    fillings of nu/lam with values in [lo, hi] whose row word has Hecke
-    permutation ``target``; shapes with no such filling are left out.
-    Shapes grow breadth-first from lam by minimal absent boxes, and a shape
-    is grown only if one of its fillings has a Hecke permutation Bruhat-below
-    ``target``.  This loses nothing: a filling of a larger shape restricts
-    to a filling of each smaller one whose row word is a subword, and the
-    Hecke product of a subword is Bruhat-below that of the word.
+    The count of nu is the number of increasing fillings of nu/lam whose
+    row word has Hecke permutation ``target``; shapes with no such filling
+    are left out.  Such a word uses exactly the letters of ``target``'s
+    support.  The Hecke product of a subword is Bruhat-below that of the
+    word, and s_a <= x exactly when a is in the support of x, so each
+    letter is in the support; and a product of letters moves only the
+    points those letters touch, so each support letter occurs.  The
+    fillings are therefore those of the values 1..len(letters), value k
+    read as the k-th support letter, on one open-ended level walk.  The
+    walk cuts a filling at the first level whose word (values <= k, a
+    subword) has a Hecke permutation not Bruhat-below ``target``, and
+    counts equality at the end.
     """
-    # Words are read with values 1..hi-lo+1; shifting every letter by
-    # lo-1 shifts the Hecke permutation by as much, so shift the target back.
-    shift = lo - 1
-    target = Permutation(target.window - shift, tuple(y - shift for y in target.images))
+    letters = sorted(set(reduced_word(target)))
     below = {target: True}  # Hecke permutation -> bruhat_leq(it, target)
+    h = Permutation.identity()  # of the last word keep saw, the yielded filling's
+
+    def keep(word) -> bool:
+        nonlocal h
+        h = hecke_of_word([letters[v - 1] for v in word])
+        ok = below.get(h)
+        if ok is None:
+            ok = below[h] = bruhat_leq(h, target)
+        return ok
+
     counts: dict[int, int] = {}
-    seen = {lam_mask}
-    frontier = [lam_mask]
-    while frontier:
-        grown = []
-        for mask in frontier:
-            if mask != lam_mask:
-                n = 0
-                witness = False
-                for word in filling_row_words(
-                    poset, lam_mask, mask, hi - lo + 1, surjective=False
-                ):
-                    h = hecke_of_word(word)
-                    if h == target:
-                        n += 1
-                        witness = True
-                    elif not witness:
-                        ok = below.get(h)
-                        if ok is None:
-                            ok = below[h] = bruhat_leq(h, target)
-                        witness = ok
-                if n:
-                    counts[mask] = n
-                if not witness:
-                    continue
-            for i in poset.minimal_absent_boxes(mask):
-                nxt = mask | (1 << i)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    grown.append(nxt)
-        frontier = grown
+    for nu, _ in filling_row_words(poset, lam_mask, len(letters), keep):
+        if h == target:
+            counts[nu] = counts.get(nu, 0) + 1
     return counts
 
 
@@ -445,11 +434,9 @@ def pieri_B(lam, p: int, cols: int | None = None) -> GammaElement:
         raise WindowExceeded(f"shifted window {cols} too small; need {need}")
     poset = ambient_shifted(cols)
     lam_mask = poset.shape(list(lam)).mask
-    coeffs = {}
-    for nu in poset.ideals_between(lam_mask, poset.full_mask)[1:]:
-        n = sum(map(is_pieri_word_b, filling_row_words(poset, lam_mask, nu, p)))
-        if n:
-            coeffs[nu] = n
+    coeffs: dict[int, int] = {}
+    for nu, _ in filling_row_words(poset, lam_mask, p, is_pieri_word_b):
+        coeffs[nu] = coeffs.get(nu, 0) + 1
     return GammaElement(poset, coeffs)
 
 
@@ -466,11 +453,6 @@ def pieri_B_by_class(lam, p: int, cols: int) -> GammaElement:
 
 # -- stable Grothendieck classes -------------------------------------------------
 
-def _letter_range(w: Permutation) -> tuple[int, int]:
-    lo, hi = w.support()
-    return lo, hi - 1
-
-
 def stable_grothendieck_coeffs(w: Permutation) -> GammaElement:
     """Expansion of the class of a permutation over shape basis elements.
 
@@ -480,10 +462,10 @@ def stable_grothendieck_coeffs(w: Permutation) -> GammaElement:
     if w.is_identity():
         poset = ambient_grid(1, 1)
         return GammaElement(poset, {0: 1})
-    lo, hi = _letter_range(w)
-    d = hi - lo + 1
+    lo, hi = w.support()
+    d = hi - lo  # letters lo..hi-1
     poset = ambient_grid(d, d)
-    return GammaElement(poset, _count_hecke_fillings(poset, 0, lo, hi, w.inverse()))
+    return GammaElement(poset, _count_hecke_fillings(poset, 0, w.inverse()))
 
 
 def grothendieck_times_shape(w: Permutation, lam) -> GammaElement:
@@ -492,13 +474,13 @@ def grothendieck_times_shape(w: Permutation, lam) -> GammaElement:
     if w.is_identity():
         poset = ambient_grid(max(len(lam), 1), max(lam[0] if lam else 1, 1))
         return GammaElement(poset, {poset.shape(list(lam)).mask: 1})
-    lo, hi = _letter_range(w)
-    d = hi - lo + 1
+    lo, hi = w.support()
+    d = hi - lo  # letters lo..hi-1
     rows = len(lam) + d
     cols = (lam[0] if lam else 0) + d
     poset = ambient_grid(rows, cols)
     lam_mask = poset.shape(list(lam)).mask
-    return GammaElement(poset, _count_hecke_fillings(poset, lam_mask, lo, hi, w.inverse()))
+    return GammaElement(poset, _count_hecke_fillings(poset, lam_mask, w.inverse()))
 
 
 # -- fat hooks --------------------------------------------------------------------

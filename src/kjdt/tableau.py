@@ -592,20 +592,23 @@ class URTVerdict:
 def increasing_fillings(
     poset: MinusculePoset,
     lam: int,
-    nu: int,
+    nu: int | None,
     d: int,
-    surjective: bool = True,
     *,
     rectifies_to: Levels | None = None,
+    keep=None,
 ):
     """Levels keys of the increasing fillings of nu/lam by the values 1..d.
 
-    A filling is a chain of ideals lam = I_0 <= ... <= I_d = nu; the boxes
-    of value k are a reverse slide start of I_(k-1) inside nu.  With
-    ``surjective`` every value fills at least one box; otherwise a value
-    may fill none (an empty step).  A branch is cut when a longer chain of
-    boxes, or (surjective only) fewer boxes, than values remain.  The
-    order of the fillings is unspecified.
+    A filling is a chain of ideals lam = I_0 < ... < I_d = nu; the boxes
+    of value k are a reverse slide start of I_(k-1) inside nu, so every
+    value fills at least one box.  ``nu=None`` leaves the end open: the
+    chain may stop at any ideal of the poset.  A branch is cut when fewer
+    boxes than values remain, or (fixed end) a longer chain of boxes than
+    values.  The order of the fillings is unspecified.
+
+    ``keep`` sees the levels placed so far after each level is added; a
+    false answer cuts the branch.
 
     ``rectifies_to``, a straight levels key T, keeps only the fillings
     whose greedy rectification from the layers of ``lam`` is T (those
@@ -615,16 +618,19 @@ def increasing_fillings(
     each level as it is added, and cuts a branch as soon as a rectified
     level differs from T's level at the same place.
     """
-    rest = nu & ~lam
-    if surjective and rest.bit_count() < d:
+    end = poset.full_mask if nu is None else nu
+    rest = end & ~lam
+    if rest.bit_count() < d:
         return
-    chain: dict[int, int] = {}  # longest chain in nu starting at a box
-    for i in reversed(list(bits(rest))):
-        chain[i] = 1 + max((chain[j] for j in poset.up[i] if nu >> j & 1), default=0)
     # deep[r]: boxes that cannot be filled when r values are left.
-    deep = [sum(1 << i for i, c in chain.items() if c > r) for r in range(d + 1)]
-    if rest & deep[d]:
-        return
+    deep = [0] * (d + 1)
+    if nu is not None:
+        chain: dict[int, int] = {}  # longest chain in nu starting at a box
+        for i in reversed(list(bits(rest))):
+            chain[i] = 1 + max((chain[j] for j in poset.up[i] if nu >> j & 1), default=0)
+        deep = [sum(1 << i for i, c in chain.items() if c > r) for r in range(d + 1)]
+        if rest & deep[d]:
+            return
     geometry = poset.skew_geometry
     expand = poset.expand_neighbors
     target = rectifies_to
@@ -637,12 +643,10 @@ def increasing_fillings(
             return
         value = d - left + 1
         left -= 1
-        if not surjective and not nu & ~ideal & deep[left]:
-            yield from rec(ideal, left, holes)
         for step in geometry(ideal)[3]:
             grown = ideal | step
-            rest = nu & ~grown
-            if step & ~nu or rest & deep[left] or surjective and rest.bit_count() < left:
+            rest = end & ~grown
+            if step & ~end or rest & deep[left] or rest.bit_count() < left:
                 continue
             slid = holes
             if target is not None:
@@ -661,29 +665,33 @@ def increasing_fillings(
                 if at == len(target) or target[at] != (value, m):
                     continue
             key.append((value, step))
-            yield from rec(grown, left, slid)
+            if keep is None or keep(key):
+                yield from rec(grown, left, slid)
             key.pop()
 
     layers = () if target is None else poset.greedy_layers(lam)
     yield from rec(lam, d, [(c, expand(c)) for c in layers])
 
 
-def filling_row_words(
-    poset: MinusculePoset, lam: int, nu: int, d: int, surjective: bool = True
-):
-    """The row word of each ``increasing_fillings`` key, in the same order.
+def filling_row_words(poset: MinusculePoset, lam: int, d: int, keep):
+    """``(outer mask, row word)`` of the open-ended fillings above ``lam`` that ``keep`` passes.
 
-    Each box's place in the word is looked up once per skew shape, in the
-    order of ``Tableau.row_word``.
+    The fillings are those of ``increasing_fillings(poset, lam, None, d)``
+    whose row word, cut to the values 1..k, satisfies ``keep`` for every
+    level k.  Each box's place in the word is looked up once per window,
+    in the order of ``Tableau.row_word``.
     """
-    order = _row_word({poset.boxes[i]: i for i in bits(nu & ~lam)})
+    order = _row_word({poset.boxes[i]: i for i in bits(poset.full_mask & ~lam)})
     pos = {i: k for k, i in enumerate(order)}
-    word = [0] * len(order)
-    for key in increasing_fillings(poset, lam, nu, d, surjective):
-        for v, m in key:
-            for i in bits(m):
-                word[pos[i]] = v
-        yield tuple(word)
+    word: tuple[int, ...] = ()
+
+    def read(key) -> bool:
+        nonlocal word
+        word = tuple(v for _, v in sorted((pos[i], v) for v, m in key for i in bits(m)))
+        return keep(word)
+
+    for key in increasing_fillings(poset, lam, None, d, keep=read):
+        yield lam | levels_support(key), word
 
 
 def straight_tableaux_with_values(poset: MinusculePoset, letters, max_rows, max_cols):

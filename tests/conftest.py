@@ -1,9 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from kjdt.poset import Shape, bits
-from kjdt.tableau import Tableau
+from kjdt.tableau import Tableau, increasing_fillings
 
 
 # One poset of every family, bounded and ambient.
@@ -51,6 +52,18 @@ def random_skew_tableau(rng: random.Random, poset, max_size=None, jitter=2) -> T
         vals[i] = lo + rng.randint(0, jitter)
     values = tuple(vals[i] for i in bits(mask))
     return Tableau(poset, mask, values)
+
+
+def fillings_skipping_values(poset, lam: int, nu: int, d: int):
+    """Levels keys of the fillings of nu/lam by values in 1..d, any of which may be skipped.
+
+    One surjective walk per subset of the values: the walk's value k is the
+    k-th smallest value of the subset.
+    """
+    for k in range(d + 1):
+        for values in combinations(range(1, d + 1), k):
+            for key in increasing_fillings(poset, lam, nu, k):
+                yield tuple((values[v - 1], m) for v, m in key)
 
 
 @pytest.fixture

@@ -83,3 +83,50 @@ def test_library_imports_only_the_standard_library():
             if name not in sys.stdlib_module_names:
                 foreign.append(f"{path.name}:{line} {name}")
     assert not foreign
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` bound by a def, class or assignment, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for target in node.targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, reads as attributes or imports by name."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_library_defines_no_unused_private_names():
+    # a private module-level name that no module of kjdt reads is dead code
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(kjdt.__file__).parent.glob("*.py"))
+    }
+    used = set().union(*map(_referenced_names, trees.values()))
+    unused = [
+        f"{name}:{line} {private}"
+        for name, tree in trees.items()
+        for private, line in _private_definitions(tree).items()
+        if private not in used
+    ]
+    assert not unused

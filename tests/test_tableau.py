@@ -52,7 +52,7 @@ from kjdt.tableau import (
     wx_act,
 )
 
-from conftest import SLIDE_FAMILIES, random_skew_tableau
+from conftest import SLIDE_FAMILIES, fillings_skipping_values, random_skew_tableau
 
 
 def grid_straight(rows, pad=4):
@@ -948,12 +948,14 @@ FILLING_CASES = [
 @pytest.mark.parametrize("spec, outer, inner, vmin, vmax", FILLING_CASES)
 @pytest.mark.parametrize("surjective", [False, True])
 def test_increasing_fillings_match_tuple_filter(spec, outer, inner, vmin, vmax, surjective):
-    # every d up to one past the width of [vmin, vmax], values vmin..vmin+d-1
+    # every d up to one past the width of [vmin, vmax], values vmin..vmin+d-1;
+    # the fillings that may skip values come from the test helper
     poset = parse_poset(spec)
     lam, nu = poset.shape(inner).mask, poset.shape(outer).mask
     skew = nu & ~lam
+    walk = increasing_fillings if surjective else fillings_skipping_values
     for d in range(vmax - vmin + 2):
-        got = list(increasing_fillings(poset, lam, nu, d, surjective=surjective))
+        got = list(walk(poset, lam, nu, d))
         assert len(got) == len(set(got))
         assert all(levels_support(key) == skew for key in got)
         got_values = {
@@ -965,15 +967,36 @@ def test_increasing_fillings_match_tuple_filter(spec, outer, inner, vmin, vmax, 
 
 
 @pytest.mark.parametrize("spec, outer, inner, vmin, vmax", FILLING_CASES)
-@pytest.mark.parametrize("surjective", [False, True])
-def test_filling_row_words_match_tableau_row_words(spec, outer, inner, vmin, vmax, surjective):
-    # key by key, in the order of increasing_fillings
+def test_open_ended_walk_is_the_union_of_the_fixed_end_walks(spec, outer, inner, vmin, vmax):
     poset = parse_poset(spec)
-    lam, nu = poset.shape(inner).mask, poset.shape(outer).mask
+    lam = poset.shape(inner).mask
     for d in range(vmax - vmin + 2):
-        keys = list(increasing_fillings(poset, lam, nu, d, surjective=surjective))
-        words = list(filling_row_words(poset, lam, nu, d, surjective=surjective))
-        assert words == [Tableau.from_levels(poset, key).row_word() for key in keys]
+        got = list(increasing_fillings(poset, lam, None, d))
+        want = [
+            key
+            for nu in poset.ideals_between(lam, poset.full_mask)
+            for key in increasing_fillings(poset, lam, nu, d)
+        ]
+        assert sorted(got) == sorted(want), d
+
+
+@pytest.mark.parametrize("spec, outer, inner, vmin, vmax", FILLING_CASES)
+@pytest.mark.parametrize("cut", [False, True])
+def test_filling_row_words_match_tableau_row_words(spec, outer, inner, vmin, vmax, cut):
+    # pair by pair, in the order of the open-ended walk; with the cut, only
+    # the fillings whose word cut to the values 1..k passes at every level k
+    def keep(word):
+        return not cut or sum(word) % 3 != 1
+
+    poset = parse_poset(spec)
+    lam = poset.shape(inner).mask
+    for d in range(vmax - vmin + 2):
+        want = []
+        for key in increasing_fillings(poset, lam, None, d):
+            word = Tableau.from_levels(poset, key).row_word()
+            if all(keep(tuple(v for v in word if v <= k)) for k in range(1, d + 1)):
+                want.append((lam | levels_support(key), word))
+        assert list(filling_row_words(poset, lam, d, keep)) == want, d
 
 
 @pytest.mark.parametrize(
@@ -1006,14 +1029,17 @@ def test_level_fillings_match_increasing_fillings(spec, outer, inner):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(SLIDE_FAMILIES), st.integers(0, 2**32 - 1), st.integers(0, 4))
 def test_non_surjective_fillings_count_by_value_sets(spec, seed, d):
-    # a filling by 1..d uses some k of the values; packing them gives a
+    # a filling by 1..d uses some k of the values; packing it gives a
     # surjective filling by 1..k, and each k-subset of 1..d unpacks it
     poset = parse_poset(spec)
     tab = random_skew_tableau(random.Random(seed), poset, max_size=6)
     nu = tab.outer_mask()
     lam = nu & ~tab.mask
-    total = sum(1 for _ in increasing_fillings(poset, lam, nu, d, surjective=False))
-    assert total == sum(
+    keys = list(fillings_skipping_values(poset, lam, nu, d))
+    assert len(keys) == len(set(keys))
+    packed = {Tableau.from_levels(poset, key).pack().levels() for key in keys}
+    assert packed == {key for k in range(d + 1) for key in increasing_fillings(poset, lam, nu, k)}
+    assert len(keys) == sum(
         math.comb(d, k) * sum(1 for _ in increasing_fillings(poset, lam, nu, k))
         for k in range(d + 1)
     )
