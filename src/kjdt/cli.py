@@ -43,28 +43,24 @@ EXIT_REFUSED = 3
 EXIT_BUDGET = 4
 
 
-def _positive_int(text: str) -> int:
-    """Argument type of ``--budget`` and ``--threads``: a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """Argument type of an integer that is at least ``low`` (0 or 1)."""
+    kind = "positive" if low == 1 else "non-negative"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    """Argument type of ``--slack``, ``--pad`` and ``--max-size``: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {text!r}"
-        )
-    return value
+_positive_int = _int_at_least(1)  # --budget, --threads, KJDT_BUDGET
+_non_negative_int = _int_at_least(0)  # --slack, --pad, --max-size
 
 
 def _budget(args) -> int:
@@ -222,12 +218,11 @@ def cmd_rectify(args) -> int:
         out = rect_greedy(tab)
         _emit(tableau_to_json(out), args.json, out.render())
         return EXIT_OK
-    rects = rectify_all(tab, budget=budget)
-    data = [tableau_to_json(t) for t in sorted(rects, key=lambda t: t.values)]
+    rects = sorted(rectify_all(tab, budget=budget), key=lambda t: t.values)
     if args.json:
-        _emit(data, True)
+        _emit([tableau_to_json(t) for t in rects], True)
     else:
-        for t in sorted(rects, key=lambda t: t.values):
+        for t in rects:
             print(t.render())
             print()
         print(f"rectifications: {len(rects)}", file=sys.stderr)

@@ -52,6 +52,7 @@ from .tableau import (
     jdt_class,
     levels_support,
     minimal_tableau,
+    rectifies_to,
 )
 from .words import Permutation, bruhat_leq, hecke_of_word, reduced_word
 
@@ -249,9 +250,10 @@ def structure_constant(
 
     Counts increasing fillings of nu minus lam whose value set equals the
     value set of M_mu and whose greedy rectification (sliding from the
-    presentation inner shape lam) is M_mu.  The count runs on
-    ``increasing_fillings(..., rectifies_to=M_mu)``, which cuts a partial
-    filling at the first level whose rectification differs from M_mu.
+    presentation inner shape lam) is M_mu.  The count walks
+    ``increasing_fillings`` with the keep ``rectifies_to(poset, lam, M_mu)``,
+    which cuts a partial filling at the first level whose rectification
+    differs from M_mu.
     """
     poset = lam.poset
     _require_ring_poset(poset, assume_urp)
@@ -264,7 +266,8 @@ def structure_constant(
 
 def _greedy_count(poset, lam: Shape, mu: Shape, nu: Shape) -> int:
     target = minimal_tableau(mu).levels()
-    fillings = increasing_fillings(poset, lam.mask, nu.mask, len(target), rectifies_to=target)
+    keep = rectifies_to(poset, lam.mask, target)
+    fillings = increasing_fillings(poset, lam.mask, nu.mask, len(target), keep=keep)
     return sum(1 for _ in fillings)
 
 
@@ -337,8 +340,11 @@ def _check_row_length(p: int):
         raise PosetError("the Pieri row length must be positive")
 
 
-def pieri_A(lam, p: int, rows: int | None = None, cols: int | None = None) -> GammaElement:
-    """Single-row product in the grid ring by the closed binomial formula."""
+def _pieri_a_window(lam, p: int, rows: int | None, cols: int | None):
+    """``(lam without zeros, grid window)`` of G_lam * G_p; the window defaults to the least.
+
+    A window too small to hold every term raises ``WindowExceeded``.
+    """
     lam = tuple(x for x in lam if x)
     _check_row_length(p)
     need_rows = len(lam) + 1
@@ -350,7 +356,13 @@ def pieri_A(lam, p: int, rows: int | None = None, cols: int | None = None) -> Ga
             f"window {rows}x{cols} cannot hold all terms; "
             f"need at least {need_rows}x{need_cols}"
         )
-    poset = ambient_grid(rows, cols)
+    return lam, ambient_grid(rows, cols)
+
+
+def pieri_A(lam, p: int, rows: int | None = None, cols: int | None = None) -> GammaElement:
+    """Single-row product in the grid ring by the closed binomial formula."""
+    lam, poset = _pieri_a_window(lam, p, rows, cols)
+    rows, cols = poset.family.params
     coeffs = {}
     for nu in _horizontal_strips(lam, rows, cols):
         k = sum(nu) - sum(lam)
@@ -369,9 +381,7 @@ def pieri_A(lam, p: int, rows: int | None = None, cols: int | None = None) -> Ga
 
 def pieri_A_by_counting(lam, p: int, rows: int, cols: int) -> GammaElement:
     """Independent Pieri check: count tableaux with the one-row Hecke class."""
-    lam = tuple(x for x in lam if x)
-    _check_row_length(p)
-    poset = ambient_grid(rows, cols)
+    lam, poset = _pieri_a_window(lam, p, rows, cols)
     lam_shape = poset.shape(list(lam))
     target = hecke_of_word(tuple(range(1, p + 1)))
     return GammaElement(poset, _count_hecke_fillings(poset, lam_shape.mask, target))
@@ -459,26 +469,19 @@ def stable_grothendieck_coeffs(w: Permutation) -> GammaElement:
     The coefficient of a shape counts increasing tableaux of that shape
     whose Hecke permutation is the inverse of ``w``.
     """
-    if w.is_identity():
-        poset = ambient_grid(1, 1)
-        return GammaElement(poset, {0: 1})
-    lo, hi = w.support()
-    d = hi - lo  # letters lo..hi-1
-    poset = ambient_grid(d, d)
-    return GammaElement(poset, _count_hecke_fillings(poset, 0, w.inverse()))
+    return grothendieck_times_shape(w, ())
 
 
 def grothendieck_times_shape(w: Permutation, lam) -> GammaElement:
-    """Coefficients of the product of a permutation class with G_lam."""
+    """Coefficients of the product of a permutation class with G_lam.
+
+    The window adds d rows and d columns to lam, d the number of support
+    letters of ``w`` (none for the identity), and is at least 1x1.
+    """
     lam = tuple(x for x in lam if x)
-    if w.is_identity():
-        poset = ambient_grid(max(len(lam), 1), max(lam[0] if lam else 1, 1))
-        return GammaElement(poset, {poset.shape(list(lam)).mask: 1})
     lo, hi = w.support()
-    d = hi - lo  # letters lo..hi-1
-    rows = len(lam) + d
-    cols = (lam[0] if lam else 0) + d
-    poset = ambient_grid(rows, cols)
+    d = max(hi - lo, 0)  # letters lo..hi-1
+    poset = ambient_grid(max(len(lam) + d, 1), max((lam[0] if lam else 0) + d, 1))
     lam_mask = poset.shape(list(lam)).mask
     return GammaElement(poset, _count_hecke_fillings(poset, lam_mask, w.inverse()))
 

@@ -315,18 +315,6 @@ class MinusculePoset:
             and all(mask & (1 << j) for j in self.down[i])
         ]
 
-    def boundary_mask(self) -> int:
-        """Boxes on the far window edge of an ambient poset."""
-        if not self.is_ambient:
-            return 0
-        if self.family.kind == "grid":
-            rows, cols = self.family.params
-            return sum(
-                1 << i for i, (r, c) in enumerate(self.boxes) if r == rows or c == cols
-            )
-        (cols,) = self.family.params
-        return sum(1 << i for i, (_, c) in enumerate(self.boxes) if c == cols)
-
     # -- shapes ----------------------------------------------------------
 
     def shape(self, rows: "list[int] | tuple[int, ...] | str") -> "Shape":

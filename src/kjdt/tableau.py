@@ -502,11 +502,9 @@ class JdtClass:
     """Closure of a tableau under forward and reverse slides."""
 
     seed: Tableau
-    ambient: MinusculePoset
     member_keys: set[Levels] = field(repr=False)
     straight: list[Tableau]
     exhausted: bool
-    touched_boundary: bool
 
     @property
     def size(self) -> int:
@@ -514,7 +512,7 @@ class JdtClass:
 
     def members(self):
         for levels in self.member_keys:
-            yield Tableau.from_levels(self.ambient, levels)
+            yield Tableau.from_levels(self.seed.poset, levels)
 
     def __contains__(self, tab: Tableau) -> bool:
         return tab.levels() in self.member_keys
@@ -535,24 +533,19 @@ def jdt_class(
     """
     poset = tab.poset
     geometry = poset.skew_geometry
-    boundary = poset.boundary_mask()
     start = tab.levels()
     seen = {start}
     backs: dict[Levels, tuple[list[int], list[int]]] = {start: ([], [])}
     frontier = [(start, tab.mask)]
     straight: list[Tableau] = []
-    exhausted = True
-    touched = False
     while frontier:
         new = []
         for levels, support in frontier:
-            outer, inner, forward_starts, reverse_starts = geometry(support)
-            if boundary & outer:
-                touched = True
+            _, inner, forward_starts, reverse_starts = geometry(support)
             if inner == 0:
                 straight.append(Tableau.from_levels(poset, levels))
                 if stop_second_straight and len(straight) > 1:
-                    return JdtClass(tab, poset, seen, straight, False, touched)
+                    return JdtClass(tab, seen, straight, False)
             forward_backs, reverse_backs = backs.pop(levels)
             for starts, fwd, skip in (
                 (forward_starts, True, forward_backs),
@@ -572,9 +565,9 @@ def jdt_class(
                             # index 1 holds reverse starts, the way back from a forward slide
                             waiting[fwd].append(holes)
             if budget is not None and len(seen) > budget:
-                return JdtClass(tab, poset, seen, straight, False, touched)
+                return JdtClass(tab, seen, straight, False)
         frontier = new
-    return JdtClass(tab, poset, seen, straight, exhausted, touched)
+    return JdtClass(tab, seen, straight, True)
 
 
 @dataclass(frozen=True)
@@ -595,7 +588,6 @@ def increasing_fillings(
     nu: int | None,
     d: int,
     *,
-    rectifies_to: Levels | None = None,
     keep=None,
 ):
     """Levels keys of the increasing fillings of nu/lam by the values 1..d.
@@ -609,14 +601,6 @@ def increasing_fillings(
 
     ``keep`` sees the levels placed so far after each level is added; a
     false answer cuts the branch.
-
-    ``rectifies_to``, a straight levels key T, keeps only the fillings
-    whose greedy rectification from the layers of ``lam`` is T (those
-    ``rect_greedy(tab, inner=lam)`` maps to T).  A forward slide sweeps
-    values in increasing order, so rectified level k depends only on
-    levels 1..k: the walk carries the holes of each greedy slide, slides
-    each level as it is added, and cuts a branch as soon as a rectified
-    level differs from T's level at the same place.
     """
     end = poset.full_mask if nu is None else nu
     rest = end & ~lam
@@ -632,14 +616,11 @@ def increasing_fillings(
         if rest & deep[d]:
             return
     geometry = poset.skew_geometry
-    expand = poset.expand_neighbors
-    target = rectifies_to
     key: list[tuple[int, int]] = []
 
-    def rec(ideal: int, left: int, holes: list[tuple[int, int]]):
+    def rec(ideal: int, left: int):
         if not left:
-            if target is None or len(key) == len(target):
-                yield tuple(key)
+            yield tuple(key)
             return
         value = d - left + 1
         left -= 1
@@ -648,29 +629,50 @@ def increasing_fillings(
             rest = end & ~grown
             if step & ~end or rest & deep[left] or rest.bit_count() < left:
                 continue
-            slid = holes
-            if target is not None:
-                # The swaps _slide_levels makes on this level, one greedy slide at a time.
-                m = step
-                slid = []
-                for dots, near in holes:
-                    moved = m & near
-                    if moved:
-                        recv = dots & expand(moved)
-                        m = (m & ~moved) | recv
-                        dots = (dots & ~recv) | moved
-                        near = expand(dots)
-                    slid.append((dots, near))
-                at = len(key)
-                if at == len(target) or target[at] != (value, m):
-                    continue
             key.append((value, step))
             if keep is None or keep(key):
-                yield from rec(grown, left, slid)
+                yield from rec(grown, left)
             key.pop()
 
-    layers = () if target is None else poset.greedy_layers(lam)
-    yield from rec(lam, d, [(c, expand(c)) for c in layers])
+    yield from rec(lam, d)
+
+
+def rectifies_to(poset: MinusculePoset, lam: int, target: Levels):
+    """The ``keep`` of the fillings above ``lam`` that greedily rectify to ``target``.
+
+    With ``increasing_fillings(poset, lam, nu, len(target), keep=...)`` it
+    passes exactly the fillings that ``rect_greedy(tab, inner=lam)`` maps
+    to the straight levels key ``target``.  A forward slide sweeps values
+    in increasing order, so rectified level k depends only on levels
+    1..k.  The keep therefore carries, for each placed level, the holes
+    of every greedy slide with the boxes next to them; it slides only the
+    newest level through them and cuts the branch at the first rectified
+    level that differs from ``target``'s level at the same place.
+    """
+    expand = poset.expand_neighbors
+    # carried[k]: (holes, boxes next to them) of each greedy slide after the
+    # levels 1..k of the current branch; slots past its last level are stale.
+    carried = [[(c, expand(c)) for c in poset.greedy_layers(lam)]] * (len(target) + 1)
+
+    def keep(key) -> bool:
+        k = len(key)
+        value, m = key[-1]
+        slid = []
+        # The swaps _slide_levels makes on this level, one greedy slide at a time.
+        for dots, near in carried[k - 1]:
+            moved = m & near
+            if moved:
+                recv = dots & expand(moved)
+                m = (m & ~moved) | recv
+                dots = (dots & ~recv) | moved
+                near = expand(dots)
+            slid.append((dots, near))
+        if target[k - 1] != (value, m):
+            return False
+        carried[k] = slid
+        return True
+
+    return keep
 
 
 def filling_row_words(poset: MinusculePoset, lam: int, d: int, keep):

@@ -41,6 +41,7 @@ from kjdt.poset import (
     max_orthogonal,
     parse_poset,
     quadric_even,
+    rook_strips_over,
     type_a,
 )
 from kjdt.tableau import (
@@ -49,6 +50,7 @@ from kjdt.tableau import (
     minimal_tableau,
     packed_straight_tableaux,
     rect_greedy,
+    rectifies_to,
 )
 from kjdt.words import Permutation, grassmannian_permutation, hecke_of_word
 
@@ -194,8 +196,11 @@ def test_pruned_greedy_count_matches_the_unpruned_loop(spec, max_skew, assume_ur
                 target = minimal[mu]
                 if len(target) not in rects:
                     rects[len(target)] = _greedy_reference(poset, lam.mask, nu.mask, len(target))
-                c = structure_constant(lam, mu, nu, assume_urp=assume_urp)
+                keep = rectifies_to(poset, lam.mask, target)
+                walked = increasing_fillings(poset, lam.mask, nu.mask, len(target), keep=keep)
+                c = sum(1 for _ in walked)
                 assert c == rects[len(target)][target], (lam.literal(), mu.literal(), nu.literal())
+                assert c == structure_constant(lam, mu, nu, assume_urp=assume_urp)
                 if not assume_urp:
                     assert c == basis_product(lam, mu).get(nu.mask, 0)
                 nonzero += c > 0
@@ -227,7 +232,7 @@ def test_walk_yields_the_fillings_that_rectify_to_a_given_tableau(spec, seed):
     lam, nu = skew.inner_mask(), skew.outer_mask()
     target = hit.levels() if hit.levels() in others else rng.choice(others)
     d = len(target)
-    walked = list(increasing_fillings(poset, lam, nu, d, rectifies_to=target))
+    walked = list(increasing_fillings(poset, lam, nu, d, keep=rectifies_to(poset, lam, target)))
     expected = [
         key
         for key in increasing_fillings(poset, lam, nu, d)
@@ -356,6 +361,41 @@ def test_commutativity_and_associativity_samples(rng):
         assert (a * b) * c == a * (b * c)
 
 
+@pytest.mark.parametrize("spec", ["a:3,4", "og:6", "qeven:4", "qeven:5", "e6", "e7"])
+def test_chevalley_row_is_the_rook_strips(spec):
+    # Observed on these posets, not cited: G_1 * G_lam is the sum of G_nu
+    # over the rook strips nu/lam other than lam itself, each once.
+    poset = parse_poset(spec)
+    one_box = poset.shape("1")
+    for lam in enumerate_shapes(poset):
+        want = {nu.mask: 1 for nu in rook_strips_over(lam) if nu.mask != lam.mask}
+        assert basis_product(one_box, lam) == want, lam.literal()
+
+
+@pytest.mark.parametrize("spec", ["a:3,4", "og:6", "e6", "qeven:5"])
+def test_full_product_table_is_associative(spec):
+    poset = parse_poset(spec)
+    masks = [s.mask for s in enumerate_shapes(poset)]
+    table = {
+        (a, b): basis_product(Shape(poset, a), Shape(poset, b)) for a in masks for b in masks
+    }
+
+    def total(products) -> dict[int, int]:
+        """Coefficients of the sum of k * G_x * G_y over ``(k, x, y)``."""
+        out = Counter()
+        for k, x, y in products:
+            for nu, c in table[x, y].items():
+                out[nu] += k * c
+        return {nu: k for nu, k in out.items() if k}
+
+    for a in masks:
+        for b in masks:
+            for c in masks:
+                left = total((k, nu, c) for nu, k in table[a, b].items())
+                right = total((k, a, nu) for nu, k in table[b, c].items())
+                assert left == right, (a, b, c)
+
+
 def test_signed_basis_round_trip_and_products():
     e6 = cayley_plane()
     g = GammaElement.basis(e6.shape("3,1"))
@@ -456,8 +496,11 @@ def test_pieri_a_fixture():
 
 
 def test_pieri_a_window_guard():
-    with pytest.raises(WindowExceeded):
-        pieri_A((3,), 2, rows=1, cols=3)
+    # each route refuses a window that cannot hold every term
+    for pieri in (pieri_A, pieri_A_by_counting):
+        for lam, p, rows, cols in [((3,), 2, 1, 3), ((1,), 2, 2, 2)]:
+            with pytest.raises(WindowExceeded):
+                pieri(lam, p, rows=rows, cols=cols)
 
 
 def test_pieri_a_closed_form_matches_counting():
@@ -518,10 +561,11 @@ def test_grothendieck_times_shape_specializations():
             got = terms(grothendieck_times_shape(w, lam))
             want = terms(pieri_A(lam, p))
             assert got == want, (lam, p)
-    w1 = grassmannian_permutation((1,))
-    assert terms(grothendieck_times_shape(w1, ())) == terms(
-        stable_grothendieck_coeffs(w1)
-    )
+    for images in permutations(range(1, 5)):  # S_4, the identity first
+        w = Permutation(0, images)
+        stable, times_empty = stable_grothendieck_coeffs(w), grothendieck_times_shape(w, ())
+        assert stable.poset is times_empty.poset, images
+        assert stable.coeffs == times_empty.coeffs, images
 
 
 def _unpruned_hecke_counts(poset, lam_mask, lo, hi, target):

@@ -316,27 +316,23 @@ def test_cayley_class_of_row_two():
 def _jdt_class_reference(tab, budget=None, stop_second_straight=False):
     """``jdt_class`` as a plain loop: every start of every state is slid.
 
-    Returns ``(member_keys, straight, exhausted, touched_boundary)``.
+    Returns ``(member_keys, straight, exhausted)``.
     """
     poset = tab.poset
-    boundary = poset.boundary_mask()
     start = tab.levels()
     seen = {start}
     frontier = [start]
     straight = []
-    touched = False
     while frontier:
         new = []
         for levels in frontier:
-            outer, inner, forward_starts, reverse_starts = poset.skew_geometry(
+            _, inner, forward_starts, reverse_starts = poset.skew_geometry(
                 levels_support(levels)
             )
-            if boundary & outer:
-                touched = True
             if inner == 0:
                 straight.append(Tableau.from_levels(poset, levels))
                 if stop_second_straight and len(straight) > 1:
-                    return seen, straight, False, touched
+                    return seen, straight, False
             for starts, fwd in ((forward_starts, True), (reverse_starts, False)):
                 for c_mask in starts:
                     nxt, _ = tableau_module._slide_levels(poset, levels, c_mask, fwd)
@@ -344,9 +340,9 @@ def _jdt_class_reference(tab, budget=None, stop_second_straight=False):
                         seen.add(nxt)
                         new.append(nxt)
             if budget is not None and len(seen) > budget:
-                return seen, straight, False, touched
+                return seen, straight, False
         frontier = new
-    return seen, straight, True, touched
+    return seen, straight, True
 
 
 def _rectify_all_reference(tab, budget=None):
@@ -385,7 +381,7 @@ def _closure_seeds():
 
 
 def _as_reference(cls):
-    return cls.member_keys, cls.straight, cls.exhausted, cls.touched_boundary
+    return cls.member_keys, cls.straight, cls.exhausted
 
 
 def test_closures_match_the_reference_loops():
