@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from multiprocessing import Pool
 
 from .errors import BudgetExceeded, KjdtError, NonMinusculePoset, PosetError
 from .kring import (
@@ -311,6 +310,7 @@ def cmd_verify(args) -> int:
     failures = 0
     workers = min(args.threads, len(names))
     if workers > 1:
+        from multiprocessing import Pool  # imported at the top it slows every start
         with Pool(workers) as pool:
             results = pool.map(run_fixture, names)
     else:
@@ -372,8 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("rectify", cmd_rectify, help="rectification")
     p.add_argument("--poset", required=True)
     p.add_argument("--tableau", required=True)
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--greedy", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--all", action="store_true",
+                      help="every rectification (the default)")
+    mode.add_argument("--greedy", action="store_true")
     p.add_argument("--budget", type=_positive_int)
 
     p = add("class", cmd_class, help="jeu de taquin class")

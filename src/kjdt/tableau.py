@@ -831,16 +831,12 @@ def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int |
             if not cls.exhausted:
                 exhausted = False
                 continue
-            keep = [
-                t
-                for t in cls.straight
-                if max_size is None or t.size <= max_size
-            ]
-            packed = [t for t in keep if t.pack() == t]
+            # slides keep a packed seed's values, so its straight members are packed
+            keep = [t for t in cls.straight if max_size is None or t.size <= max_size]
             if len(cls.straight) == 1:
-                certified.extend(packed)
+                certified.extend(keep)
             else:
-                refuted.extend(packed)
+                refuted.extend(keep)
     refuted.sort(key=lambda t: (t.size, t.literal()))
     return {
         "poset": poset.family.spec(),

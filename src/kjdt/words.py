@@ -307,30 +307,38 @@ def reading_words(tab, limit: int | None = None):
 
 # -- K-Knuth rewriting --------------------------------------------------------
 
+def _moves(w: Word, weak: bool, grow: bool) -> list[Word]:
+    """The words one basic K-Knuth move from ``w``, in the order that
+    ``kknuth_equiv`` documents; two windows may give the same word."""
+    n = len(w)
+    out, inserts = [], []
+    prev = None
+    for i, x in enumerate(w):
+        if x != prev:  # a run of equal letters starts at i
+            prev = x
+            if i + 1 < n and w[i + 1] == x:
+                out.append(w[:i] + w[i + 1 :])  # drop a repeat
+            if grow:
+                inserts.append(w[: i + 1] + w[i:])  # insert a repeat
+    out += inserts
+    for i in range(n - 2):
+        a, b, c = w[i], w[i + 1], w[i + 2]
+        if a == c:
+            if a != b:
+                out.append(w[:i] + (b, a, b) + w[i + 3 :])  # braid
+        elif b < a < c or c < a < b:
+            out.append(w[:i] + (a, c, b) + w[i + 3 :])  # swap last two
+        elif a < c < b or b < c < a:
+            out.append(w[:i] + (b, a, c) + w[i + 3 :])  # swap first two
+    if weak and n >= 2 and w[0] != w[1]:
+        out.append((w[1], w[0]) + w[2:])
+    return out
+
+
 def kknuth_basic_moves(word, weak: bool = False, max_len: int | None = None):
     """All words one basic K-Knuth move away (both move directions)."""
     w = tuple(word)
-    n = len(w)
-    out = set()
-    grow = max_len is None or n < max_len
-    for i in range(n - 1):
-        if w[i] == w[i + 1]:
-            out.add(w[:i] + w[i + 1 :])  # drop a repeat
-    if grow:
-        for i in range(n):
-            out.add(w[: i + 1] + (w[i],) + w[i + 1 :])  # insert a repeat
-    for i in range(n - 2):
-        a, b, c = w[i], w[i + 1], w[i + 2]
-        if a == c and a != b:
-            out.add(w[:i] + (b, a, b) + w[i + 3 :])  # braid
-        if b < a < c or c < a < b:
-            out.add(w[:i] + (a, c, b) + w[i + 3 :])  # swap last two
-        if a < c < b or b < c < a:
-            out.add(w[:i] + (b, a, c) + w[i + 3 :])  # swap first two
-    if weak and n >= 2 and w[0] != w[1]:
-        out.add((w[1], w[0]) + w[2:])
-    out.discard(w)
-    return out
+    return set(_moves(w, weak, max_len is None or len(w) < max_len))
 
 
 def _invariants(word, weak: bool):
@@ -363,7 +371,10 @@ def kknuth_equiv(
 
     Intermediate words may exceed both input lengths by at most ``slack``
     letters, and at most ``budget`` words are explored in total; an
-    undecided search returns ``inconclusive``.
+    undecided search returns ``inconclusive``.  Each word's neighbours are
+    visited in one fixed order: drops, then inserts (one per run of equal
+    letters), then the moves of each window of three from the left, then
+    the weak prefix swap; ``explored`` and the path follow that order.
     """
     u, v = tuple(u), tuple(v)
     if u == v:
@@ -400,7 +411,7 @@ def kknuth_equiv(
         mine, theirs = sides[side], sides[1 - side]
         new = []
         for word in frontiers[side]:
-            for nxt in kknuth_basic_moves(word, weak=weak, max_len=max_len):
+            for nxt in _moves(word, weak, len(word) < max_len):
                 if nxt in mine:
                     continue
                 mine[nxt] = word

@@ -1,16 +1,31 @@
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kjdt
 from kjdt.cli import build_parser, main
+from kjdt.fixtures import FIXTURES
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def python(*argv):
+    """Run a fresh interpreter that imports this checkout's kjdt."""
+    src = str(Path(kjdt.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def test_poset_info(capsys):
@@ -94,6 +109,15 @@ def test_rectify_all_and_greedy(capsys):
         "--greedy",
     )
     assert code == 0 and out.strip()
+
+
+def test_rectify_all_and_greedy_exclude_each_other(capsys):
+    code, out, err = run(
+        capsys, "rectify", "--poset", "a:3,3", "--tableau", ".,.,./.,.,2/1,3,4",
+        "--all", "--greedy",
+    )
+    assert code == 2 and out == ""
+    assert "argument --greedy: not allowed with argument --all" in err
 
 
 def test_class_command(capsys):
@@ -237,6 +261,20 @@ def test_verify_single_fixture(capsys):
 )
 def test_verify_threads_before_or_after_subcommand(argv):
     assert build_parser().parse_args(argv).threads == 1
+
+
+def test_verify_runs_fixtures_in_a_worker_pool():
+    proc = python("-m", "kjdt.cli", "--threads", "2", "verify")
+    assert proc.returncode == 0
+    assert sorted(line.split(":")[0] for line in proc.stdout.splitlines()) == sorted(
+        f"PASS {name}" for name in FIXTURES
+    )
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    # every kjdt process imports the CLI; only verify's worker pool needs it
+    proc = python("-c", "import kjdt.cli, sys; sys.exit('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_threads_default_is_top_level():

@@ -529,6 +529,16 @@ def test_urt_census_og6_finds_failures():
     assert refuted == sorted(refuted, key=lambda t: (t.size, t.literal()))
 
 
+@pytest.mark.parametrize("spec, max_size", [("a:3,4", 6), ("og:5", None), ("qeven:5", None)])
+def test_urt_census_reports_packed_tableaux(spec, max_size):
+    # every class is seeded by a packed tableau and slides keep its values
+    report = urt_census(parse_poset(spec), max_size=max_size)
+    reported = report["certified"] + report["refuted"]
+    assert reported
+    for t in reported:
+        assert t.value_set() == set(range(1, len(t.levels()) + 1)), t.literal()
+
+
 # -- distinguished tableaux ------------------------------------------------------
 
 

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from kjdt.poset import ambient_grid, ambient_shifted, max_orthogonal, type_a
 from kjdt.tableau import Tableau, WeakTableau, minimal_tableau, parse_tableau
 from kjdt.words import (
     Permutation,
+    _moves,
     bruhat_leq,
     conjecture_search,
     doubled_word,
@@ -298,6 +299,29 @@ def test_basic_moves_match_minmax_spelling(weak):
             got = kknuth_basic_moves(word, weak=weak)
             want = _basic_moves_minmax(word, weak=weak)
             assert list(got) == list(want), word
+
+
+@pytest.mark.parametrize("weak", [False, True])
+@pytest.mark.parametrize("grow", [False, True])
+def test_ordered_moves_give_the_basic_moves(weak, grow):
+    for n in range(7):
+        for word in product(range(1, 5), repeat=n):
+            moves = _moves(word, weak, grow)
+            assert set(moves) == _basic_moves_minmax(
+                word, weak=weak, max_len=None if grow else n
+            ), word
+            runs = [len(list(run)) for _, run in groupby(word)]
+            assert sum(len(m) < n for m in moves) == sum(r > 1 for r in runs), word
+            assert sum(len(m) > n for m in moves) == (len(runs) if grow else 0), word
+
+
+def test_ordered_moves_order():
+    # drops, inserts, windows from the left, then the weak prefix swap
+    assert _moves((1, 1, 2), False, True) == [(1, 2), (1, 1, 1, 2), (1, 1, 2, 2)]
+    # windows 0 and 1 reach the same word; the list keeps both
+    assert _moves((2, 1, 3, 2), True, False) == [
+        (2, 3, 1, 2), (2, 3, 1, 2), (1, 2, 3, 2)
+    ]
 
 
 def test_weak_move_swaps_prefix():
