@@ -268,9 +268,9 @@ def cmd_word(args) -> int:
         return EXIT_PARSE
     if args.action == "hecke":
         w = hecke_of_word(_parse_word(args.w))
-        one_line, length = w.one_line(), w.length()
-        _emit({"one_line": one_line, "length": length}, args.json,
-              f"{one_line} length {length}")
+        cycles, length = w.cycles(), w.length()
+        _emit({"cycles": cycles, "length": length}, args.json,
+              f"{cycles} length {length}")
         return EXIT_OK
     if args.action == "stats":
         word = _parse_word(args.w)

@@ -434,15 +434,20 @@ def is_pieri_word_b(word) -> bool:
     return True
 
 
-def pieri_B(lam, p: int, cols: int | None = None) -> GammaElement:
-    """Single-row product in the shifted ring by Pieri-word counting."""
+def _pieri_b_window(lam, p: int, cols: int | None):
+    """``(lam without zeros, shifted window)`` of G_lam * G_p, as ``_pieri_a_window``."""
     lam = tuple(x for x in lam if x)
     _check_row_length(p)
     need = (lam[0] if lam else 0) + p
     cols = need if cols is None else cols
     if cols < need:
         raise WindowExceeded(f"shifted window {cols} too small; need {need}")
-    poset = ambient_shifted(cols)
+    return lam, ambient_shifted(cols)
+
+
+def pieri_B(lam, p: int, cols: int | None = None) -> GammaElement:
+    """Single-row product in the shifted ring by Pieri-word counting."""
+    lam, poset = _pieri_b_window(lam, p, cols)
     lam_mask = poset.shape(list(lam)).mask
     coeffs: dict[int, int] = {}
     for nu, _ in filling_row_words(poset, lam_mask, p, is_pieri_word_b):
@@ -452,9 +457,7 @@ def pieri_B(lam, p: int, cols: int | None = None) -> GammaElement:
 
 def pieri_B_by_class(lam, p: int, cols: int) -> GammaElement:
     """Independent shifted Pieri check via the class of the one-row tableau."""
-    lam = tuple(x for x in lam if x)
-    _check_row_length(p)
-    poset = ambient_shifted(cols)
+    lam, poset = _pieri_b_window(lam, p, cols)
     lam_mask = poset.shape(list(lam)).mask
     coeffs = _attach(poset, lam_mask, class_supports(poset, poset.shape([p])))
     coeffs.pop(lam_mask, None)
@@ -475,8 +478,9 @@ def stable_grothendieck_coeffs(w: Permutation) -> GammaElement:
 def grothendieck_times_shape(w: Permutation, lam) -> GammaElement:
     """Coefficients of the product of a permutation class with G_lam.
 
-    The window adds d rows and d columns to lam, d the number of support
-    letters of ``w`` (none for the identity), and is at least 1x1.
+    The window adds d rows and d columns to lam, d = hi - lo the span of
+    ``w``'s support [lo, hi] (0 for the identity), used letters or not:
+    s1*s3 gives d = 3.  The window is at least 1x1.
     """
     lam = tuple(x for x in lam if x)
     lo, hi = w.support()

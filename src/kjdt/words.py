@@ -16,6 +16,8 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import product as iter_product
 
+from .errors import KjdtError
+
 Word = tuple[int, ...]
 
 
@@ -50,64 +52,54 @@ def doubled_word(word) -> Word:
 # -- permutations -----------------------------------------------------------
 
 class Permutation:
-    """Finite-support bijection of the integers, stored on a tight window.
+    """Finite-support bijection of the integers, stored as its moved points.
 
-    ``window`` is the first moved point minus one; ``images`` lists the
-    values at window+1, ..., window+len(images).  Everything outside is
-    fixed.
+    ``moved`` maps each moved point to its image; every other integer is
+    fixed.  Input whose images are not exactly its moved points, each
+    once, raises ``KjdtError``.
     """
 
-    __slots__ = ("window", "images")
+    __slots__ = ("moved",)
 
-    def __init__(self, window: int, images: tuple[int, ...]):
-        lo, hi = 0, len(images)
-        while lo < hi and images[lo] == window + lo + 1:
-            lo += 1
-        while hi > lo and images[hi - 1] == window + hi:
-            hi -= 1
-        self.window = window + lo if hi > lo else 0
-        self.images = tuple(images[lo:hi])
+    def __init__(self, moved: dict[int, int]):
+        self.moved = {x: y for x, y in moved.items() if x != y}
+        if sorted(self.moved.values()) != sorted(self.moved):
+            raise KjdtError(f"not a permutation: {self.moved}")
 
     @classmethod
     def identity(cls) -> "Permutation":
-        return cls(0, ())
+        return cls({})
 
     @classmethod
     def transposition(cls, i: int) -> "Permutation":
         """The simple transposition s_i swapping i and i+1."""
-        return cls(i - 1, (i + 1, i))
+        return cls({i: i + 1, i + 1: i})
 
     @classmethod
     def from_one_line(cls, images, start: int = 1) -> "Permutation":
-        return cls(start - 1, tuple(images))
+        return cls(dict(enumerate(images, start)))
 
     def __call__(self, x: int) -> int:
-        k = x - self.window - 1
-        if 0 <= k < len(self.images):
-            return self.images[k]
-        return x
+        return self.moved.get(x, x)
 
     def support(self) -> tuple[int, int]:
         """Smallest interval [lo, hi] outside of which the map is the identity."""
-        if not self.images:
+        if not self.moved:
             return (1, 0)
-        return (self.window + 1, self.window + len(self.images))
+        return (min(self.moved), max(self.moved))
 
     def is_identity(self) -> bool:
-        return not self.images
+        return not self.moved
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (self * other)(x) = self(other(x))."""
         if not isinstance(other, Permutation):
             return NotImplemented
-        lo = min(self.window, other.window)
-        hi = max(self.window + len(self.images), other.window + len(other.images))
-        return Permutation(lo, tuple(self(other(x)) for x in range(lo + 1, hi + 1)))
+        points = self.moved.keys() | other.moved.keys()
+        return Permutation({x: self(other(x)) for x in points})
 
     def inverse(self) -> "Permutation":
-        lo, hi = self.window + 1, self.window + len(self.images)
-        inv = {self(x): x for x in range(lo, hi + 1)}
-        return Permutation(self.window, tuple(inv[x] for x in range(lo, hi + 1)))
+        return Permutation({y: x for x, y in self.moved.items()})
 
     def length(self) -> int:
         """Coxeter length: the number of inversions.
@@ -117,9 +109,7 @@ class Permutation:
         lies strictly between i and w(i), so the cost follows the number
         of moved points.
         """
-        moved = [
-            (x, y) for x, y in enumerate(self.images, self.window + 1) if x != y
-        ]
+        moved = sorted(self.moved.items())
         points = [x for x, _ in moved]
         images: list[int] = []
         count = 0
@@ -132,22 +122,26 @@ class Permutation:
         return count
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Permutation)
-            and self.window == other.window
-            and self.images == other.images
-        )
+        return isinstance(other, Permutation) and self.moved == other.moved
 
     def __hash__(self):
-        return hash((self.window, self.images))
+        return hash(frozenset(self.moved.items()))
 
     def __repr__(self):
-        if not self.images:
-            return "Permutation(id)"
-        return f"Permutation({self.window}:{list(self.images)})"
+        return f"Permutation{self.cycles()}"
 
-    def one_line(self) -> str:
-        return f"{self.window}:[{','.join(str(x) for x in self.images)}]"
+    def cycles(self) -> str:
+        """Cycle notation: each cycle from its least point, cycles in the
+        order of those points, ``()`` for the identity."""
+        out, left = [], dict(self.moved)
+        for x in sorted(self.moved):
+            cycle = []
+            while x in left:
+                cycle.append(x)
+                x = left.pop(x)
+            if cycle:
+                out.append(f"({','.join(map(str, cycle))})")
+        return "".join(out) or "()"
 
 
 def reduced_word(w: Permutation) -> Word:
@@ -176,20 +170,16 @@ def hecke_of_word(word) -> Permutation:
     """The Hecke permutation of a word of simple-reflection indices.
 
     Letters act on the right: the letter ``a`` swaps the images of a and
-    a+1 unless that would shorten the permutation.  The images live in one
-    list over [min letter, max letter + 1] and are swapped in place.
+    a+1 unless that would shorten the permutation.  The images of the
+    points touched so far are swapped in one map, so the cost follows the
+    length of the word, not its letters.
     """
-    word = tuple(word)
-    if not word:
-        return Permutation.identity()
-    lo = min(word)
-    im = list(range(lo, max(word) + 2))
+    im: dict[int, int] = {}
     for a in word:
-        k = a - lo
-        x, y = im[k], im[k + 1]
+        x, y = im.get(a, a), im.get(a + 1, a + 1)
         if x < y:
-            im[k], im[k + 1] = y, x
-    return Permutation(lo - 1, tuple(im))
+            im[a], im[a + 1] = y, x
+    return Permutation(im)
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
@@ -198,11 +188,10 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     For every k, the sorted images of the first k window points under u
     must be componentwise at most those under w.
     """
-    lo = min(u.window, w.window) + 1
-    hi = max(u.window + len(u.images), w.window + len(w.images))
+    (ulo, uhi), (wlo, whi) = u.support(), w.support()
     us: list[int] = []
     ws: list[int] = []
-    for x in range(lo, hi):
+    for x in range(min(ulo, wlo), max(uhi, whi)):
         insort(us, u(x))
         insort(ws, w(x))
         if any(a > b for a, b in zip(us, ws)):
@@ -229,7 +218,8 @@ def grassmannian_permutation(partition) -> Permutation:
     if ell == 0:
         return Permutation.identity()
     head = [i + lam[ell - i] for i in range(1, ell + 1)]
-    rest = [x for x in range(1, ell + lam[0] + 1) if x not in set(head)]
+    taken = set(head)
+    rest = [x for x in range(1, ell + lam[0] + 1) if x not in taken]
     return Permutation.from_one_line(head + rest)
 
 

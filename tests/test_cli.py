@@ -136,8 +136,10 @@ def test_word_commands(capsys):
     assert code == 0 and "refuted" in out
     code, out, _ = run(capsys, "word", "hecke", "--w", "2,1,2")
     assert code == 0 and "length 3" in out
-    code, out, _ = run(capsys, "word", "hecke", "--w", "1,100000")
-    assert code == 0 and out.endswith(",100001,100000] length 2\n")
+    code, out, _ = run(capsys, "word", "hecke", "--w", "1,1000000")
+    assert code == 0 and out == "(1,2)(1000000,1000001) length 2\n"
+    code, out, _ = run(capsys, "word", "hecke", "--w", "2,1,2", "--json")
+    assert code == 0 and json.loads(out) == {"cycles": "(1,3)", "length": 3}
     code, out, _ = run(capsys, "word", "stats", "--w", "3,2,1")
     assert code == 0 and "lis 1 lds 3" in out
 

@@ -345,6 +345,19 @@ def test_refuses_non_minuscule():
     assert basis_product(lg.shape("1"), lg.shape("1"), assume_urp=True)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lagrangian_products_are_the_orthogonal_ones(n):
+    # lg:n has the box set of og:(n+1), so under assume_urp its ring is
+    # the og:(n+1) ring, shape mask for shape mask.
+    lg, og = lagrangian(n), max_orthogonal(n + 1)
+    masks = [s.mask for s in enumerate_shapes(lg)]
+    assert masks == [s.mask for s in enumerate_shapes(og)]
+    for a in masks:
+        for b in masks:
+            got = basis_product(Shape(lg, a), Shape(lg, b), assume_urp=True)
+            assert got == basis_product(Shape(og, a), Shape(og, b)), (a, b)
+
+
 def test_refuses_mixed_posets():
     with pytest.raises(PosetError):
         structure_constant(
@@ -528,6 +541,18 @@ def test_pieri_b_fixtures():
             assert a == b, (lam, p)
 
 
+def test_pieri_b_routes_share_one_window():
+    # G_3 * G_2 reaches G_5: a 4-column window would drop three terms.
+    for route in (pieri_B, pieri_B_by_class):
+        with pytest.raises(WindowExceeded, match="shifted window 4 too small; need 5"):
+            route((3,), 2, 4)
+    least = pieri_B((3,), 2)
+    assert least.poset is pieri_B_by_class((3,), 2, 5).poset
+    assert terms(least) == terms(pieri_B_by_class((3,), 2, 5)) == {
+        (3, 2): 1, (4, 1): 2, (4, 2): 2, (5,): 1, (5, 1): 2, (5, 2): 1,
+    }
+
+
 # -- stable Grothendieck classes -------------------------------------------------
 
 
@@ -562,7 +587,7 @@ def test_grothendieck_times_shape_specializations():
             want = terms(pieri_A(lam, p))
             assert got == want, (lam, p)
     for images in permutations(range(1, 5)):  # S_4, the identity first
-        w = Permutation(0, images)
+        w = Permutation.from_one_line(images)
         stable, times_empty = stable_grothendieck_coeffs(w), grothendieck_times_shape(w, ())
         assert stable.poset is times_empty.poset, images
         assert stable.coeffs == times_empty.coeffs, images

@@ -1,10 +1,12 @@
 import random
+import re
 from itertools import groupby, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kjdt.errors import KjdtError
 from kjdt.poset import ambient_grid, ambient_shifted, max_orthogonal, type_a
 from kjdt.tableau import Tableau, WeakTableau, minimal_tableau, parse_tableau
 from kjdt.words import (
@@ -47,6 +49,61 @@ def test_permutation_window_is_tight():
     assert p == Permutation.transposition(3)
 
 
+@pytest.mark.parametrize("moved", [{1: 2}, {1: 2, 2: 3}, {1: 2, 2: 1, 3: 1}])
+def test_permutation_refuses_a_non_bijection(moved):
+    with pytest.raises(KjdtError, match="not a permutation"):
+        Permutation(moved)
+    with pytest.raises(KjdtError, match="not a permutation"):
+        Permutation.from_one_line([moved.get(x, x) for x in range(1, 4)])
+
+
+def _dense_inversions(images):
+    n = len(images)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if images[i] > images[j])
+
+
+def _assert_cycles_give(w, window, dense):
+    cycles = w.cycles()
+    groups = [[int(x) for x in g.split(",")] for g in re.findall(r"\(([^()]+)\)", cycles)]
+    assert cycles == "".join(f"({','.join(map(str, g))})" for g in groups) or cycles == "()"
+    assert (cycles == "()") == (dense == list(window))
+    assert all(g[0] == min(g) and len(g) > 1 for g in groups)
+    assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+    from_cycles = dict(zip(window, window))
+    for g in groups:
+        from_cycles.update(zip(g, g[1:] + g[:1]))
+    assert [from_cycles[x] for x in window] == dense
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.permutations(range(5)), st.permutations(range(4)),
+    st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3),
+)
+def test_sparse_permutation_matches_dense_reference(p, q, s, t):
+    # u and v are p and q on the windows starting at s and t; the dense
+    # reference lists each one's images over a window covering both.
+    u = Permutation.from_one_line([x + s for x in p], start=s)
+    v = Permutation.from_one_line([x + t for x in q], start=t)
+    lo, hi = min(s, t) - 1, max(s + 5, t + 4) + 1
+    window = range(lo, hi)
+    ud = [p[x - s] + s if s <= x < s + 5 else x for x in window]
+    vd = [q[x - t] + t if t <= x < t + 4 else x for x in window]
+    uv = [ud[y - lo] for y in vd]
+    inv = [0] * len(ud)
+    for k, y in enumerate(ud):
+        inv[y - lo] = lo + k
+    assert [u(x) for x in window] == ud and [v(x) for x in window] == vd
+    assert [(u * v)(x) for x in window] == uv
+    assert [u.inverse()(x) for x in window] == inv
+    assert u.length() == _dense_inversions(ud) and (u * v).length() == _dense_inversions(uv)
+    assert (u == v) == (ud == vd)
+    for w, dense in ((u, ud), (u * v, uv), (u.inverse(), inv)):
+        same = Permutation.from_one_line(dense, start=lo)
+        assert same == w and hash(same) == hash(w)
+        _assert_cycles_give(w, window, dense)
+
+
 def _inversions_by_pairs(w):
     lo, hi = w.support()
     return sum(1 for i in range(lo, hi + 1) for j in range(i + 1, hi + 1) if w(i) > w(j))
@@ -64,6 +121,7 @@ def test_length_counts_inversions_over_moved_points(word, perm):
 def test_length_of_a_wide_window_is_fast():
     n = 10**6
     assert hecke_of_word((1, n)).length() == 2
+    assert hecke_of_word((1, n)).moved == {1: 2, 2: 1, n: n + 1, n + 1: n}
     # the transposition (1 n): every point strictly between is inverted twice
     far = Permutation.from_one_line([n] + list(range(2, n)) + [1])
     assert far.length() == 2 * (n - 2) + 1
