@@ -811,6 +811,8 @@ def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int |
     share one verdict (certified when the class has a single straight
     member).  Returns a report with the certified tableaux, in no
     specified order, and the refuted ones sorted by size, then literal.
+    Only straight keys are looked up: an exhausted class, which expanded
+    every state, is remembered by its straight members, a cut class whole.
     """
     from .poset import enumerate_shapes
 
@@ -827,10 +829,11 @@ def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int |
             if key in visited:
                 continue
             cls = jdt_class(Tableau.from_levels(poset, key), budget=budget)
-            visited.update(cls.member_keys)
             if not cls.exhausted:
+                visited.update(cls.member_keys)
                 exhausted = False
                 continue
+            visited.update(t.levels() for t in cls.straight)
             # slides keep a packed seed's values, so its straight members are packed
             keep = [t for t in cls.straight if max_size is None or t.size <= max_size]
             if len(cls.straight) == 1:

@@ -183,19 +183,21 @@ def hecke_of_word(word) -> Permutation:
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """Bruhat order u <= w, by the tableau criterion on a common window.
-
-    For every k, the sorted images of the first k window points under u
-    must be componentwise at most those under w.
+    """Bruhat order u <= w: #{a <= i : u(a) >= j} <= #{a <= i : w(a) >= j}
+    for all i, j (Björner–Brenti, *Combinatorics of Coxeter Groups*,
+    Thm 2.1.5).  Points fixed by both maps add the same to both counts,
+    so only i and j among the moved points are checked, whatever the span.
     """
-    (ulo, uhi), (wlo, whi) = u.support(), w.support()
-    us: list[int] = []
-    ws: list[int] = []
-    for x in range(min(ulo, wlo), max(uhi, whi)):
-        insort(us, u(x))
-        insort(ws, w(x))
-        if any(a > b for a, b in zip(us, ws)):
-            return False
+    points = sorted(u.moved.keys() | w.moved.keys())
+    rank = {x: k for k, x in enumerate(points)}
+    excess = [0] * len(points)  # u count minus w count of images >= points[j]
+    for x in points:
+        a, b = rank[u(x)], rank[w(x)]
+        step = 1 if a > b else -1
+        for j in range(min(a, b) + 1, max(a, b) + 1):
+            excess[j] += step
+            if excess[j] > 0:
+                return False
     return True
 
 

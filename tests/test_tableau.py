@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -37,6 +38,7 @@ from kjdt.tableau import (
     levels_support,
     maximal_tableau,
     minimal_tableau,
+    packed_straight_tableaux,
     parse_tableau,
     rect_greedy,
     rectify_all,
@@ -537,6 +539,76 @@ def test_urt_census_reports_packed_tableaux(spec, max_size):
     assert reported
     for t in reported:
         assert t.value_set() == set(range(1, len(t.levels()) + 1)), t.literal()
+
+
+def _urt_census_reference(poset, budget):
+    """The census that remembers every member of every class it closes."""
+    visited = set()
+    certified, refuted, exhausted = [], [], True
+    for shape in enumerate_shapes(poset):
+        if shape.size == 0:
+            continue
+        for key in packed_straight_tableaux(poset, shape):
+            if key in visited:
+                continue
+            cls = tableau_module.jdt_class(Tableau.from_levels(poset, key), budget=budget)
+            visited.update(cls.member_keys)
+            if not cls.exhausted:
+                exhausted = False
+            elif len(cls.straight) == 1:
+                certified.extend(cls.straight)
+            else:
+                refuted.extend(cls.straight)
+    refuted.sort(key=lambda t: (t.size, t.literal()))
+    return certified, refuted, exhausted
+
+
+@pytest.mark.parametrize(
+    "spec, budget",
+    [(spec, budget) for spec in ("a:3,3", "og:5", "qeven:5", "e6") for budget in (None, 3)]
+    + [("a:3,3", 24)],
+)
+def test_urt_census_matches_the_whole_class_reference(monkeypatch, spec, budget):
+    # Only straight keys are looked up, so remembering the straight members
+    # of each exhausted class gives the same report and the same closures.
+    # At budget 24 some cut a:3,3 classes have seen a straight member other
+    # than their seed: a census that forgot it would close it again.
+    closures = []
+    closure = tableau_module.jdt_class
+
+    def counted(tab, **kwargs):
+        closures.append(tab.levels())
+        return closure(tab, **kwargs)
+
+    monkeypatch.setattr(tableau_module, "jdt_class", counted)
+    poset = parse_poset(spec)
+    certified, refuted, exhausted = _urt_census_reference(poset, budget)
+    reference_closures = closures[:]
+    closures.clear()
+    report = urt_census(poset, budget=budget)
+    assert closures == reference_closures
+    assert sorted(t.levels() for t in report["certified"]) == sorted(
+        t.levels() for t in certified
+    )
+    assert report["refuted"] == refuted
+    assert report["exhausted"] == exhausted
+    if spec == "a:3,3":
+        assert len(reference_closures) == {None: 665, 3: 669, 24: 665}[budget]
+        assert len(refuted) == {None: 8, 3: 0, 24: 4}[budget]
+
+
+def test_urt_census_does_not_keep_whole_classes():
+    # Remembering every closure state peaked at 9-10 MB here; the straight
+    # members alone, under 2 MB.
+    e6 = cayley_plane()
+    tracemalloc.start()
+    try:
+        report = urt_census(e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report["certified"]) == 3026
+    assert peak < 4 * 2**20, peak
 
 
 # -- distinguished tableaux ------------------------------------------------------
