@@ -41,6 +41,7 @@ from .poset import (
     Shape,
     ambient_grid,
     ambient_shifted,
+    bits,
     remember,
     rook_strips_over,
 )
@@ -188,12 +189,16 @@ def _require_ring_poset(poset: MinusculePoset, assume_urp: bool):
 
 
 def class_supports(poset: MinusculePoset, mu: Shape) -> Mapping[int, int]:
-    """Support multiset of the jeu de taquin class of M_mu (memoised, read-only)."""
+    """Support multiset of the jeu de taquin class of M_mu (memoised, read-only).
+
+    M_mu is a unique rectification target, so the class is built as the
+    tree of the tableaux whose greedy rectification is M_mu.
+    """
     try:
         return poset.class_supports_memo[mu.mask]
     except KeyError:
         counts: dict[int, int] = {}
-        for levels in jdt_class(minimal_tableau(mu)).member_keys:
+        for levels in jdt_class(minimal_tableau(mu), seed_is_urt=True).member_keys:
             s = levels_support(levels)
             counts[s] = counts.get(s, 0) + 1
         return remember(poset.class_supports_memo, mu.mask, MappingProxyType(counts))
@@ -265,7 +270,12 @@ def structure_constant(
 
 
 def _greedy_count(poset, lam: Shape, mu: Shape, nu: Shape) -> int:
-    target = minimal_tableau(mu).levels()
+    # M_mu's levels: in the ideal mu, box i holds heights[i], the longest chain ending there.
+    by_value: dict[int, int] = {}
+    for i in bits(mu.mask):
+        h = poset.heights[i]
+        by_value[h] = by_value.get(h, 0) | 1 << i
+    target = tuple(sorted(by_value.items()))
     keep = rectifies_to(poset, lam.mask, target)
     fillings = increasing_fillings(poset, lam.mask, nu.mask, len(target), keep=keep)
     return sum(1 for _ in fillings)
@@ -340,10 +350,11 @@ def _check_row_length(p: int):
         raise PosetError("the Pieri row length must be positive")
 
 
-def _pieri_a_window(lam, p: int, rows: int | None, cols: int | None):
-    """``(lam without zeros, grid window)`` of G_lam * G_p; the window defaults to the least.
+def _pieri_a_window(lam, p: int, rows: int | None, cols: int | None) -> Shape:
+    """The shape lam in the grid window of G_lam * G_p; the window defaults to the least.
 
-    A window too small to hold every term raises ``WindowExceeded``.
+    A window too small to hold every term raises ``WindowExceeded``, and a
+    lam that is not a partition ``PosetError``.
     """
     lam = tuple(x for x in lam if x)
     _check_row_length(p)
@@ -356,12 +367,13 @@ def _pieri_a_window(lam, p: int, rows: int | None, cols: int | None):
             f"window {rows}x{cols} cannot hold all terms; "
             f"need at least {need_rows}x{need_cols}"
         )
-    return lam, ambient_grid(rows, cols)
+    return ambient_grid(rows, cols).shape(list(lam))
 
 
 def pieri_A(lam, p: int, rows: int | None = None, cols: int | None = None) -> GammaElement:
     """Single-row product in the grid ring by the closed binomial formula."""
-    lam, poset = _pieri_a_window(lam, p, rows, cols)
+    lam_shape = _pieri_a_window(lam, p, rows, cols)
+    poset, lam = lam_shape.poset, lam_shape.row_lengths
     rows, cols = poset.family.params
     coeffs = {}
     for nu in _horizontal_strips(lam, rows, cols):
@@ -381,8 +393,8 @@ def pieri_A(lam, p: int, rows: int | None = None, cols: int | None = None) -> Ga
 
 def pieri_A_by_counting(lam, p: int, rows: int, cols: int) -> GammaElement:
     """Independent Pieri check: count tableaux with the one-row Hecke class."""
-    lam, poset = _pieri_a_window(lam, p, rows, cols)
-    lam_shape = poset.shape(list(lam))
+    lam_shape = _pieri_a_window(lam, p, rows, cols)
+    poset = lam_shape.poset
     target = hecke_of_word(tuple(range(1, p + 1)))
     return GammaElement(poset, _count_hecke_fillings(poset, lam_shape.mask, target))
 
@@ -434,21 +446,21 @@ def is_pieri_word_b(word) -> bool:
     return True
 
 
-def _pieri_b_window(lam, p: int, cols: int | None):
-    """``(lam without zeros, shifted window)`` of G_lam * G_p, as ``_pieri_a_window``."""
+def _pieri_b_window(lam, p: int, cols: int | None) -> Shape:
+    """The shape lam in the shifted window of G_lam * G_p, as ``_pieri_a_window``."""
     lam = tuple(x for x in lam if x)
     _check_row_length(p)
     need = (lam[0] if lam else 0) + p
     cols = need if cols is None else cols
     if cols < need:
         raise WindowExceeded(f"shifted window {cols} too small; need {need}")
-    return lam, ambient_shifted(cols)
+    return ambient_shifted(cols).shape(list(lam))
 
 
 def pieri_B(lam, p: int, cols: int | None = None) -> GammaElement:
     """Single-row product in the shifted ring by Pieri-word counting."""
-    lam, poset = _pieri_b_window(lam, p, cols)
-    lam_mask = poset.shape(list(lam)).mask
+    lam_shape = _pieri_b_window(lam, p, cols)
+    poset, lam_mask = lam_shape.poset, lam_shape.mask
     coeffs: dict[int, int] = {}
     for nu, _ in filling_row_words(poset, lam_mask, p, is_pieri_word_b):
         coeffs[nu] = coeffs.get(nu, 0) + 1
@@ -457,8 +469,8 @@ def pieri_B(lam, p: int, cols: int | None = None) -> GammaElement:
 
 def pieri_B_by_class(lam, p: int, cols: int) -> GammaElement:
     """Independent shifted Pieri check via the class of the one-row tableau."""
-    lam, poset = _pieri_b_window(lam, p, cols)
-    lam_mask = poset.shape(list(lam)).mask
+    lam_shape = _pieri_b_window(lam, p, cols)
+    poset, lam_mask = lam_shape.poset, lam_shape.mask
     coeffs = _attach(poset, lam_mask, class_supports(poset, poset.shape([p])))
     coeffs.pop(lam_mask, None)
     return GammaElement(poset, coeffs)

@@ -522,6 +522,8 @@ def jdt_class(
     tab: Tableau,
     budget: int | None = None,
     stop_second_straight: bool = False,
+    *,
+    seed_is_urt: bool = False,
 ) -> JdtClass:
     """Breadth-first closure of ``tab`` under slides inside its poset.
 
@@ -530,7 +532,14 @@ def jdt_class(
     slide that reached it: ``(forward starts, reverse starts)``.  Sliding
     from one of them would only give back a state already seen, so all of
     them are skipped when the state is expanded, and its entry is dropped.
+
+    ``seed_is_urt`` builds, for a straight ``tab``, only the tableaux whose
+    greedy rectification is ``tab`` (see ``_greedy_tree``).  That is the
+    whole class exactly when ``tab`` is a unique rectification target, so
+    the result is trusted only then; ``straight`` is ``[tab]``.
     """
+    if seed_is_urt:
+        return _greedy_tree(tab, budget)
     poset = tab.poset
     geometry = poset.skew_geometry
     start = tab.levels()
@@ -570,6 +579,45 @@ def jdt_class(
     return JdtClass(tab, seen, straight, True)
 
 
+def _greedy_tree(tab: Tableau, budget: int | None) -> JdtClass:
+    """The tableaux whose greedy rectification is the straight ``tab``, by reverse search.
+
+    The parent of such a tableau is its first greedy slide, the forward
+    slide from the whole top layer of its inner shape.  Every box of that
+    layer fills: a box of the support covers it and keeps its value until
+    that value's turn.  So the parent's inner shape is the rest of the
+    layers, its greedy rectification is the same, and the final holes are
+    a reverse start of the parent.  A slide is undone by the slide the other
+    way from its holes, so the children of a state are its reverse slides
+    whose final holes are the whole top layer of the new inner shape.
+    Each tableau is built once, from its parent, and no visited set is
+    consulted (Avis and Fukuda, *Reverse search for enumeration*, 1996).
+    A budget cuts the walk as it cuts the closure: after the expansion
+    that takes the member count past it.
+    """
+    if not tab.is_straight:
+        raise PosetError("the greedy tree needs a straight seed")
+    poset = tab.poset
+    geometry, layers = poset.skew_geometry, poset.greedy_layers
+    start = tab.levels()
+    members = {start}
+    frontier = [(start, tab.mask)]
+    while frontier:
+        new = []
+        for levels, support in frontier:
+            for c_mask in geometry(support)[3]:
+                nxt, holes = _slide_levels(poset, levels, c_mask, forward=False)
+                grown = (support | c_mask) & ~holes
+                top = layers(geometry(grown)[1])
+                if top and top[0] == holes:
+                    members.add(nxt)
+                    new.append((nxt, grown))
+            if budget is not None and len(members) > budget:
+                return JdtClass(tab, members, [tab], False)
+        frontier = new
+    return JdtClass(tab, members, [tab], True)
+
+
 @dataclass(frozen=True)
 class URTVerdict:
     """Outcome of a unique-rectification-target check."""
@@ -606,13 +654,16 @@ def increasing_fillings(
     rest = end & ~lam
     if rest.bit_count() < d:
         return
-    # deep[r]: boxes that cannot be filled when r values are left.
+    # deep[r]: boxes that cannot be filled when r values are left, those that
+    # start a chain of more than r boxes in nu: greedy layers r, r + 1, ... of nu.
     deep = [0] * (d + 1)
     if nu is not None:
-        chain: dict[int, int] = {}  # longest chain in nu starting at a box
-        for i in reversed(list(bits(rest))):
-            chain[i] = 1 + max((chain[j] for j in poset.up[i] if nu >> j & 1), default=0)
-        deep = [sum(1 << i for i, c in chain.items() if c > r) for r in range(d + 1)]
+        layers = poset.greedy_layers(nu)
+        tail = 0
+        for r in reversed(range(len(layers))):
+            tail |= layers[r]
+            if r <= d:
+                deep[r] = tail
         if rest & deep[d]:
             return
     geometry = poset.skew_geometry

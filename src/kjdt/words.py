@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .errors import KjdtError
+from .errors import KjdtError, PosetError
 
 Word = tuple[int, ...]
 
@@ -209,13 +209,20 @@ def hecke_of_tableau(tab) -> Permutation:
 
         tab = doubling(tab)
     elif kind not in {"grid", "a"}:
-        raise ValueError("Hecke permutations are defined for grid tableaux")
+        raise PosetError("Hecke permutations are defined for grid tableaux")
     return hecke_of_word(tab.row_word())
 
 
 def grassmannian_permutation(partition) -> Permutation:
-    """The increasing-elsewhere permutation with w(i) = i + lambda_{l+1-i}."""
-    lam = [p for p in partition if p > 0]
+    """The increasing-elsewhere permutation with w(i) = i + lambda_{l+1-i}.
+
+    A ``partition`` that is not weakly decreasing and non-negative raises
+    ``PosetError``.
+    """
+    parts = tuple(partition)
+    if any(p < 0 for p in parts) or any(a < b for a, b in zip(parts, parts[1:])):
+        raise PosetError(f"{parts} is not a partition")
+    lam = [p for p in parts if p > 0]
     ell = len(lam)
     if ell == 0:
         return Permutation.identity()
@@ -248,7 +255,7 @@ def reading_words(tab, limit: int | None = None):
     filling = _tableau_boxes(tab)
     boxes = sorted(filling)
     if not is_hook_closed(boxes):
-        raise ValueError("reading words need a hook-closed support")
+        raise PosetError("reading words need a hook-closed support")
     n = len(boxes)
     idx = {b: k for k, b in enumerate(boxes)}
     after: list[set[int]] = [set() for _ in range(n)]  # after[a]: boxes after a

@@ -227,11 +227,15 @@ def test_criterion_08_minimal_class_uniqueness():
             cls = jdt_class(minimal_tableau(lam))
             if len(cls.straight) != 1:
                 ok = False
+            # the ring builds the class as the tree of the greedy rectifications to M_lam
+            tree = jdt_class(minimal_tableau(lam), seed_is_urt=True)
+            if tree.member_keys != cls.member_keys:
+                ok = False
         totals[name] = len(shapes)
     elapsed = time.time() - t0
     ok = ok and elapsed < 1800
-    report(8, ok, f"every minimal-tableau class has one straight member {totals}, "
-                  f"{elapsed:.1f}s (< 30min)")
+    report(8, ok, f"every minimal-tableau class has one straight member and is the "
+                  f"greedy tree {totals}, {elapsed:.1f}s (< 30min)")
 
 
 def test_criterion_09_minimal_skew_rectification():

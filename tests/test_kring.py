@@ -100,6 +100,31 @@ def test_class_supports_is_read_only():
     assert basis_product(lam, mu) == before
 
 
+def test_class_supports_closes_each_class_once(monkeypatch):
+    # The traced benchmark counts class_supports' misses as its calls of
+    # kring.jdt_class, so each memo miss must be one call of that name.
+    import kjdt.kring as kring_module
+    from kjdt.poset import MinusculePoset, PosetFamily
+
+    e6 = MinusculePoset(PosetFamily("e6", ()))  # not the cached poset: an empty memo
+    calls = []
+    closure = kring_module.jdt_class
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(kring_module, "jdt_class", counted)
+    shapes = enumerate_shapes(e6)
+    per_pass = []
+    for _ in range(2):
+        calls.clear()
+        for mu in shapes:
+            class_supports(e6, mu)
+        per_pass.append(len(calls))
+    assert per_pass == [27, 0]
+
+
 def test_cayley_squares_of_row_two():
     e6 = cayley_plane()
     g2 = GammaElement.basis(e6.shape("2"))
@@ -514,6 +539,13 @@ def test_pieri_a_window_guard():
         for lam, p, rows, cols in [((3,), 2, 1, 3), ((1,), 2, 2, 2)]:
             with pytest.raises(WindowExceeded):
                 pieri(lam, p, rows=rows, cols=cols)
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (2, -1)])
+def test_pieri_a_routes_refuse_a_non_partition(lam):
+    for route in (pieri_A, lambda lam, p: pieri_A_by_counting(lam, p, 4, 4)):
+        with pytest.raises(PosetError):
+            route(lam, 1)
 
 
 def test_pieri_a_closed_form_matches_counting():

@@ -443,6 +443,57 @@ def test_closure_never_slides_back_along_a_slide_it_made(monkeypatch):
     assert made < parent_only
 
 
+def _greedy_tree_seeds():
+    """Minimal tableaux on four bounded posets (lg:5 is the ``assume_urp``
+    path), and the one-row tableaux of p <= 3 boxes in the shifted windows
+    of up to 7 columns that ``pieri_B_by_class`` closes in the tests."""
+    for spec in ["a:3,4", "og:6", "qeven:5", "lg:5"]:
+        poset = parse_poset(spec)
+        for shape in enumerate_shapes(poset):
+            yield minimal_tableau(shape)
+    for cols in range(2, 8):
+        window = ambient_shifted(cols)
+        for p in range(1, min(cols, 3) + 1):
+            yield minimal_tableau(window.shape([p]))
+
+
+def test_greedy_tree_of_a_urt_is_its_class():
+    for tab in _greedy_tree_seeds():
+        tree = jdt_class(tab, seed_is_urt=True)
+        assert tree.member_keys == jdt_class(tab).member_keys, tab
+        assert tree.straight == [tab] and tree.exhausted
+
+
+def test_greedy_tree_of_a_refuted_tableau_is_its_greedy_part():
+    og = max_orthogonal(6)
+    tab = superstandard(og.shape("4,2"), "col")
+    assert tab in urt_census(og, max_size=6)["refuted"]
+    whole = jdt_class(tab).member_keys
+    greedy = {k for k in whole if rect_greedy(Tableau.from_levels(og, k)) == tab}
+    tree = jdt_class(tab, seed_is_urt=True)
+    assert tree.member_keys == greedy
+    assert greedy < whole
+
+
+def test_greedy_tree_refuses_a_skew_seed():
+    tab = parse_tableau(type_a(2, 2), ".,1/2")
+    with pytest.raises(PosetError):
+        jdt_class(tab, seed_is_urt=True)
+
+
+def test_greedy_tree_budget_cuts_like_the_closure():
+    # Both modes check ``len > budget`` after each expansion.
+    for tab in [minimal_tableau(cayley_plane().shape("3,1")),
+                minimal_tableau(max_orthogonal(5).shape("3,1"))]:
+        whole = jdt_class(tab)
+        for budget in range(1, whole.size + 2):
+            cut = jdt_class(tab, budget=budget, seed_is_urt=True)
+            assert cut.exhausted == jdt_class(tab, budget=budget).exhausted
+            assert cut.exhausted == (whole.size <= budget)
+            assert cut.member_keys <= whole.member_keys
+            assert cut.size > budget or cut.member_keys == whole.member_keys
+
+
 def test_restriction_compatibility(rng):
     # members restricted to a value interval stay in the restricted class
     poset = type_a(2, 3)
@@ -941,7 +992,7 @@ def test_resolutions_are_kknuth_equivalent(rng):
         for r in res:
             try:
                 words.append(next(iter(reading_words(r))))
-            except (ValueError, StopIteration):
+            except (PosetError, StopIteration):
                 words = []
                 break
         for i in range(1, len(words)):

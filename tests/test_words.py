@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kjdt.errors import KjdtError
-from kjdt.poset import ambient_grid, ambient_shifted, max_orthogonal, type_a
+from kjdt.poset import ambient_grid, ambient_shifted, cayley_plane, max_orthogonal, type_a
 from kjdt.tableau import Tableau, WeakTableau, minimal_tableau, parse_tableau
 from kjdt.words import (
     Permutation,
@@ -349,8 +349,20 @@ def test_row_word_is_reading_word():
 
 
 def test_reading_words_reject_non_hook_closed():
-    with pytest.raises(ValueError):
+    with pytest.raises(KjdtError):
         list(reading_words(WeakTableau({(1, 1): 1, (2, 2): 2})))
+
+
+def test_hecke_of_tableau_refuses_an_exceptional_tableau():
+    e6 = cayley_plane()
+    with pytest.raises(KjdtError):
+        hecke_of_tableau(minimal_tableau(e6.shape("2")))
+
+
+@pytest.mark.parametrize("lam", [(2, -1), (1, 2), (2, 0, 1)])
+def test_grassmannian_permutation_refuses_a_non_partition(lam):
+    with pytest.raises(KjdtError, match=re.escape(f"{lam} is not a partition")):
+        grassmannian_permutation(lam)
 
 
 def test_row_word_fixture():
