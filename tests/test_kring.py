@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kjdt.kring as kring_module
 from kjdt.errors import NonMinusculePoset, PosetError, WindowExceeded
 from kjdt.kring import (
     GammaElement,
@@ -31,6 +32,8 @@ from kjdt.kring import (
     to_schubert_basis,
 )
 from kjdt.poset import (
+    MinusculePoset,
+    PosetFamily,
     Shape,
     ambient_grid,
     ambient_shifted,
@@ -103,9 +106,6 @@ def test_class_supports_is_read_only():
 def test_class_supports_closes_each_class_once(monkeypatch):
     # The traced benchmark counts class_supports' misses as its calls of
     # kring.jdt_class, so each memo miss must be one call of that name.
-    import kjdt.kring as kring_module
-    from kjdt.poset import MinusculePoset, PosetFamily
-
     e6 = MinusculePoset(PosetFamily("e6", ()))  # not the cached poset: an empty memo
     calls = []
     closure = kring_module.jdt_class
