@@ -19,8 +19,9 @@ raise :class:`~kjdt.errors.WindowExceeded` instead of silently clipping.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import chain, groupby, islice
 
 from .errors import PosetError
 
@@ -66,7 +67,14 @@ _ARITY = {
 }
 
 
-def _family_boxes(family: PosetFamily) -> list[Box]:
+# Most boxes a poset may have.  Every poset the tests, the fixtures and
+# ``is_urt``'s padded windows build has at most 144; a larger family is
+# refused before more than this many of its boxes are listed.
+MAX_BOXES = 4096
+
+
+def _family_boxes(family: PosetFamily) -> Iterable[Box]:
+    """The boxes of a family, listed lazily once its parameters are checked."""
     kind, params = family.kind, family.params
     if kind not in _ARITY:
         raise PosetError(f"unknown poset family {kind!r}")
@@ -78,34 +86,30 @@ def _family_boxes(family: PosetFamily) -> list[Box]:
         m, k = params
         if m < 1 or k < 1:
             raise PosetError(f"rectangle needs positive sides, got {m}x{k}")
-        return [(r, c) for r in range(1, m + 1) for c in range(1, k + 1)]
+        return ((r, c) for r in range(1, m + 1) for c in range(1, k + 1))
     if kind == "og":
         (n,) = params
         if n < 2:
             raise PosetError(f"og poset needs n >= 2, got {n}")
-        return [(r, c) for r in range(1, n) for c in range(r, n)]
+        return ((r, c) for r in range(1, n) for c in range(r, n))
     if kind == "lg":
         (n,) = params
         if n < 1:
             raise PosetError(f"lg poset needs n >= 1, got {n}")
-        return [(r, c) for r in range(1, n + 1) for c in range(r, n + 1)]
+        return ((r, c) for r in range(1, n + 1) for c in range(r, n + 1))
     if kind == "qodd":
         (n,) = params
         if n < 1:
             raise PosetError(f"qodd poset needs n >= 1, got {n}")
-        return [(1, c) for c in range(1, 2 * n)]
+        return ((1, c) for c in range(1, 2 * n))
     if kind == "qeven":
         (n,) = params
         if n < 2:
             raise PosetError(f"qeven poset needs n >= 2, got {n}")
+        first = ((1, c) for c in range(1, n + 1))
         if n % 2 == 0:
-            return [(1, c) for c in range(1, n + 1)] + [
-                (2, c) for c in range(n - 1, 2 * n - 1)
-            ]
-        boxes = [(1, c) for c in range(1, n + 1)]
-        boxes += [(2, n - 1), (2, n)]
-        boxes += [(r, n) for r in range(3, n + 1)]
-        return boxes
+            return chain(first, ((2, c) for c in range(n - 1, 2 * n - 1)))
+        return chain(first, [(2, n - 1), (2, n)], ((r, n) for r in range(3, n + 1)))
     if kind == "e6":
         return [(r, c) for r, (a, b) in _E6_ROWS.items() for c in range(a, b + 1)]
     if kind == "e7":
@@ -114,11 +118,11 @@ def _family_boxes(family: PosetFamily) -> list[Box]:
         rows, cols = params
         if rows < 1 or cols < 1:
             raise PosetError(f"grid window needs positive sides, got {rows}x{cols}")
-        return [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+        return ((r, c) for r in range(1, rows + 1) for c in range(1, cols + 1))
     (cols,) = params  # shifted
     if cols < 1:
         raise PosetError(f"shifted window needs positive size, got {cols}")
-    return [(r, c) for r in range(1, cols + 1) for c in range(r, cols + 1)]
+    return ((r, c) for r in range(1, cols + 1) for c in range(r, cols + 1))
 
 
 class MinusculePoset:
@@ -135,7 +139,9 @@ class MinusculePoset:
 
     def __init__(self, family: PosetFamily):
         self.family = family
-        boxes = sorted(_family_boxes(family))
+        boxes = sorted(islice(_family_boxes(family), MAX_BOXES + 1))
+        if len(boxes) > MAX_BOXES:
+            raise PosetError(f"poset {family.spec()} has more than {MAX_BOXES} boxes")
         if len(set(boxes)) != len(boxes):
             raise PosetError("duplicate boxes in family layout")
         self.boxes: tuple[Box, ...] = tuple(boxes)
@@ -144,36 +150,30 @@ class MinusculePoset:
         self.is_minuscule = family.kind in {"a", "og", "qeven", "e6", "e7"}
         self.is_ambient = family.kind in {"grid", "shifted"}
 
-        # Inclusive up/down sets as masks: below[i] = {j : box_j <= box_i}.
-        below = [0] * self.n
-        above = [0] * self.n
-        for i, (r1, c1) in enumerate(boxes):
-            for j, (r2, c2) in enumerate(boxes):
-                if r2 <= r1 and c2 <= c1:
-                    below[i] |= 1 << j
-                    above[j] |= 1 << i
+        # The covers of a box are its grid neighbours (r - 1, c) and (r, c - 1)
+        # in the poset.  Row-major order is a linear extension, so the inclusive
+        # down/up sets (below[i] = {j : box_j <= box_i}) take one pass each way.
+        index = self.index
+        down = [[index[b] for b in ((r - 1, c), (r, c - 1)) if b in index] for r, c in boxes]
+        up: list[list[int]] = [[] for _ in boxes]
+        below, above, heights = [0] * self.n, [0] * self.n, [0] * self.n
+        for j, covered in enumerate(down):
+            below[j] = 1 << j
+            for i in covered:
+                up[i].append(j)
+                below[j] |= below[i]
+            heights[j] = 1 + max((heights[i] for i in covered), default=0)
+        for i in reversed(range(self.n)):
+            above[i] = 1 << i
+            for j in up[i]:
+                above[i] |= above[j]
         self.below: tuple[int, ...] = tuple(below)
         self.above: tuple[int, ...] = tuple(above)
-
-        # Hasse diagram: j covers i iff nothing sits strictly between them.
-        up = [[] for _ in range(self.n)]
-        down = [[] for _ in range(self.n)]
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j and below[j] & (1 << i):
-                    if (above[i] & below[j]) == (1 << i) | (1 << j):
-                        up[i].append(j)
-                        down[j].append(i)
         self.up: tuple[tuple[int, ...], ...] = tuple(tuple(v) for v in up)
         self.down: tuple[tuple[int, ...], ...] = tuple(tuple(v) for v in down)
         self.nbr_mask: tuple[int, ...] = tuple(
-            sum(1 << j for j in up[i]) | sum(1 << j for j in down[i])
-            for i in range(self.n)
+            sum(1 << j for j in up[i] + down[i]) for i in range(self.n)
         )
-
-        heights = [0] * self.n
-        for i in range(self.n):  # row-major order is a linear extension
-            heights[i] = 1 + max((heights[j] for j in down[i]), default=0)
         self.heights: tuple[int, ...] = tuple(heights)
 
         self.wx: tuple[int, ...] | None = None
@@ -193,11 +193,9 @@ class MinusculePoset:
             self.wx = tuple(self.index[b] for b in image)
 
         self.full_mask = (1 << self.n) - 1
-        rows = sorted({r for r, _ in boxes})
-        self.row_numbers: tuple[int, ...] = tuple(rows)
-        self.row_boxes: dict[int, tuple[int, ...]] = {
-            r: tuple(i for i, (rr, _) in enumerate(boxes) if rr == r) for r in rows
-        }
+        rows = groupby(range(self.n), key=lambda i: boxes[i][0])  # boxes are sorted
+        self.row_boxes: dict[int, tuple[int, ...]] = {r: tuple(g) for r, g in rows}
+        self.row_numbers: tuple[int, ...] = tuple(self.row_boxes)
         self._expand_cache: dict[int, int] = {}
         self._skew_memo: dict[int, tuple] = {}
         self._layer_memo: dict[int, tuple[int, ...]] = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, PosetError, WindowExceeded
+from .errors import BudgetExceeded, KjdtError, PosetError, WindowExceeded
 from .poset import (
     Box,
     MinusculePoset,
@@ -471,30 +471,11 @@ def rect_greedy(tab: Tableau, inner: int | None = None) -> Tableau:
 
 
 def rectify_all(tab: Tableau, budget: int | None = None) -> set[Tableau]:
-    """All straight-shape tableaux reachable by forward slides."""
-    poset = tab.poset
-    start = tab.levels()
-    seen = {start}
-    frontier = [(start, tab.mask)]
-    results: set[Tableau] = set()
-    while frontier:
-        new = []
-        for levels, support in frontier:
-            forward_starts = poset.skew_geometry(support)[2]
-            if not forward_starts:
-                results.add(Tableau.from_levels(poset, levels))
-                continue
-            for c_mask in forward_starts:
-                nxt, holes = _slide_levels(poset, levels, c_mask, forward=True)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    new.append((nxt, (support | c_mask) & ~holes))
-                    if budget is not None and len(seen) > budget:
-                        raise BudgetExceeded(
-                            f"rectify_all exceeded {budget} intermediate tableaux"
-                        )
-        frontier = new
-    return results
+    """All straight-shape tableaux reachable by forward slides: the forward-only closure."""
+    cls = _closure(tab, budget, both_ways=False)
+    if not cls.exhausted:
+        raise BudgetExceeded(f"rectify_all exceeded {budget} intermediate tableaux")
+    return set(cls.straight)
 
 
 @dataclass
@@ -527,12 +508,6 @@ def jdt_class(
 ) -> JdtClass:
     """Breadth-first closure of ``tab`` under slides inside its poset.
 
-    A slide is undone by the slide the other way from its holes.  So each
-    state not yet expanded keeps, in ``backs``, those back starts of every
-    slide that reached it: ``(forward starts, reverse starts)``.  Sliding
-    from one of them would only give back a state already seen, so all of
-    them are skipped when the state is expanded, and its entry is dropped.
-
     ``seed_is_urt`` builds, for a straight ``tab``, only the tableaux whose
     greedy rectification is ``tab`` (see ``_greedy_tree``).  That is the
     whole class exactly when ``tab`` is a unique rectification target, so
@@ -540,11 +515,32 @@ def jdt_class(
     """
     if seed_is_urt:
         return _greedy_tree(tab, budget)
+    return _closure(tab, budget, stop_second_straight)
+
+
+def _check_budget(budget) -> None:
+    """A closure's budget is ``None`` (no bound) or a positive int (see ``_closure``)."""
+    if budget is not None and not (isinstance(budget, int) and budget > 0):
+        raise KjdtError(f"a budget must be a positive integer or None, not {budget!r}")
+
+
+def _closure(tab: Tableau, budget, stop_second_straight=False, both_ways=True) -> JdtClass:
+    """The loop of ``jdt_class`` and, with ``both_ways=False``, of ``rectify_all``.
+
+    A slide is undone by the slide the other way from its holes.  So each
+    state not yet expanded keeps, in ``backs``, those back starts of every
+    slide that reached it: ``(forward starts, reverse starts)``.  Sliding
+    from one of them would only give back a state already seen, so all of
+    them are skipped when the state is expanded, and its entry is dropped.
+    Forward slides alone need none: their way back is a reverse start.  A
+    budget cuts the run after the expansion that takes ``seen`` past it.
+    """
+    _check_budget(budget)
     poset = tab.poset
     geometry = poset.skew_geometry
     start = tab.levels()
     seen = {start}
-    backs: dict[Levels, tuple[list[int], list[int]]] = {start: ([], [])}
+    backs: dict[Levels, tuple[list[int], list[int]]] = {}
     frontier = [(start, tab.mask)]
     straight: list[Tableau] = []
     while frontier:
@@ -555,10 +551,10 @@ def jdt_class(
                 straight.append(Tableau.from_levels(poset, levels))
                 if stop_second_straight and len(straight) > 1:
                     return JdtClass(tab, seen, straight, False)
-            forward_backs, reverse_backs = backs.pop(levels)
+            forward_backs, reverse_backs = backs.pop(levels, ((), ()))
             for starts, fwd, skip in (
                 (forward_starts, True, forward_backs),
-                (reverse_starts, False, reverse_backs),
+                (reverse_starts if both_ways else (), False, reverse_backs),
             ):
                 for c_mask in starts:
                     if c_mask in skip:
@@ -567,7 +563,8 @@ def jdt_class(
                     if nxt not in seen:
                         seen.add(nxt)
                         new.append((nxt, (support | c_mask) & ~holes))
-                        backs[nxt] = ([], [holes]) if fwd else ([holes], [])
+                        if both_ways:
+                            backs[nxt] = ([], [holes]) if fwd else ([holes], [])
                     else:
                         waiting = backs.get(nxt)
                         if waiting is not None:
@@ -597,6 +594,7 @@ def _greedy_tree(tab: Tableau, budget: int | None) -> JdtClass:
     """
     if not tab.is_straight:
         raise PosetError("the greedy tree needs a straight seed")
+    _check_budget(budget)
     poset = tab.poset
     geometry, layers = poset.skew_geometry, poset.greedy_layers
     start = tab.levels()
@@ -840,12 +838,13 @@ def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
     else:
         window = ambient_grid(nrows + pad, ncols + pad)
     embedded = Tableau.from_dict(window, tab.as_dict())
-    cls = jdt_class(embedded, budget=budget or DEFAULT_BUDGET, stop_second_straight=True)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    cls = jdt_class(embedded, budget=budget, stop_second_straight=True)
     others = [t for t in cls.straight if t.as_dict() != embedded.as_dict()]
     if others:
         witness = Tableau.from_dict(poset, others[0].as_dict())
         return URTVerdict("refuted", witness=witness, class_size=cls.size)
-    return _urt_by_words(tab, shifted, budget=budget or DEFAULT_BUDGET)
+    return _urt_by_words(tab, shifted, budget=budget)
 
 
 def packed_straight_tableaux(poset: MinusculePoset, shape: Shape):

@@ -248,7 +248,8 @@ def reading_words(tab, limit: int | None = None):
     A reading word lists every box before all boxes north-east of it;
     a box equal to its upper neighbor comes before everything strictly
     north of it, and a box equal to its right neighbor comes before
-    everything strictly east of it.  Yields distinct words lazily.
+    everything strictly east of it.  The support is checked at call time;
+    the returned generator yields distinct words lazily.
     """
     from .tableau import is_hook_closed
 
@@ -301,7 +302,7 @@ def reading_words(tab, limit: int | None = None):
             prefix.pop()
 
     start = [k for k in range(n) if indeg[k] == 0]
-    yield from walk(start, indeg, [])
+    return walk(start, indeg, [])
 
 
 # -- K-Knuth rewriting --------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -310,6 +311,14 @@ def test_bad_input_exits_2_with_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.strip() == message
+
+
+def test_oversized_poset_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "poset", "a:100000,100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.strip() == "error: poset a:100000,100000 has more than 4096 boxes"
 
 
 @pytest.mark.parametrize("exc_type", [ValueError, KeyError])

@@ -25,6 +25,8 @@ from kjdt.poset import (
     type_a,
 )
 
+from conftest import SLIDE_FAMILIES
+
 E6_BOXES = {
     (1, c) for c in range(1, 5)
 } | {(r, c) for r in (2, 3) for c in range(3, 7)} | {(4, c) for c in range(5, 9)}
@@ -71,6 +73,59 @@ def test_parameter_validation():
         ambient_grid(0, 5)
     with pytest.raises(PosetError):
         build_poset(PosetFamily("nope"))
+
+
+def _order_by_double_loop(poset):
+    """``(below, above, up, down)`` by comparing every pair of boxes."""
+    n, boxes = poset.n, poset.boxes
+    below, above = [0] * n, [0] * n
+    for i, (r1, c1) in enumerate(boxes):
+        for j, (r2, c2) in enumerate(boxes):
+            if r2 <= r1 and c2 <= c1:
+                below[i] |= 1 << j
+                above[j] |= 1 << i
+    # j covers i iff nothing sits strictly between them
+    up, down = [[] for _ in range(n)], [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and below[j] & (1 << i):
+                if (above[i] & below[j]) == (1 << i) | (1 << j):
+                    up[i].append(j)
+                    down[j].append(i)
+    return below, above, up, down
+
+
+@pytest.mark.parametrize(
+    "spec",
+    SLIDE_FAMILIES
+    + ["a:1,1", "a:5,2", "og:2", "og:7", "lg:1", "qodd:1", "qeven:2", "qeven:3"]
+    + ["qeven:7", "grid:1,6", "grid:6,1", "shifted:1", "shifted:7"],
+)
+def test_order_matches_the_double_loop(spec):
+    poset = parse_poset(spec)
+    below, above, up, down = _order_by_double_loop(poset)
+    assert poset.below == tuple(below) and poset.above == tuple(above)
+    assert poset.up == tuple(map(tuple, up)) and poset.down == tuple(map(tuple, down))
+    nbr_mask = tuple(sum(1 << j for j in up[i] + down[i]) for i in range(poset.n))
+    assert poset.nbr_mask == nbr_mask
+    heights = []
+    for i in range(poset.n):
+        heights.append(1 + max((heights[j] for j in down[i]), default=0))
+    assert poset.heights == tuple(heights)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        ("a", (13, 1)), ("og", (6,)), ("lg", (5,)), ("qodd", (7,)),
+        ("qeven", (7,)), ("e7", ()), ("grid", (2, 7)), ("shifted", (5,)),
+    ],
+)
+def test_families_over_the_box_bound_are_refused(monkeypatch, family):
+    monkeypatch.setattr(poset_module, "MAX_BOXES", 12)
+    assert MinusculePoset(PosetFamily("a", (3, 4))).n == 12
+    with pytest.raises(PosetError, match="more than 12 boxes"):
+        MinusculePoset(PosetFamily(*family))
 
 
 def test_cayley_longest_chain():

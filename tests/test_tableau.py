@@ -1037,6 +1037,57 @@ def test_budget_paths():
         rectify_all(tab, budget=1)
 
 
+def _e6_class(budget, seed_is_urt=False):
+    seed = minimal_tableau(cayley_plane().shape("2"))
+    cls = jdt_class(seed, budget=budget, seed_is_urt=seed_is_urt)
+    return cls.size, len(cls.straight), cls.exhausted
+
+
+def _rectifications(budget):
+    tab = parse_tableau(type_a(3, 3), ".,1,2/1,3/2")
+    return sorted(t.literal() for t in rectify_all(tab, budget=budget))
+
+
+def _census(budget):
+    report = urt_census(type_a(2, 3), budget=budget)
+    return len(report["certified"]), len(report["refuted"]), report["exhausted"]
+
+
+def _urt_verdict(poset, budget):
+    verdict = is_urt(parse_tableau(poset, "1,2/3"), budget=budget)
+    return verdict.status, verdict.class_size
+
+
+# Each closure search: its result with no bound (or a bound it never
+# reaches), and its result at budget 4.
+BUDGETED_SEARCHES = {
+    "jdt_class": (_e6_class, (75, 1, True), (5, 1, False)),
+    "jdt_class seed_is_urt": (
+        lambda budget: _e6_class(budget, seed_is_urt=True), (75, 1, True), (5, 1, False)
+    ),
+    "rectify_all": (_rectifications, ["1,2/2,3"], ["1,2/2,3"]),
+    "urt_census": (_census, (37, 0, True), (31, 0, False)),
+    "is_urt bounded": (
+        lambda budget: _urt_verdict(type_a(3, 3), budget), ("certified", 38), ("inconclusive", 8)
+    ),
+    "is_urt ambient": (
+        lambda budget: _urt_verdict(ambient_grid(3, 3), budget), ("certified", 0), ("certified", 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BUDGETED_SEARCHES)
+def test_every_closure_search_has_one_budget_rule(name):
+    # None is no bound (DEFAULT_BUDGET for ambient is_urt); a positive int
+    # cuts after the expansion that passes it; anything else is refused.
+    search, unbounded, at_four = BUDGETED_SEARCHES[name]
+    assert search(None) == search(10**6) == unbounded
+    assert search(4) == at_four
+    for budget in (0, -1):
+        with pytest.raises(KjdtError, match="budget must be a positive integer"):
+            search(budget)
+
+
 def test_single_box_poset_involution_identity():
     a = type_a(1, 1)
     assert a.wx == (0,)

@@ -350,7 +350,7 @@ def test_row_word_is_reading_word():
 
 def test_reading_words_reject_non_hook_closed():
     with pytest.raises(KjdtError):
-        list(reading_words(WeakTableau({(1, 1): 1, (2, 2): 2})))
+        reading_words(WeakTableau({(1, 1): 1, (2, 2): 2}))
 
 
 def test_hecke_of_tableau_refuses_an_exceptional_tableau():
