@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from functools import reduce
+from operator import or_
 from types import MappingProxyType
 
 from .errors import NonMinusculePoset, PosetError, WindowExceeded
@@ -51,7 +53,6 @@ from .tableau import (
     increasing_fillings,
     is_urt,
     jdt_class,
-    levels_support,
     minimal_tableau,
     rectifies_to,
 )
@@ -198,8 +199,8 @@ def class_supports(poset: MinusculePoset, mu: Shape) -> Mapping[int, int]:
         return poset.class_supports_memo[mu.mask]
     except KeyError:
         counts: dict[int, int] = {}
-        for levels in jdt_class(minimal_tableau(mu), seed_is_urt=True).member_keys:
-            s = levels_support(levels)
+        for masks in jdt_class(minimal_tableau(mu), seed_is_urt=True).states:
+            s = reduce(or_, masks, 0)
             counts[s] = counts.get(s, 0) + 1
         return remember(poset.class_supports_memo, mu.mask, MappingProxyType(counts))
 

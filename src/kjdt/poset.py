@@ -196,7 +196,7 @@ class MinusculePoset:
         rows = groupby(range(self.n), key=lambda i: boxes[i][0])  # boxes are sorted
         self.row_boxes: dict[int, tuple[int, ...]] = {r: tuple(g) for r, g in rows}
         self.row_numbers: tuple[int, ...] = tuple(self.row_boxes)
-        self._expand_cache: dict[int, int] = {}
+        self._expand_cache = _NeighbourMemo(self.nbr_mask)
         self._skew_memo: dict[int, tuple] = {}
         self._layer_memo: dict[int, tuple[int, ...]] = {}
         self.class_supports_memo: dict[int, Mapping[int, int]] = {}
@@ -228,10 +228,7 @@ class MinusculePoset:
 
     def expand_neighbors(self, mask: int) -> int:
         """Union of Hasse neighbors of all boxes in ``mask`` (cached)."""
-        try:
-            return self._expand_cache[mask]
-        except KeyError:
-            return remember(self._expand_cache, mask, _union(self.nbr_mask, mask))
+        return self._expand_cache[mask]
 
     def is_ideal(self, mask: int) -> bool:
         return self.down_closure(mask) == mask
@@ -455,6 +452,23 @@ def remember(memo: dict, key, value):
         memo.clear()
     memo[key] = value
     return value
+
+
+class _NeighbourMemo(dict):
+    """``memo[mask]``: the union of Hasse neighbours of the boxes of ``mask``.
+
+    A miss fills the memo through ``remember``, so the slide engine reads
+    it by subscript, without a call, and it stays bounded by ``MEMO_CAP``.
+    """
+
+    __slots__ = ("nbr_mask",)
+
+    def __init__(self, nbr_mask: tuple[int, ...]):
+        super().__init__()
+        self.nbr_mask = nbr_mask
+
+    def __missing__(self, mask: int) -> int:
+        return remember(self, mask, _union(self.nbr_mask, mask))
 
 
 def _nonempty_subsets(items: list[int]):

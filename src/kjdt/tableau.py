@@ -5,16 +5,20 @@ strictly increasing along the order.  The support set determines a
 canonical skew presentation: the outer shape is the lower order ideal it
 generates and the inner shape is the rest of that ideal.  Tableaux are
 immutable and stored as "levels": for each value, the bitmask of boxes
-carrying it.  Equality, hashing, slides and closures all use levels.
+carrying it.  Equality and hashing use levels.
 
-A swap between a value and the moving holes is four mask operations,
-which keeps exhaustive class enumeration tractable in pure Python.
+A slide never changes values, so slides and closures work on the level
+masks alone: a closure stores each state as its tuple of masks and the
+class's values once.  A swap between a value and the moving holes is four
+mask operations on neighbour unions read from the poset's memo, which
+keeps exhaustive class enumeration tractable in pure Python.
 Values may repeat across incomparable boxes; slides duplicate entries
 exactly when several holes border the same value, and the set of values
 present is preserved by every slide.
 """
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, KjdtError, PosetError, WindowExceeded
@@ -310,34 +314,38 @@ def tableau_from_json(data: dict, poset: MinusculePoset | None = None) -> Tablea
 # -- the slide engine ------------------------------------------------------
 
 def _slide_levels(
-    poset: MinusculePoset, levels: Levels, dots: int, forward: bool
-) -> tuple[Levels, int]:
-    """Run the swap composite of one jeu de taquin slide.
+    poset: MinusculePoset, masks: tuple[int, ...], dots: int, forward: bool
+) -> tuple[tuple[int, ...], int]:
+    """Run the swap composite of one jeu de taquin slide on level masks.
 
-    Forward slides sweep values in increasing order, reverse slides in
-    decreasing order.  Returns the new levels and the final hole mask.
+    ``masks`` holds one box mask per value, in increasing order of value;
+    a slide never changes the values, so it neither reads nor returns
+    them.  Forward slides sweep values in increasing order, reverse slides
+    in decreasing order.  Returns the new masks and the final hole mask.
     Each swap is an involution, so the slide the other way from the
-    returned holes gives back ``(levels, dots)``; and the union of the
-    level masks with the holes never changes, so the new levels fill
-    ``(levels_support(levels) | dots) & ~holes``.
+    returned holes gives back ``(masks, dots)``; and the union of the masks
+    with the holes never changes, so the new masks fill
+    ``(support | dots) & ~holes``.
     """
-    expand = poset.expand_neighbors
-    near = expand(dots)  # boxes next to a hole; looked up again only after a move
-    out = []
-    seq = levels if forward else reversed(levels)
-    for pair in seq:
-        m = pair[1]
+    expand = poset._expand_cache  # neighbour unions, read without a call
+    near = expand[dots]  # boxes next to a hole; looked up again only after a move
+    out = list(masks)
+    n = len(out)
+    for k in range(n) if forward else range(n - 1, -1, -1):
+        m = out[k]
         moved = m & near
         if moved:
             # Adjacency is symmetric: a hole next to m is next to a box of moved.
-            recv = dots & expand(moved)
-            pair = (pair[0], (m & ~moved) | recv)
+            recv = dots & expand[moved]
+            out[k] = (m & ~moved) | recv
             dots = (dots & ~recv) | moved
-            near = expand(dots)
-        out.append(pair)
-    if not forward:
-        out.reverse()
+            near = expand[dots]
     return tuple(out), dots
+
+
+def _split(levels: Levels) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The values and the masks of a levels key."""
+    return tuple(zip(*levels)) or ((), ())
 
 
 def swap(poset: MinusculePoset, filling: dict, s, s2) -> dict:
@@ -438,8 +446,9 @@ def _checked_slide(tab: Tableau, start, forward: bool) -> Tableau:
     poset = tab.poset
     c_mask = _boxes_to_mask(poset, start)
     _check_slide_start(poset, tab.mask, c_mask, forward)
-    levels, _ = _slide_levels(poset, tab.levels(), c_mask, forward)
-    return Tableau.from_levels(poset, levels)
+    values, masks = _split(tab.levels())
+    masks, _ = _slide_levels(poset, masks, c_mask, forward)
+    return Tableau.from_levels(poset, tuple(zip(values, masks)))
 
 
 def levels_support(levels: Levels) -> int:
@@ -458,13 +467,13 @@ def rect_greedy(tab: Tableau, inner: int | None = None) -> Tableau:
     presentation is used.
     """
     poset = tab.poset
-    levels = tab.levels()
+    values, masks = _split(tab.levels())
     pres = poset.skew_geometry(tab.mask)[1] if inner is None else inner
     if pres & tab.mask:
         raise PosetError("presentation inner shape overlaps the filling")
     for c_mask in poset.greedy_layers(pres):
-        levels, _ = _slide_levels(poset, levels, c_mask, forward=True)
-    result = Tableau.from_levels(poset, levels)
+        masks, _ = _slide_levels(poset, masks, c_mask, forward=True)
+    result = Tableau.from_levels(poset, tuple(zip(values, masks)))
     if not result.is_straight:
         raise PosetError("greedy rectification started from an invalid inner shape")
     return result
@@ -478,18 +487,53 @@ def rectify_all(tab: Tableau, budget: int | None = None) -> set[Tableau]:
     return set(cls.straight)
 
 
+class _LevelsView(Set):
+    """Read-only set of the levels keys of states that share one value tuple.
+
+    Slides keep values, so a class stores each state as its level masks
+    and its values once; this view zips them back on iteration.
+    """
+
+    __slots__ = ("_values", "_states")
+
+    def __init__(self, values: tuple[int, ...], states: set[tuple[int, ...]]):
+        self._values = values
+        self._states = states
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __contains__(self, key) -> bool:
+        values, masks = _split(key)
+        return values == self._values and masks in self._states
+
+    def __iter__(self):
+        values = self._values
+        for masks in self._states:
+            yield tuple(zip(values, masks))
+
+
 @dataclass
 class JdtClass:
-    """Closure of a tableau under forward and reverse slides."""
+    """Closure of a tableau under forward and reverse slides.
+
+    ``states`` holds the level masks of each member; every member carries
+    the seed's values.
+    """
 
     seed: Tableau
-    member_keys: set[Levels] = field(repr=False)
+    states: set[tuple[int, ...]] = field(repr=False)
     straight: list[Tableau]
     exhausted: bool
 
     @property
+    def member_keys(self) -> _LevelsView:
+        """The levels keys of the members, a view over ``states``."""
+        return _LevelsView(_split(self.seed.levels())[0], self.states)
+
+    @property
     def size(self) -> int:
-        return len(self.member_keys)
+        return len(self.states)
 
     def members(self):
         for levels in self.member_keys:
@@ -527,6 +571,8 @@ def _check_budget(budget) -> None:
 def _closure(tab: Tableau, budget, stop_second_straight=False, both_ways=True) -> JdtClass:
     """The loop of ``jdt_class`` and, with ``both_ways=False``, of ``rectify_all``.
 
+    A state is the tuple of a member's level masks; slides keep the seed's
+    values, so a ``Tableau`` is built only for a straight member.
     A slide is undone by the slide the other way from its holes.  So each
     state not yet expanded keeps, in ``backs``, those back starts of every
     slide that reached it: ``(forward starts, reverse starts)``.  Sliding
@@ -538,20 +584,23 @@ def _closure(tab: Tableau, budget, stop_second_straight=False, both_ways=True) -
     _check_budget(budget)
     poset = tab.poset
     geometry = poset.skew_geometry
-    start = tab.levels()
+    values, start = _split(tab.levels())
     seen = {start}
-    backs: dict[Levels, tuple[list[int], list[int]]] = {}
+    backs: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     frontier = [(start, tab.mask)]
     straight: list[Tableau] = []
     while frontier:
         new = []
-        for levels, support in frontier:
+        for masks, support in frontier:
             _, inner, forward_starts, reverse_starts = geometry(support)
             if inner == 0:
-                straight.append(Tableau.from_levels(poset, levels))
+                straight.append(
+                    tab if masks is start
+                    else Tableau.from_levels(poset, tuple(zip(values, masks)))
+                )
                 if stop_second_straight and len(straight) > 1:
                     return JdtClass(tab, seen, straight, False)
-            forward_backs, reverse_backs = backs.pop(levels, ((), ()))
+            forward_backs, reverse_backs = backs.pop(masks, ((), ()))
             for starts, fwd, skip in (
                 (forward_starts, True, forward_backs),
                 (reverse_starts if both_ways else (), False, reverse_backs),
@@ -559,7 +608,7 @@ def _closure(tab: Tableau, budget, stop_second_straight=False, both_ways=True) -
                 for c_mask in starts:
                     if c_mask in skip:
                         continue
-                    nxt, holes = _slide_levels(poset, levels, c_mask, forward=fwd)
+                    nxt, holes = _slide_levels(poset, masks, c_mask, fwd)
                     if nxt not in seen:
                         seen.add(nxt)
                         new.append((nxt, (support | c_mask) & ~holes))
@@ -597,14 +646,14 @@ def _greedy_tree(tab: Tableau, budget: int | None) -> JdtClass:
     _check_budget(budget)
     poset = tab.poset
     geometry, layers = poset.skew_geometry, poset.greedy_layers
-    start = tab.levels()
+    start = _split(tab.levels())[1]
     members = {start}
     frontier = [(start, tab.mask)]
     while frontier:
         new = []
-        for levels, support in frontier:
+        for masks, support in frontier:
             for c_mask in geometry(support)[3]:
-                nxt, holes = _slide_levels(poset, levels, c_mask, forward=False)
+                nxt, holes = _slide_levels(poset, masks, c_mask, False)
                 grown = (support | c_mask) & ~holes
                 top = layers(geometry(grown)[1])
                 if top and top[0] == holes:
@@ -698,10 +747,10 @@ def rectifies_to(poset: MinusculePoset, lam: int, target: Levels):
     newest level through them and cuts the branch at the first rectified
     level that differs from ``target``'s level at the same place.
     """
-    expand = poset.expand_neighbors
+    expand = poset._expand_cache
     # carried[k]: (holes, boxes next to them) of each greedy slide after the
     # levels 1..k of the current branch; slots past its last level are stale.
-    carried = [[(c, expand(c)) for c in poset.greedy_layers(lam)]] * (len(target) + 1)
+    carried = [[(c, expand[c]) for c in poset.greedy_layers(lam)]] * (len(target) + 1)
 
     def keep(key) -> bool:
         k = len(key)
@@ -711,10 +760,10 @@ def rectifies_to(poset: MinusculePoset, lam: int, target: Levels):
         for dots, near in carried[k - 1]:
             moved = m & near
             if moved:
-                recv = dots & expand(moved)
+                recv = dots & expand[moved]
                 m = (m & ~moved) | recv
                 dots = (dots & ~recv) | moved
-                near = expand(dots)
+                near = expand[dots]
             slid.append((dots, near))
         if target[k - 1] != (value, m):
             return False
@@ -868,6 +917,7 @@ def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int |
 
     if poset.is_ambient:
         raise PosetError("the census needs a bounded poset")
+    _check_budget(budget)
     visited: set[Levels] = set()
     certified: list[Tableau] = []
     refuted: list[Tableau] = []
@@ -1187,10 +1237,11 @@ def infusion(s_tab: Tableau, t_tab: Tableau) -> tuple[Tableau, Tableau]:
         raise PosetError("infusion needs nested shapes: S between lam and mu, T above")
     # Each S value, largest first, slides T forward from its boxes; the
     # final holes are where that value lands.
-    t_levels = t_tab.levels()
+    t_values, t_masks = _split(t_tab.levels())
     s_levels = []
     for value, m in reversed(s_tab.levels()):
-        t_levels, holes = _slide_levels(poset, t_levels, m, forward=True)
+        t_masks, holes = _slide_levels(poset, t_masks, m, forward=True)
         s_levels.append((value, holes))
     s_levels.reverse()
-    return Tableau.from_levels(poset, t_levels), Tableau.from_levels(poset, tuple(s_levels))
+    t_out = Tableau.from_levels(poset, tuple(zip(t_values, t_masks)))
+    return t_out, Tableau.from_levels(poset, tuple(s_levels))

@@ -386,5 +386,7 @@ def test_memos_stay_bounded_past_the_cap(monkeypatch):
             for i in range(fresh.n):
                 if mask >> i & 1:
                     expected |= fresh.nbr_mask[i]
+            assert fresh._expand_cache[mask] == expected  # the slide engine's read
+            assert len(fresh._expand_cache) <= cap
             assert fresh.expand_neighbors(mask) == expected
             assert len(fresh._expand_cache) <= cap

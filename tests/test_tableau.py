@@ -26,7 +26,6 @@ from kjdt.tableau import (
     DottedTableau,
     Tableau,
     WeakTableau,
-    _slide_levels,
     conjugate,
     doubling,
     filling_row_words,
@@ -214,6 +213,15 @@ def test_reverse_slide_anti_rectification_step():
     assert anti == expected
 
 
+def _slide_key(poset, levels, dots, forward):
+    """``_slide_levels`` on a levels key: split it, slide its masks, zip the values back."""
+    values = tuple(v for v, _ in levels)
+    masks, holes = tableau_module._slide_levels(
+        poset, tuple(m for _, m in levels), dots, forward
+    )
+    return tuple(zip(values, masks)), holes
+
+
 def _slide_by_swaps(poset, tab, start, forward):
     """A slide as the composite of dict swaps of the holes with each value."""
     filling = tab.as_dict()
@@ -239,7 +247,7 @@ def test_slide_levels_matches_swap_composition(spec, seed, forward, data):
         return
     start = data.draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True))
     c_mask = sum(1 << i for i in start)
-    levels, holes = _slide_levels(poset, tab.levels(), c_mask, forward)
+    levels, holes = _slide_key(poset, tab.levels(), c_mask, forward)
     assert (Tableau.from_levels(poset, levels).as_dict(), holes) == _slide_by_swaps(
         poset, tab, start, forward
     )
@@ -256,8 +264,8 @@ def test_slide_is_undone_from_its_holes_and_keeps_its_support(spec, seed):
     _, _, forward_starts, reverse_starts = poset.skew_geometry(tab.mask)
     for starts, forward in ((forward_starts, True), (reverse_starts, False)):
         for start in starts:
-            levels, holes = _slide_levels(poset, tab.levels(), start, forward)
-            back = _slide_levels(poset, levels, holes, not forward)
+            levels, holes = _slide_key(poset, tab.levels(), start, forward)
+            back = _slide_key(poset, levels, holes, not forward)
             assert back == (tab.levels(), start)
             assert (tab.mask | start) & ~holes == levels_support(levels)
 
@@ -337,7 +345,7 @@ def _jdt_class_reference(tab, budget=None, stop_second_straight=False):
                     return seen, straight, False
             for starts, fwd in ((forward_starts, True), (reverse_starts, False)):
                 for c_mask in starts:
-                    nxt, _ = tableau_module._slide_levels(poset, levels, c_mask, fwd)
+                    nxt, _ = _slide_key(poset, levels, c_mask, fwd)
                     if nxt not in seen:
                         seen.add(nxt)
                         new.append(nxt)
@@ -361,7 +369,7 @@ def _rectify_all_reference(tab, budget=None):
                 results.add(Tableau.from_levels(poset, levels))
                 continue
             for c_mask in forward_starts:
-                nxt, _ = _slide_levels(poset, levels, c_mask, True)
+                nxt, _ = _slide_key(poset, levels, c_mask, True)
                 if nxt not in seen:
                     seen.add(nxt)
                     new.append(nxt)
@@ -415,9 +423,9 @@ def test_closure_never_slides_back_along_a_slide_it_made(monkeypatch):
     calls = []
     slide = tableau_module._slide_levels
 
-    def recorded(poset, levels, dots, forward):
-        out = slide(poset, levels, dots, forward)
-        calls.append((levels, dots, forward, out))
+    def recorded(poset, masks, dots, forward):
+        out = slide(poset, masks, dots, forward)
+        calls.append((masks, dots, forward, out))
         return out
 
     monkeypatch.setattr(tableau_module, "_slide_levels", recorded)
@@ -432,8 +440,8 @@ def test_closure_never_slides_back_along_a_slide_it_made(monkeypatch):
         calls.clear()
         cls = jdt_class(tab)
         undone = set()
-        for levels, dots, forward, (nxt, holes) in calls:
-            assert (levels, dots, forward) not in undone
+        for masks, dots, forward, (nxt, holes) in calls:
+            assert (masks, dots, forward) not in undone
             undone.add((nxt, holes, not forward))
         # skipping only the slide back to each parent made this many slides
         assert len(calls) <= every_start - (cls.size - 1)
@@ -492,6 +500,27 @@ def test_greedy_tree_budget_cuts_like_the_closure():
             assert cut.exhausted == (whole.size <= budget)
             assert cut.member_keys <= whole.member_keys
             assert cut.size > budget or cut.member_keys == whole.member_keys
+
+
+def test_member_keys_view_zips_the_seed_values_with_each_state():
+    shifted = parse_poset("shifted:4")
+    seeds = [minimal_tableau(cayley_plane().shape("4,2"))]
+    seeds += [random_skew_tableau(random.Random(seed), shifted) for seed in range(5)]
+    for tab in seeds:
+        cls = jdt_class(tab)
+        values = tuple(v for v, _ in tab.levels())
+        keys = {tuple(zip(values, masks)) for masks in cls.states}
+        view = cls.member_keys
+        assert set(view) == keys
+        assert len(view) == cls.size == len(keys)
+        assert view == keys and keys == view
+        assert view <= keys and keys <= view
+        assert tab.levels() in view and tab in cls
+        masks = next(iter(cls.states))
+        if masks:
+            other = tuple(zip((v + 100 for v in values), masks))
+            assert other not in view
+            assert Tableau.from_levels(tab.poset, other) not in cls
 
 
 def test_restriction_compatibility(rng):
@@ -660,6 +689,20 @@ def test_urt_census_does_not_keep_whole_classes():
         tracemalloc.stop()
     assert len(report["certified"]) == 3026
     assert peak < 4 * 2**20, peak
+
+
+def test_large_closure_stores_masks_not_levels():
+    # 5,434 states: a 3.8 MB peak as (value, mask) pairs, 1.9 MB as level
+    # masks (4.2 and 2.3 MB while the poset's memos are still empty)
+    target = superstandard(freudenthal().shape("5,3,3"), "row")
+    tracemalloc.start()
+    try:
+        cls = jdt_class(target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cls.size == 5434 and cls.exhausted
+    assert peak < 2.8 * 2**20, peak
 
 
 # -- distinguished tableaux ------------------------------------------------------
@@ -1086,6 +1129,13 @@ def test_every_closure_search_has_one_budget_rule(name):
     for budget in (0, -1):
         with pytest.raises(KjdtError, match="budget must be a positive integer"):
             search(budget)
+
+
+def test_urt_census_refuses_a_bad_budget_with_no_class_to_close():
+    # max_size=0 closes no class, so the census itself checks the budget
+    for budget in (0, -3):
+        with pytest.raises(KjdtError, match="budget must be a positive integer"):
+            urt_census(parse_poset("a:2,2"), max_size=0, budget=budget)
 
 
 def test_single_box_poset_involution_identity():
