@@ -19,3 +19,9 @@ class BudgetExceeded(KjdtError):
 
 class NonMinusculePoset(KjdtError):
     """Ring operations were requested on a poset that is not minuscule."""
+
+
+def check_budget(budget) -> None:
+    """A search budget is ``None`` (no bound) or a positive int; anything else raises."""
+    if budget is not None and not (isinstance(budget, int) and budget > 0):
+        raise KjdtError(f"a budget must be a positive integer or None, not {budget!r}")

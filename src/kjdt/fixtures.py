@@ -109,11 +109,10 @@ def check_e8_fails():
     for orient in ("row", "col"):
         target = superstandard(mu, orient)
         cls = jdt_class(target)
-        values = tuple(v for v, _ in target.levels())
         cands = [masks for masks in cls.states if reduce(or_, masks, 0) == skew]
         has = unique = 0
         for masks in cands:
-            tab = Tableau.from_levels(e7, tuple(zip(values, masks)))
+            tab = Tableau.from_masks(e7, target.level_values, masks)
             rects = rectify_all(tab)
             if target in rects:
                 has += 1

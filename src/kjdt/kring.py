@@ -271,12 +271,11 @@ def structure_constant(
 
 
 def _greedy_count(poset, lam: Shape, mu: Shape, nu: Shape) -> int:
-    # M_mu's levels: in the ideal mu, box i holds heights[i], the longest chain ending there.
-    by_value: dict[int, int] = {}
+    # M_mu's masks: box i of the ideal mu holds heights[i], and every height up to the top occurs.
+    heights = poset.heights
+    target = [0] * max((heights[i] for i in bits(mu.mask)), default=0)
     for i in bits(mu.mask):
-        h = poset.heights[i]
-        by_value[h] = by_value.get(h, 0) | 1 << i
-    target = tuple(sorted(by_value.items()))
+        target[heights[i] - 1] |= 1 << i
     keep = rectifies_to(poset, lam.mask, target)
     fillings = increasing_fillings(poset, lam.mask, nu.mask, len(target), keep=keep)
     return sum(1 for _ in fillings)

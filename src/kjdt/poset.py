@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, groupby, islice
 
 from .errors import PosetError
@@ -196,9 +197,9 @@ class MinusculePoset:
         rows = groupby(range(self.n), key=lambda i: boxes[i][0])  # boxes are sorted
         self.row_boxes: dict[int, tuple[int, ...]] = {r: tuple(g) for r, g in rows}
         self.row_numbers: tuple[int, ...] = tuple(self.row_boxes)
-        self._expand_cache = _NeighbourMemo(self.nbr_mask)
-        self._skew_memo: dict[int, tuple] = {}
-        self._layer_memo: dict[int, tuple[int, ...]] = {}
+        self._expand_cache = _Memo(partial(_union, self.nbr_mask))
+        self._skew_memo = _Memo(self._skew_entry)
+        self._layer_memo = _Memo(self._layers)
         self.class_supports_memo: dict[int, Mapping[int, int]] = {}
 
     # -- basic queries ---------------------------------------------------
@@ -252,34 +253,33 @@ class MinusculePoset:
         nonempty subsets of the minimal absent boxes of ``outer``: every
         slide a breadth-first closure applies to a state with this support.
         """
-        try:
-            return self._skew_memo[support]
-        except KeyError:
-            outer = self.down_closure(support)
-            inner = outer & ~support
-            entry = (
-                outer,
-                inner,
-                tuple(_nonempty_subsets(self.maximal_boxes(inner))),
-                tuple(_nonempty_subsets(self.minimal_absent_boxes(outer))),
-            )
-            return remember(self._skew_memo, support, entry)
+        return self._skew_memo[support]
+
+    def _skew_entry(self, support: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+        outer = self.down_closure(support)
+        inner = outer & ~support
+        return (
+            outer,
+            inner,
+            tuple(_nonempty_subsets(self.maximal_boxes(inner))),
+            tuple(_nonempty_subsets(self.minimal_absent_boxes(outer))),
+        )
 
     def greedy_layers(self, inner: int) -> tuple[int, ...]:
         """Maximal-box layers peeled off the ideal ``inner``, outermost first (memoised).
 
         Greedy rectification slides from each layer in turn.
         """
-        try:
-            return self._layer_memo[inner]
-        except KeyError:
-            layers = []
-            rest = inner
-            while rest:
-                top = sum(1 << i for i in self.maximal_boxes(rest))
-                layers.append(top)
-                rest &= ~top
-            return remember(self._layer_memo, inner, tuple(layers))
+        return self._layer_memo[inner]
+
+    def _layers(self, inner: int) -> tuple[int, ...]:
+        layers = []
+        rest = inner
+        while rest:
+            top = sum(1 << i for i in self.maximal_boxes(rest))
+            layers.append(top)
+            rest &= ~top
+        return tuple(layers)
 
     def ideals_between(self, lo: int, hi: int) -> list[int]:
         """Every order ideal ``m`` with ``lo <= m <= hi`` (as box sets).
@@ -454,21 +454,22 @@ def remember(memo: dict, key, value):
     return value
 
 
-class _NeighbourMemo(dict):
-    """``memo[mask]``: the union of Hasse neighbours of the boxes of ``mask``.
+class _Memo(dict):
+    """``memo[key]``: ``fill(key)``, computed on the first read of ``key``.
 
-    A miss fills the memo through ``remember``, so the slide engine reads
-    it by subscript, without a call, and it stays bounded by ``MEMO_CAP``.
+    A miss fills the memo through ``remember``, so it stays bounded by
+    ``MEMO_CAP`` and every read is a subscript (the slide engine's makes
+    no call at all).
     """
 
-    __slots__ = ("nbr_mask",)
+    __slots__ = ("fill",)
 
-    def __init__(self, nbr_mask: tuple[int, ...]):
+    def __init__(self, fill):
         super().__init__()
-        self.nbr_mask = nbr_mask
+        self.fill = fill
 
-    def __missing__(self, mask: int) -> int:
-        return remember(self, mask, _union(self.nbr_mask, mask))
+    def __missing__(self, key):
+        return remember(self, key, self.fill(key))
 
 
 def _nonempty_subsets(items: list[int]):

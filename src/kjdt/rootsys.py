@@ -287,12 +287,7 @@ def grid_family_for(kind: str, rank: int, node: int) -> PosetFamily:
     """The Table-row family matching a marked Dynkin node (1-based node)."""
     if kind == "A":
         return PosetFamily("a", (node, rank + 1 - node))
-    if kind == "B":
-        if node == 1:
-            return PosetFamily("qodd", (rank,))
-        if node == rank:
-            return PosetFamily("lg", (rank,))
-    if kind == "C":
+    if kind in {"B", "C"}:
         if node == 1:
             return PosetFamily("qodd", (rank,))
         if node == rank:

@@ -4,14 +4,16 @@ A tableau is an integer filling of a finite set of poset boxes that is
 strictly increasing along the order.  The support set determines a
 canonical skew presentation: the outer shape is the lower order ideal it
 generates and the inner shape is the rest of that ideal.  Tableaux are
-immutable and stored as "levels": for each value, the bitmask of boxes
-carrying it.  Equality and hashing use levels.
+immutable and stored as two tuples: ``level_values``, the values
+present in increasing order, and ``masks``, the bitmask of boxes
+carrying each of them.  Equality and hashing use both.
 
-A slide never changes values, so slides and closures work on the level
-masks alone: a closure stores each state as its tuple of masks and the
-class's values once.  A swap between a value and the moving holes is four
-mask operations on neighbour unions read from the poset's memo, which
-keeps exhaustive class enumeration tractable in pure Python.
+A slide never changes values, so the slide engine, the closures and the
+filling walk pass mask tuples alone and carry the values once: a closure
+stores each state as its tuple of masks, and the walk's level k holds the
+value k + 1.  A swap between a value and the moving holes is four mask
+operations on neighbour unions read from the poset's memo, which keeps
+exhaustive class enumeration tractable in pure Python.
 Values may repeat across incomparable boxes; slides duplicate entries
 exactly when several holes border the same value, and the set of values
 present is preserved by every slide.
@@ -19,9 +21,11 @@ present is preserved by every slide.
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import or_
 
-from .errors import BudgetExceeded, KjdtError, PosetError, WindowExceeded
+from .errors import BudgetExceeded, PosetError, WindowExceeded, check_budget
 from .poset import (
     Box,
     MinusculePoset,
@@ -49,9 +53,9 @@ DEFAULT_BUDGET = 200000  # node budget of bounded searches when none is given
 
 
 class Tableau:
-    """Strictly increasing filling of a skew box set, keyed by its levels."""
+    """Strictly increasing filling of a skew box set, keyed by its level values and masks."""
 
-    __slots__ = ("poset", "mask", "_levels", "_values", "_hash")
+    __slots__ = ("poset", "mask", "level_values", "masks", "_values", "_hash")
 
     def __init__(self, poset: MinusculePoset, mask: int, values: tuple[int, ...]):
         values = tuple(values)
@@ -60,7 +64,8 @@ class Tableau:
             d[v] = d.get(v, 0) | (1 << i)
         self.poset = poset
         self.mask = mask
-        self._levels: Levels = tuple(sorted(d.items()))
+        self.level_values: tuple[int, ...] = tuple(sorted(d))
+        self.masks: tuple[int, ...] = tuple(d[v] for v in self.level_values)
         self._values: tuple[int, ...] | None = values
         self._hash: int | None = None
 
@@ -79,15 +84,21 @@ class Tableau:
         return tab
 
     @classmethod
-    def from_levels(cls, poset: MinusculePoset, levels: Levels) -> "Tableau":
-        """Wrap a levels key (sorted by value, no empty mask) without copying it."""
+    def from_masks(cls, poset: MinusculePoset, level_values: tuple, masks: tuple) -> "Tableau":
+        """Wrap the values present (increasing) and one nonempty box mask per value, uncopied."""
         tab = cls.__new__(cls)
         tab.poset = poset
-        tab.mask = levels_support(levels)
-        tab._levels = levels
+        tab.mask = reduce(or_, masks, 0)
+        tab.level_values = level_values
+        tab.masks = masks
         tab._values = None
         tab._hash = None
         return tab
+
+    @classmethod
+    def from_levels(cls, poset: MinusculePoset, levels: Levels) -> "Tableau":
+        """Build from a levels key: ``(value, mask)`` pairs sorted by value, no empty mask."""
+        return cls.from_masks(poset, tuple(v for v, _ in levels), tuple(m for _, m in levels))
 
     def validate(self) -> None:
         poset, mask = self.poset, self.mask
@@ -130,7 +141,7 @@ class Tableau:
         """One value per box of ``mask``, in the order of ``bits(mask)``."""
         if self._values is None:
             val_at = {}
-            for v, m in self._levels:
+            for v, m in zip(self.level_values, self.masks):
                 for i in bits(m):
                     val_at[i] = v
             self._values = tuple(val_at[i] for i in bits(self.mask))
@@ -146,10 +157,11 @@ class Tableau:
         }
 
     def levels(self) -> Levels:
-        return self._levels
+        """The levels key: ``(value, mask)`` pairs sorted by value."""
+        return tuple(zip(self.level_values, self.masks))
 
     def value_set(self) -> set[int]:
-        return {v for v, _ in self._levels}
+        return set(self.level_values)
 
     def row_word(self) -> tuple[int, ...]:
         """Rows read left to right, starting with the bottom row."""
@@ -168,8 +180,7 @@ class Tableau:
 
     def pack(self) -> "Tableau":
         """Order-isomorphic copy with values renumbered to 1..d."""
-        packed = tuple((k, m) for k, (_, m) in enumerate(self._levels, start=1))
-        return Tableau.from_levels(self.poset, packed)
+        return Tableau.from_masks(self.poset, tuple(range(1, len(self.masks) + 1)), self.masks)
 
     # -- identity --------------------------------------------------------
 
@@ -177,12 +188,13 @@ class Tableau:
         return (
             isinstance(other, Tableau)
             and self.poset is other.poset
-            and self._levels == other._levels
+            and self.masks == other.masks
+            and self.level_values == other.level_values
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((id(self.poset), self._levels))
+            self._hash = hash((id(self.poset), self.level_values, self.masks))
         return self._hash
 
     def __repr__(self):
@@ -343,11 +355,6 @@ def _slide_levels(
     return tuple(out), dots
 
 
-def _split(levels: Levels) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The values and the masks of a levels key."""
-    return tuple(zip(*levels)) or ((), ())
-
-
 def swap(poset: MinusculePoset, filling: dict, s, s2) -> dict:
     """One application of the basic swap between values ``s`` and ``s2``.
 
@@ -446,17 +453,8 @@ def _checked_slide(tab: Tableau, start, forward: bool) -> Tableau:
     poset = tab.poset
     c_mask = _boxes_to_mask(poset, start)
     _check_slide_start(poset, tab.mask, c_mask, forward)
-    values, masks = _split(tab.levels())
-    masks, _ = _slide_levels(poset, masks, c_mask, forward)
-    return Tableau.from_levels(poset, tuple(zip(values, masks)))
-
-
-def levels_support(levels: Levels) -> int:
-    """The boxes a levels key fills: the union of its masks."""
-    mask = 0
-    for _, m in levels:
-        mask |= m
-    return mask
+    masks, _ = _slide_levels(poset, tab.masks, c_mask, forward)
+    return Tableau.from_masks(poset, tab.level_values, masks)
 
 
 def rect_greedy(tab: Tableau, inner: int | None = None) -> Tableau:
@@ -467,13 +465,13 @@ def rect_greedy(tab: Tableau, inner: int | None = None) -> Tableau:
     presentation is used.
     """
     poset = tab.poset
-    values, masks = _split(tab.levels())
+    masks = tab.masks
     pres = poset.skew_geometry(tab.mask)[1] if inner is None else inner
     if pres & tab.mask:
         raise PosetError("presentation inner shape overlaps the filling")
     for c_mask in poset.greedy_layers(pres):
         masks, _ = _slide_levels(poset, masks, c_mask, forward=True)
-    result = Tableau.from_levels(poset, tuple(zip(values, masks)))
+    result = Tableau.from_masks(poset, tab.level_values, masks)
     if not result.is_straight:
         raise PosetError("greedy rectification started from an invalid inner shape")
     return result
@@ -504,8 +502,7 @@ class _LevelsView(Set):
         return len(self._states)
 
     def __contains__(self, key) -> bool:
-        values, masks = _split(key)
-        return values == self._values and masks in self._states
+        return tuple(v for v, _ in key) == self._values and tuple(m for _, m in key) in self._states
 
     def __iter__(self):
         values = self._values
@@ -529,18 +526,19 @@ class JdtClass:
     @property
     def member_keys(self) -> _LevelsView:
         """The levels keys of the members, a view over ``states``."""
-        return _LevelsView(_split(self.seed.levels())[0], self.states)
+        return _LevelsView(self.seed.level_values, self.states)
 
     @property
     def size(self) -> int:
         return len(self.states)
 
     def members(self):
-        for levels in self.member_keys:
-            yield Tableau.from_levels(self.seed.poset, levels)
+        poset, values = self.seed.poset, self.seed.level_values
+        for masks in self.states:
+            yield Tableau.from_masks(poset, values, masks)
 
     def __contains__(self, tab: Tableau) -> bool:
-        return tab.levels() in self.member_keys
+        return tab.level_values == self.seed.level_values and tab.masks in self.states
 
 
 def jdt_class(
@@ -562,12 +560,6 @@ def jdt_class(
     return _closure(tab, budget, stop_second_straight)
 
 
-def _check_budget(budget) -> None:
-    """A closure's budget is ``None`` (no bound) or a positive int (see ``_closure``)."""
-    if budget is not None and not (isinstance(budget, int) and budget > 0):
-        raise KjdtError(f"a budget must be a positive integer or None, not {budget!r}")
-
-
 def _closure(tab: Tableau, budget, stop_second_straight=False, both_ways=True) -> JdtClass:
     """The loop of ``jdt_class`` and, with ``both_ways=False``, of ``rectify_all``.
 
@@ -581,10 +573,10 @@ def _closure(tab: Tableau, budget, stop_second_straight=False, both_ways=True) -
     Forward slides alone need none: their way back is a reverse start.  A
     budget cuts the run after the expansion that takes ``seen`` past it.
     """
-    _check_budget(budget)
+    check_budget(budget)
     poset = tab.poset
     geometry = poset.skew_geometry
-    values, start = _split(tab.levels())
+    values, start = tab.level_values, tab.masks
     seen = {start}
     backs: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     frontier = [(start, tab.mask)]
@@ -596,7 +588,7 @@ def _closure(tab: Tableau, budget, stop_second_straight=False, both_ways=True) -
             if inner == 0:
                 straight.append(
                     tab if masks is start
-                    else Tableau.from_levels(poset, tuple(zip(values, masks)))
+                    else Tableau.from_masks(poset, values, masks)
                 )
                 if stop_second_straight and len(straight) > 1:
                     return JdtClass(tab, seen, straight, False)
@@ -643,10 +635,10 @@ def _greedy_tree(tab: Tableau, budget: int | None) -> JdtClass:
     """
     if not tab.is_straight:
         raise PosetError("the greedy tree needs a straight seed")
-    _check_budget(budget)
+    check_budget(budget)
     poset = tab.poset
     geometry, layers = poset.skew_geometry, poset.greedy_layers
-    start = _split(tab.levels())[1]
+    start = tab.masks
     members = {start}
     frontier = [(start, tab.mask)]
     while frontier:
@@ -685,16 +677,17 @@ def increasing_fillings(
     *,
     keep=None,
 ):
-    """Levels keys of the increasing fillings of nu/lam by the values 1..d.
+    """The increasing fillings of nu/lam by the values 1..d, as mask tuples.
 
     A filling is a chain of ideals lam = I_0 < ... < I_d = nu; the boxes
     of value k are a reverse slide start of I_(k-1) inside nu, so every
-    value fills at least one box.  ``nu=None`` leaves the end open: the
-    chain may stop at any ideal of the poset.  A branch is cut when fewer
-    boxes than values remain, or (fixed end) a longer chain of boxes than
-    values.  The order of the fillings is unspecified.
+    value fills at least one box; level k of a yielded tuple holds the
+    value k + 1.  ``nu=None`` leaves the end open: the chain may stop at
+    any ideal of the poset.  A branch is cut when fewer boxes than values
+    remain, or (fixed end) a longer chain of boxes than values.  The order
+    of the fillings is unspecified.
 
-    ``keep`` sees the levels placed so far after each level is added; a
+    ``keep`` sees the masks placed so far after each level is added; a
     false answer cuts the branch.
     """
     end = poset.full_mask if nu is None else nu
@@ -714,20 +707,19 @@ def increasing_fillings(
         if rest & deep[d]:
             return
     geometry = poset.skew_geometry
-    key: list[tuple[int, int]] = []
+    key: list[int] = []
 
     def rec(ideal: int, left: int):
         if not left:
             yield tuple(key)
             return
-        value = d - left + 1
         left -= 1
         for step in geometry(ideal)[3]:
             grown = ideal | step
             rest = end & ~grown
             if step & ~end or rest & deep[left] or rest.bit_count() < left:
                 continue
-            key.append((value, step))
+            key.append(step)
             if keep is None or keep(key):
                 yield from rec(grown, left)
             key.pop()
@@ -735,17 +727,18 @@ def increasing_fillings(
     yield from rec(lam, d)
 
 
-def rectifies_to(poset: MinusculePoset, lam: int, target: Levels):
+def rectifies_to(poset: MinusculePoset, lam: int, target: tuple[int, ...]):
     """The ``keep`` of the fillings above ``lam`` that greedily rectify to ``target``.
 
     With ``increasing_fillings(poset, lam, nu, len(target), keep=...)`` it
     passes exactly the fillings that ``rect_greedy(tab, inner=lam)`` maps
-    to the straight levels key ``target``.  A forward slide sweeps values
-    in increasing order, so rectified level k depends only on levels
-    1..k.  The keep therefore carries, for each placed level, the holes
-    of every greedy slide with the boxes next to them; it slides only the
-    newest level through them and cuts the branch at the first rectified
-    level that differs from ``target``'s level at the same place.
+    to the straight tableau of masks ``target``, both filled by 1..d.  A
+    forward slide sweeps values in increasing order, so rectified level k
+    depends only on levels 1..k.  The keep therefore carries, for each
+    placed level, the holes of every greedy slide with the boxes next to
+    them; it slides only the newest level through them and cuts the branch
+    at the first rectified level that differs from ``target``'s level at
+    the same place.
     """
     expand = poset._expand_cache
     # carried[k]: (holes, boxes next to them) of each greedy slide after the
@@ -754,7 +747,7 @@ def rectifies_to(poset: MinusculePoset, lam: int, target: Levels):
 
     def keep(key) -> bool:
         k = len(key)
-        value, m = key[-1]
+        m = key[-1]
         slid = []
         # The swaps _slide_levels makes on this level, one greedy slide at a time.
         for dots, near in carried[k - 1]:
@@ -765,7 +758,7 @@ def rectifies_to(poset: MinusculePoset, lam: int, target: Levels):
                 dots = (dots & ~recv) | moved
                 near = expand[dots]
             slid.append((dots, near))
-        if target[k - 1] != (value, m):
+        if target[k - 1] != m:
             return False
         carried[k] = slid
         return True
@@ -787,11 +780,12 @@ def filling_row_words(poset: MinusculePoset, lam: int, d: int, keep):
 
     def read(key) -> bool:
         nonlocal word
-        word = tuple(v for _, v in sorted((pos[i], v) for v, m in key for i in bits(m)))
+        placed = sorted((pos[i], v) for v, m in enumerate(key, 1) for i in bits(m))
+        word = tuple(v for _, v in placed)
         return keep(word)
 
     for key in increasing_fillings(poset, lam, None, d, keep=read):
-        yield lam | levels_support(key), word
+        yield reduce(or_, key, lam), word
 
 
 def straight_tableaux_with_values(poset: MinusculePoset, letters, max_rows, max_cols):
@@ -801,8 +795,7 @@ def straight_tableaux_with_values(poset: MinusculePoset, letters, max_rows, max_
     the URT certificate names the same first refuting witness whatever
     order the enumerator uses.
     """
-    letters = sorted(set(letters))
-    d = len(letters)
+    letters = tuple(sorted(set(letters)))
     window = sum(
         1 << i
         for i, (r, c) in enumerate(poset.boxes)
@@ -810,8 +803,8 @@ def straight_tableaux_with_values(poset: MinusculePoset, letters, max_rows, max_
     )
     for mask in poset.ideals_between(0, window)[1:]:
         tabs = [
-            Tableau.from_levels(poset, tuple((letters[k - 1], m) for k, m in key))
-            for key in increasing_fillings(poset, 0, mask, d)
+            Tableau.from_masks(poset, letters, key)
+            for key in increasing_fillings(poset, 0, mask, len(letters))
         ]
         yield from sorted(tabs, key=lambda t: t.values)
 
@@ -893,11 +886,11 @@ def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
     if others:
         witness = Tableau.from_dict(poset, others[0].as_dict())
         return URTVerdict("refuted", witness=witness, class_size=cls.size)
-    return _urt_by_words(tab, shifted, budget=budget)
+    return replace(_urt_by_words(tab, shifted, budget=budget), class_size=cls.size)
 
 
 def packed_straight_tableaux(poset: MinusculePoset, shape: Shape):
-    """Levels keys of the increasing tableaux of a straight shape with values 1..d."""
+    """Mask tuples (level k holds k + 1) of the increasing tableaux of a straight shape."""
     chain = max((poset.heights[i] for i in bits(shape.mask)), default=0)
     for d in range(chain, shape.size + 1):
         yield from increasing_fillings(poset, 0, shape.mask, d)
@@ -910,31 +903,32 @@ def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int |
     share one verdict (certified when the class has a single straight
     member).  Returns a report with the certified tableaux, in no
     specified order, and the refuted ones sorted by size, then literal.
-    Only straight keys are looked up: an exhausted class, which expanded
-    every state, is remembered by its straight members, a cut class whole.
+    Only straight seeds are looked up: an exhausted class, which expanded
+    every state, is remembered by its straight members, a cut class whole,
+    each by its masks, since seeds are packed and slides keep values.
     """
     from .poset import enumerate_shapes
 
     if poset.is_ambient:
         raise PosetError("the census needs a bounded poset")
-    _check_budget(budget)
-    visited: set[Levels] = set()
+    check_budget(budget)
+    visited: set[tuple[int, ...]] = set()
     certified: list[Tableau] = []
     refuted: list[Tableau] = []
     exhausted = True
     for shape in enumerate_shapes(poset):
         if shape.size == 0 or (max_size is not None and shape.size > max_size):
             continue
-        for key in packed_straight_tableaux(poset, shape):
-            if key in visited:
+        for masks in packed_straight_tableaux(poset, shape):
+            if masks in visited:
                 continue
-            cls = jdt_class(Tableau.from_levels(poset, key), budget=budget)
+            seed = Tableau.from_masks(poset, tuple(range(1, len(masks) + 1)), masks)
+            cls = jdt_class(seed, budget=budget)
             if not cls.exhausted:
-                visited.update(cls.member_keys)
+                visited.update(cls.states)
                 exhausted = False
                 continue
-            visited.update(t.levels() for t in cls.straight)
-            # slides keep a packed seed's values, so its straight members are packed
+            visited.update(t.masks for t in cls.straight)
             keep = [t for t in cls.straight if max_size is None or t.size <= max_size]
             if len(cls.straight) == 1:
                 certified.extend(keep)
@@ -1237,11 +1231,9 @@ def infusion(s_tab: Tableau, t_tab: Tableau) -> tuple[Tableau, Tableau]:
         raise PosetError("infusion needs nested shapes: S between lam and mu, T above")
     # Each S value, largest first, slides T forward from its boxes; the
     # final holes are where that value lands.
-    t_values, t_masks = _split(t_tab.levels())
-    s_levels = []
-    for value, m in reversed(s_tab.levels()):
+    t_masks, s_masks = t_tab.masks, []
+    for m in reversed(s_tab.masks):
         t_masks, holes = _slide_levels(poset, t_masks, m, forward=True)
-        s_levels.append((value, holes))
-    s_levels.reverse()
-    t_out = Tableau.from_levels(poset, tuple(zip(t_values, t_masks)))
-    return t_out, Tableau.from_levels(poset, tuple(s_levels))
+        s_masks.append(holes)
+    t_out = Tableau.from_masks(poset, t_tab.level_values, t_masks)
+    return t_out, Tableau.from_masks(poset, s_tab.level_values, tuple(reversed(s_masks)))

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .errors import KjdtError, PosetError
+from .errors import KjdtError, PosetError, check_budget
 
 Word = tuple[int, ...]
 
@@ -364,18 +364,21 @@ def kknuth_equiv(
     u,
     v,
     slack: int = 3,
-    budget: int = 20000,
+    budget: int | None = 20000,
     weak: bool = False,
 ) -> EquivalenceVerdict:
     """Bidirectional bounded search for K-Knuth equivalence of two words.
 
     Intermediate words may exceed both input lengths by at most ``slack``
-    letters, and at most ``budget`` words are explored in total; an
-    undecided search returns ``inconclusive``.  Each word's neighbours are
-    visited in one fixed order: drops, then inserts (one per run of equal
-    letters), then the moves of each window of three from the left, then
-    the weak prefix swap; ``explored`` and the path follow that order.
+    letters, and at most ``budget`` words are explored in total: ``None``
+    sets no bound, and a budget that is neither ``None`` nor a positive
+    int raises ``KjdtError``.  An undecided search returns
+    ``inconclusive``.  Each word's neighbours are visited in one fixed
+    order: drops, then inserts (one per run of equal letters), then the
+    moves of each window of three from the left, then the weak prefix
+    swap; ``explored`` and the path follow that order.
     """
+    check_budget(budget)
     u, v = tuple(u), tuple(v)
     if u == v:
         return EquivalenceVerdict("equivalent", path=[u])
@@ -424,7 +427,7 @@ def kknuth_equiv(
                         explored=explored,
                     )
                 new.append(nxt)
-                if explored >= budget:
+                if budget is not None and explored >= budget:
                     return EquivalenceVerdict("inconclusive", explored=explored)
         frontiers = (new, frontiers[1]) if side == 0 else (frontiers[0], new)
     return EquivalenceVerdict("inconclusive", explored=explored)

@@ -54,16 +54,23 @@ def random_skew_tableau(rng: random.Random, poset, max_size=None, jitter=2) -> T
     return Tableau(poset, mask, values)
 
 
+def walk_tableau(poset, masks: tuple[int, ...], values=None) -> Tableau:
+    """The tableau of a walk's mask tuple: level k holds ``values[k]``, by default k + 1."""
+    if values is None:
+        values = range(1, len(masks) + 1)
+    return Tableau.from_masks(poset, tuple(values), masks)
+
+
 def fillings_skipping_values(poset, lam: int, nu: int, d: int):
-    """Levels keys of the fillings of nu/lam by values in 1..d, any of which may be skipped.
+    """Tableaux filling nu/lam by values in 1..d, any of which may be skipped.
 
     One surjective walk per subset of the values: the walk's value k is the
     k-th smallest value of the subset.
     """
     for k in range(d + 1):
         for values in combinations(range(1, d + 1), k):
-            for key in increasing_fillings(poset, lam, nu, k):
-                yield tuple((values[v - 1], m) for v, m in key)
+            for masks in increasing_fillings(poset, lam, nu, k):
+                yield walk_tableau(poset, masks, values)
 
 
 @pytest.fixture

@@ -251,6 +251,38 @@ def test_json_output_is_canonical(capsys):
     ]
 
 
+# Every fixture's line of `kjdt --threads 1 verify`, as printed.  A change to
+# an iteration order or a count anywhere under a fixture shows here.
+VERIFY_STDOUT = """\
+PASS cayley: G[2]*G[2] = {(3, 1): 1, (4,): 1, (4, 1): 1}
+PASS e6-products: products match; contributing tableaux: 7 (want 7)
+PASS e7-products: products match; contributing tableaux: 25 (want 25)
+PASS e8-fails: c = 11 (want 11); row: 12 with the target (want 12), 10 unique (want 10); col: 12 with the target (want 12), 10 unique (want 10)
+PASS non-urt-a: rectifications: [((1, 2, 4), (3,)), ((1, 2, 4), (3, 4))]
+PASS non-urt-e7: slide-dependent rectification: [True, True]
+PASS non-urt-b: reached via [1,4]: True; avoided via [2,2]: True; verdict: refuted
+PASS slide-display: slide result .,.,.,1/2,4,5/3,5
+PASS infusion-display: infusion pair and involution
+PASS reading-words: 4 reading words, 1 Hecke class
+PASS tableau-products: left ((1, 2, 4), (3,)), right ((1, 2, 4), (3, 4))
+PASS doubling: doubled support and values
+PASS pieri-b-tableau: row word (2, 3, 4, 2, 5, 5, 1, 6) accepted with range [1,6]
+PASS minimal-displays: minimal and maximal skew fillings match
+PASS superstandard-displays: row-wise and column-wise superstandard fillings
+PASS dual-shape: dual of (4,2,1) is (4, 3, 2)
+PASS mininc-urt-e6: 27 shapes, straight-member failures: []
+PASS rootsys-e6: 27/27 shapes pass inversion, duality, Bruhat, orthogonality
+PASS rootsys-e7: 56/56 shapes pass inversion, duality, Bruhat, orthogonality
+PASS quadric-pattern: divisor action and middle squares match for n=2..5
+"""
+
+
+def test_verify_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "--threads", "1", "verify")
+    assert code == 0
+    assert out == VERIFY_STDOUT
+
+
 def test_verify_single_fixture(capsys):
     code, out, err = run(capsys, "--threads", "1", "verify", "--only", "cayley")
     assert code == 0 and out.startswith("PASS cayley")

@@ -57,7 +57,7 @@ from kjdt.tableau import (
 )
 from kjdt.words import Permutation, grassmannian_permutation, hecke_of_word
 
-from conftest import SLIDE_FAMILIES, fillings_skipping_values, random_skew_tableau
+from conftest import SLIDE_FAMILIES, fillings_skipping_values, random_skew_tableau, walk_tableau
 
 
 def terms(el):
@@ -186,9 +186,9 @@ def test_structure_constant_routes_agree_random(rng):
 
 
 def _greedy_reference(poset, lam: int, nu: int, d: int) -> Counter:
-    """Every filling of nu/lam by 1..d, rectified whole: rectified levels -> count."""
+    """Every filling of nu/lam by 1..d, rectified whole: rectified masks -> count."""
     return Counter(
-        rect_greedy(Tableau.from_levels(poset, key), inner=lam).levels()
+        rect_greedy(walk_tableau(poset, key), inner=lam).masks
         for key in increasing_fillings(poset, lam, nu, d)
     )
 
@@ -208,7 +208,7 @@ def _greedy_reference(poset, lam: int, nu: int, d: int) -> Counter:
 def test_pruned_greedy_count_matches_the_unpruned_loop(spec, max_skew, assume_urp):
     poset = parse_poset(spec)
     shapes = enumerate_shapes(poset)
-    minimal = {mu: minimal_tableau(mu).levels() for mu in shapes}
+    minimal = {mu: minimal_tableau(mu).masks for mu in shapes}
     nonzero = 0
     for lam in shapes:
         for nu in shapes:
@@ -216,7 +216,7 @@ def test_pruned_greedy_count_matches_the_unpruned_loop(spec, max_skew, assume_ur
                 continue
             if max_skew is not None and nu.size - lam.size > max_skew:
                 continue
-            rects = {}  # number of values -> rectified levels -> count
+            rects = {}  # number of values -> rectified masks -> count
             for mu in shapes:
                 target = minimal[mu]
                 if len(target) not in rects:
@@ -248,24 +248,24 @@ def test_walk_yields_the_fillings_that_rectify_to_a_given_tableau(spec, seed):
         others = [
             key
             for key in packed_straight_tableaux(poset, shape)
-            if key != minimal_tableau(shape).levels()
+            if key != minimal_tableau(shape).masks
         ]
         if others:
             break
     else:
         return
     lam, nu = skew.inner_mask(), skew.outer_mask()
-    target = hit.levels() if hit.levels() in others else rng.choice(others)
+    target = hit.masks if hit.masks in others else rng.choice(others)
     d = len(target)
     walked = list(increasing_fillings(poset, lam, nu, d, keep=rectifies_to(poset, lam, target)))
     expected = [
         key
         for key in increasing_fillings(poset, lam, nu, d)
-        if rect_greedy(Tableau.from_levels(poset, key), inner=lam).levels() == target
+        if rect_greedy(walk_tableau(poset, key), inner=lam).masks == target
     ]
     assert sorted(walked) == sorted(expected)
-    if target == hit.levels():
-        assert skew.levels() in walked
+    if target == hit.masks:
+        assert skew.masks in walked
 
 
 def test_type_a_constants_match_hecke_counting():
@@ -290,8 +290,8 @@ def test_type_a_constants_match_hecke_counting():
                 else:
                     count = 0
                     fillings = fillings_skipping_values(a23, lam.mask, nu.mask, vmax)
-                    for key in fillings:
-                        word = Tableau.from_levels(a23, key).row_word()
+                    for tab in fillings:
+                        word = tab.row_word()
                         if hecke_of_word(word) == target:
                             count += 1
                 assert count == coeffs.get(nu.mask, 0), (
@@ -322,8 +322,7 @@ def test_type_b_constants_match_doubled_hecke_counting():
                 else:
                     count = 0
                     fillings = fillings_skipping_values(og, lam.mask, nu.mask, vmax)
-                    for key in fillings:
-                        tab = Tableau.from_levels(og, key)
+                    for tab in fillings:
                         if hecke_of_tableau(tab) == target:
                             count += 1
                 assert count == coeffs.get(nu.mask, 0), (
@@ -630,9 +629,9 @@ def _unpruned_hecke_counts(poset, lam_mask, lo, hi, target):
     counts = {}
     for nu in poset.ideals_between(lam_mask, poset.full_mask)[1:]:
         n = 0
-        for key in fillings_skipping_values(poset, lam_mask, nu, hi - lo + 1):
+        for tab in fillings_skipping_values(poset, lam_mask, nu, hi - lo + 1):
             u = Permutation.identity()
-            for v in Tableau.from_levels(poset, key).row_word():
+            for v in tab.row_word():
                 a = v + lo - 1
                 if u(a) < u(a + 1):
                     u = u * Permutation.transposition(a)

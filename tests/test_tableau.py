@@ -1,7 +1,9 @@
 import math
 import random
 import tracemalloc
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,6 @@ from kjdt.tableau import (
     infusion,
     is_urt,
     jdt_class,
-    levels_support,
     maximal_tableau,
     minimal_tableau,
     packed_straight_tableaux,
@@ -53,7 +54,7 @@ from kjdt.tableau import (
     wx_act,
 )
 
-from conftest import SLIDE_FAMILIES, fillings_skipping_values, random_skew_tableau
+from conftest import SLIDE_FAMILIES, fillings_skipping_values, random_skew_tableau, walk_tableau
 
 
 def grid_straight(rows, pad=4):
@@ -222,6 +223,11 @@ def _slide_key(poset, levels, dots, forward):
     return tuple(zip(values, masks)), holes
 
 
+def _levels_support(levels):
+    """The boxes a levels key fills: the union of its masks."""
+    return reduce(or_, (m for _, m in levels), 0)
+
+
 def _slide_by_swaps(poset, tab, start, forward):
     """A slide as the composite of dict swaps of the holes with each value."""
     filling = tab.as_dict()
@@ -267,7 +273,7 @@ def test_slide_is_undone_from_its_holes_and_keeps_its_support(spec, seed):
             levels, holes = _slide_key(poset, tab.levels(), start, forward)
             back = _slide_key(poset, levels, holes, not forward)
             assert back == (tab.levels(), start)
-            assert (tab.mask | start) & ~holes == levels_support(levels)
+            assert (tab.mask | start) & ~holes == _levels_support(levels)
 
 
 # -- rectification ----------------------------------------------------------------
@@ -337,7 +343,7 @@ def _jdt_class_reference(tab, budget=None, stop_second_straight=False):
         new = []
         for levels in frontier:
             _, inner, forward_starts, reverse_starts = poset.skew_geometry(
-                levels_support(levels)
+                _levels_support(levels)
             )
             if inner == 0:
                 straight.append(Tableau.from_levels(poset, levels))
@@ -364,7 +370,7 @@ def _rectify_all_reference(tab, budget=None):
     while frontier:
         new = []
         for levels in frontier:
-            forward_starts = poset.skew_geometry(levels_support(levels))[2]
+            forward_starts = poset.skew_geometry(_levels_support(levels))[2]
             if not forward_starts:
                 results.add(Tableau.from_levels(poset, levels))
                 continue
@@ -585,6 +591,14 @@ def test_ambient_urt_witness_is_first_candidate_by_values():
     v = is_urt(parse_tableau(ambient_grid(3, 3), "1,3,5/2/4"), budget=3000)
     assert v.status == "refuted"
     assert v.witness.literal() == "1,3,5/2,4/4"
+    assert v.class_size == 3005  # the window closure, cut before the word route refuted
+
+
+@pytest.mark.parametrize("budget, size", [(10, 15), (100, 101)])
+def test_ambient_urt_verdict_from_words_carries_the_window_closure_size(budget, size):
+    # the window closure ran and was cut; the word route leaves it undecided
+    v = is_urt(parse_tableau(ambient_grid(3, 3), "1,3,5/2/4"), budget=budget)
+    assert (v.status, v.class_size) == ("inconclusive", size)
 
 
 def test_urt_census_small_grid():
@@ -631,8 +645,8 @@ def _urt_census_reference(poset, budget):
         for key in packed_straight_tableaux(poset, shape):
             if key in visited:
                 continue
-            cls = tableau_module.jdt_class(Tableau.from_levels(poset, key), budget=budget)
-            visited.update(cls.member_keys)
+            cls = tableau_module.jdt_class(walk_tableau(poset, key), budget=budget)
+            visited.update(cls.states)
             if not cls.exhausted:
                 exhausted = False
             elif len(cls.straight) == 1:
@@ -1056,6 +1070,7 @@ def test_tableau_identity_does_not_depend_on_constructor(spec, seed):
     poset = parse_poset(spec)
     tab = random_skew_tableau(random.Random(seed), poset)
     copies = [
+        Tableau.from_masks(poset, tab.level_values, tab.masks),
         Tableau.from_levels(poset, tab.levels()),
         Tableau(poset, tab.mask, tab.values),
         Tableau.from_dict(poset, tab.as_dict()),
@@ -1114,7 +1129,7 @@ BUDGETED_SEARCHES = {
         lambda budget: _urt_verdict(type_a(3, 3), budget), ("certified", 38), ("inconclusive", 8)
     ),
     "is_urt ambient": (
-        lambda budget: _urt_verdict(ambient_grid(3, 3), budget), ("certified", 0), ("certified", 0)
+        lambda budget: _urt_verdict(ambient_grid(3, 3), budget), ("certified", 430), ("certified", 8)
     ),
 }
 
@@ -1183,15 +1198,14 @@ def test_increasing_fillings_match_tuple_filter(spec, outer, inner, vmin, vmax, 
     poset = parse_poset(spec)
     lam, nu = poset.shape(inner).mask, poset.shape(outer).mask
     skew = nu & ~lam
-    walk = increasing_fillings if surjective else fillings_skipping_values
     for d in range(vmax - vmin + 2):
-        got = list(walk(poset, lam, nu, d))
+        if surjective:
+            got = [walk_tableau(poset, key) for key in increasing_fillings(poset, lam, nu, d)]
+        else:
+            got = list(fillings_skipping_values(poset, lam, nu, d))
         assert len(got) == len(set(got))
-        assert all(levels_support(key) == skew for key in got)
-        got_values = {
-            tuple(v + vmin - 1 for v in Tableau.from_levels(poset, key).values)
-            for key in got
-        }
+        assert all(t.mask == skew for t in got)
+        got_values = {tuple(v + vmin - 1 for v in t.values) for t in got}
         want = _fillings_by_filter(poset, skew, vmin, vmin + d - 1, surjective)
         assert got_values == set(want), d
 
@@ -1223,9 +1237,10 @@ def test_filling_row_words_match_tableau_row_words(spec, outer, inner, vmin, vma
     for d in range(vmax - vmin + 2):
         want = []
         for key in increasing_fillings(poset, lam, None, d):
-            word = Tableau.from_levels(poset, key).row_word()
+            tab = walk_tableau(poset, key)
+            word = tab.row_word()
             if all(keep(tuple(v for v in word if v <= k)) for k in range(1, d + 1)):
-                want.append((lam | levels_support(key), word))
+                want.append((lam | tab.mask, word))
         assert list(filling_row_words(poset, lam, d, keep)) == want, d
 
 
@@ -1242,7 +1257,7 @@ def test_filling_row_words_match_tableau_row_words(spec, outer, inner, vmin, vma
     ],
 )
 def test_level_fillings_match_increasing_fillings(spec, outer, inner):
-    # the walk's levels keys are exactly the levels of the surjective value
+    # the walk's mask tuples are exactly the masks of the surjective value
     # tuples, for every d up to one past the box count
     poset = parse_poset(spec)
     lam, nu = poset.shape(inner).mask, poset.shape(outer).mask
@@ -1251,7 +1266,7 @@ def test_level_fillings_match_increasing_fillings(spec, outer, inner):
         got = list(increasing_fillings(poset, lam, nu, d))
         assert len(got) == len(set(got))
         assert set(got) == {
-            Tableau(poset, skew, f).levels()
+            Tableau(poset, skew, f).masks
             for f in _fillings_by_filter(poset, skew, 1, d, surjective=True)
         }, d
 
@@ -1265,11 +1280,11 @@ def test_non_surjective_fillings_count_by_value_sets(spec, seed, d):
     tab = random_skew_tableau(random.Random(seed), poset, max_size=6)
     nu = tab.outer_mask()
     lam = nu & ~tab.mask
-    keys = list(fillings_skipping_values(poset, lam, nu, d))
-    assert len(keys) == len(set(keys))
-    packed = {Tableau.from_levels(poset, key).pack().levels() for key in keys}
+    tabs = list(fillings_skipping_values(poset, lam, nu, d))
+    assert len(tabs) == len(set(tabs))
+    packed = {t.pack().masks for t in tabs}
     assert packed == {key for k in range(d + 1) for key in increasing_fillings(poset, lam, nu, k)}
-    assert len(keys) == sum(
+    assert len(tabs) == sum(
         math.comb(d, k) * sum(1 for _ in increasing_fillings(poset, lam, nu, k))
         for k in range(d + 1)
     )

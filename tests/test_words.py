@@ -512,6 +512,23 @@ def test_inconclusive_on_tiny_budget():
     assert v.status == "inconclusive"
 
 
+@pytest.mark.parametrize(
+    "budget, status",
+    [(None, "equivalent"), (10**6, "equivalent"), (10, "inconclusive"), (1, "inconclusive")]
+    + [(bad, None) for bad in (0, -1, 2.5, "x")],
+)
+@pytest.mark.parametrize("u, v", [((1, 3, 1, 4, 2), (1, 3, 2, 4, 2)), ((1, 2), (1, 2))])
+def test_kknuth_equiv_has_the_closures_budget_rule(budget, status, u, v):
+    # None is no bound, a positive int cuts the search (211 words decide the
+    # first pair), anything else is refused, even for equal words
+    if status is None:
+        with pytest.raises(KjdtError, match="budget must be a positive integer"):
+            kknuth_equiv(u, v, budget=budget)
+    else:
+        want = "equivalent" if u == v else status
+        assert kknuth_equiv(u, v, budget=budget).status == want
+
+
 def test_conjecture_sweep_small():
     report = conjecture_search(max_len=3, max_letter=2, budget=3000)
     assert report["counterexample_candidates"] == []
