@@ -19,6 +19,7 @@ from .kring import (
     GammaElement,
     SignedKElement,
     basis_product,
+    multiply,
     structure_constant,
 )
 from .poset import SkewShape, enumerate_shapes, parse_entry, parse_poset
@@ -153,8 +154,6 @@ def cmd_product(args) -> int:
     else:
         a = GammaElement.basis(lam)
         b = GammaElement.basis(mu)
-    from .kring import multiply
-
     out = multiply(a, b, assume_urp=args.assume_urp)
     if args.assume_urp and not poset.is_minuscule:
         _progress("warning: non-minuscule poset, output unverified")

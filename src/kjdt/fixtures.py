@@ -10,13 +10,20 @@ import time
 from functools import reduce
 from operator import or_
 
-from .kring import SignedKElement, basis_product, multiply, structure_constant
+from .kring import (
+    SignedKElement,
+    basis_product,
+    is_pieri_word_b,
+    multiply,
+    structure_constant,
+)
 from .poset import (
     Shape,
     SkewShape,
     ambient_grid,
     ambient_shifted,
     cayley_plane,
+    enumerate_shapes,
     freudenthal,
     max_orthogonal,
     quadric_even,
@@ -25,15 +32,18 @@ from .poset import (
 from .rootsys import run_suite
 from .tableau import (
     Tableau,
+    WeakTableau,
     doubling,
     forward_slide,
     infusion,
     is_urt,
     jdt_class,
+    maximal_tableau,
     minimal_tableau,
     parse_tableau,
     rectify_all,
     superstandard,
+    tableau_product,
     value_rows,
 )
 from .words import hecke_of_word, reading_words
@@ -190,8 +200,6 @@ def check_infusion_display():
 
 
 def check_reading_words():
-    from .tableau import WeakTableau
-
     filling = {
         (1, 9): 2, (2, 8): 1, (2, 9): 2, (3, 6): 2, (3, 7): 2, (4, 7): 3,
         (5, 3): 1, (5, 4): 2, (5, 5): 4,
@@ -222,8 +230,6 @@ def _grid_straight(rows):
 
 
 def check_tableau_products():
-    from .tableau import tableau_product
-
     p = tableau_product(_grid_straight([(1, 2), (4,)]), _grid_straight([(1, 3), (3,)]))
     ok = p.straight_rows() == ((1, 2, 3), (2,), (4,))
     one, mid, two = _grid_straight([(1,)]), _grid_straight([(1, 4), (3,)]), _grid_straight([(2,)])
@@ -250,8 +256,6 @@ def check_doubling_display():
 
 
 def check_pieri_b_tableau():
-    from .kring import is_pieri_word_b
-
     sh = ambient_shifted(9)
     tab = Tableau.from_dict(
         sh,
@@ -269,8 +273,6 @@ def check_minimal_displays():
     ok = m.straight_rows() == ((1, 2, 3, 4, 5), (3, 4, 5), (5, 6))
     grid = ambient_grid(6, 10)
     theta = SkewShape(grid.shape("9,7,6,6,4"), grid.shape("5,3,2"))
-    from .tableau import maximal_tableau
-
     got_min = value_rows(minimal_tableau(theta).as_dict())
     got_max = value_rows(maximal_tableau(theta).as_dict())
     ok = ok and got_min[4] == (1, 2, 3, 4, 5, 6) and got_min[1] == (1, 2, 3, 4)
@@ -294,8 +296,6 @@ def check_dual_shape():
 
 
 def check_mininc_urt_e6():
-    from .poset import enumerate_shapes
-
     e6 = cayley_plane()
     bad = []
     for lam in enumerate_shapes(e6):
@@ -321,8 +321,6 @@ def check_quadric_pattern():
     for n in range(2, 6):
         poset = quadric_even(n)
         shapes_by_size: dict[int, list[Shape]] = {}
-        from .poset import enumerate_shapes
-
         for s in enumerate_shapes(poset):
             shapes_by_size.setdefault(s.size, []).append(s)
         if any(len(shapes_by_size[k]) != (2 if k == n else 1) for k in range(2 * n + 1)):

@@ -321,30 +321,6 @@ def check_symmetry(lam: Shape, mu: Shape, nu: Shape) -> dict:
 
 # -- Pieri rules ----------------------------------------------------------------
 
-def _horizontal_strips(lam: tuple[int, ...], max_rows: int, max_cols: int):
-    """Partitions nu >= lam with at most one new box per column.
-
-    The strip condition is the interlacing nu[i] <= lam[i-1] for i >= 1.
-    """
-    lam = tuple(lam)
-
-    def rec(row: int, acc: list[int]):
-        if row == max_rows:
-            yield tuple(x for x in acc if x)
-            return
-        base = lam[row] if row < len(lam) else 0
-        if row == 0:
-            cap = max_cols
-        else:
-            cap = min(acc[row - 1], lam[row - 1] if row - 1 < len(lam) else 0)
-        for length in range(base, cap + 1):
-            acc.append(length)
-            yield from rec(row + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
-
-
 def _check_row_length(p: int):
     if p < 1:
         raise PosetError("the Pieri row length must be positive")
@@ -373,21 +349,21 @@ def _pieri_a_window(lam, p: int, rows: int | None, cols: int | None) -> Shape:
 def pieri_A(lam, p: int, rows: int | None = None, cols: int | None = None) -> GammaElement:
     """Single-row product in the grid ring by the closed binomial formula."""
     lam_shape = _pieri_a_window(lam, p, rows, cols)
-    poset, lam = lam_shape.poset, lam_shape.row_lengths
-    rows, cols = poset.family.params
+    poset, lam_mask = lam_shape.poset, lam_shape.mask
+    cols = poset.family.params[1]
+    # The horizontal strips over lam are the ideals between lam and lam plus
+    # the box under the end of each column (row 1 for an empty column).
+    below = (lam_mask | lam_mask << cols | (1 << cols) - 1) & poset.full_mask
     coeffs = {}
-    for nu in _horizontal_strips(lam, rows, cols):
-        k = sum(nu) - sum(lam)
-        r = sum(
-            1
-            for i in range(len(nu))
-            if nu[i] > (lam[i] if i < len(lam) else 0)
-        )
-        if k < p or r == 0:
+    for nu in poset.ideals_between(lam_mask, below):
+        strip = nu & ~lam_mask
+        k = strip.bit_count()
+        if k < p:  # p >= 1, so a counted strip has a row
             continue
+        r = len({poset.boxes[i][0] for i in bits(strip)})
         c = math.comb(r - 1, k - p)
         if c:
-            coeffs[poset.shape(list(nu)).mask] = c
+            coeffs[nu] = c
     return GammaElement(poset, coeffs)
 
 

@@ -291,12 +291,13 @@ class MinusculePoset:
         start = self.down_closure(lo)
         if start & ~hi:
             return []
+        below = self.below
         found = [start]
         seen = {start}
         for mask in found:  # grows while iterating: a queue
-            for i in self.minimal_absent_boxes(mask):
+            for i in bits(hi & ~mask):
                 grown = mask | (1 << i)
-                if hi & (1 << i) and grown not in seen:
+                if not below[i] & ~grown and grown not in seen:
                     seen.add(grown)
                     found.append(grown)
         return found

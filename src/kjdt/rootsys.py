@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 import random
 
 from .errors import PosetError
-from .poset import MinusculePoset, PosetFamily, Shape, bits, build_poset
+from .poset import MinusculePoset, PosetFamily, Shape, bits, build_poset, enumerate_shapes
+from .tableau import increasing_fillings
 
 Coeffs = tuple[int, ...]
 
@@ -420,11 +421,9 @@ class MarkedRootData:
 
 # -- the verification suite ----------------------------------------------------
 
-def check_inversion_sets(data: MarkedRootData, shapes=None) -> dict:
+def check_inversion_sets(data: MarkedRootData) -> dict:
     """For every straight shape: w is a minimal representative and I(w) = shape."""
-    from .poset import enumerate_shapes
-
-    shapes = shapes if shapes is not None else enumerate_shapes(data.poset)
+    shapes = enumerate_shapes(data.poset)
     failures = []
     for shape in shapes:
         w = data.weyl_of_shape(shape)
@@ -440,11 +439,9 @@ def check_inversion_sets(data: MarkedRootData, shapes=None) -> dict:
     }
 
 
-def check_bruhat_containment(data: MarkedRootData, shapes=None) -> dict:
+def check_bruhat_containment(data: MarkedRootData) -> dict:
     """Covering Bruhat order matches containment of shapes."""
-    from .poset import enumerate_shapes
-
-    shapes = shapes if shapes is not None else enumerate_shapes(data.poset)
+    shapes = enumerate_shapes(data.poset)
     refl = data.system.reflections()
     weyl = {s.mask: data.weyl_of_shape(s) for s in shapes}
     failures = []
@@ -459,11 +456,9 @@ def check_bruhat_containment(data: MarkedRootData, shapes=None) -> dict:
     return {"check": "bruhat", "pass": not failures, "failures": failures}
 
 
-def check_poincare_duality(data: MarkedRootData, shapes=None) -> dict:
+def check_poincare_duality(data: MarkedRootData) -> dict:
     """w of the dual shape equals w0 * w * wX."""
-    from .poset import enumerate_shapes
-
-    shapes = shapes if shapes is not None else enumerate_shapes(data.poset)
+    shapes = enumerate_shapes(data.poset)
     failures = []
     for lam in shapes:
         lhs = data.weyl_of_shape(lam.dual())
@@ -485,28 +480,6 @@ def check_incomparable_orthogonal(data: MarkedRootData) -> dict:
     return {"check": "orthogonality", "pass": not failures, "failures": failures}
 
 
-def _linear_extensions(poset: MinusculePoset, mask: int, cap: int):
-    """Yield up to ``cap`` linear extensions of the shape; None if truncated."""
-    out = []
-
-    def rec(remaining: int, prefix: list[int]):
-        if len(out) > cap:
-            return
-        if not remaining:
-            out.append(tuple(prefix))
-            return
-        for i in bits(remaining):
-            if not (poset.below[i] & remaining & ~(1 << i)):
-                prefix.append(i)
-                rec(remaining & ~(1 << i), prefix)
-                prefix.pop()
-                if len(out) > cap:
-                    return
-
-    rec(mask, [])
-    return out
-
-
 def check_full_commutativity(
     data: MarkedRootData,
     shape: Shape,
@@ -522,23 +495,23 @@ def check_full_commutativity(
     poset = data.poset
     labels = {i: data.box_label(i) for i in bits(shape.mask)}
     target = data.weyl_of_shape(shape)
-    exts = _linear_extensions(poset, shape.mask, cap=budget)
+    # A filling by 1..size puts one box on each level: a linear extension.
+    fillings = increasing_fillings(poset, 0, shape.mask, shape.size)
+    exts = [
+        tuple(m.bit_length() - 1 for m in key) for key in islice(fillings, budget + 1)
+    ]
     mode = "exhaustive"
     if len(exts) > budget:
         rng = random.Random(seed)
         chosen = []
         for _ in range(samples):
-            remaining = shape.mask
+            done = 0
             ext = []
-            while remaining:
-                minimal = [
-                    i
-                    for i in bits(remaining)
-                    if not (poset.below[i] & remaining & ~(1 << i))
-                ]
-                pick = rng.choice(minimal)
+            while done != shape.mask:
+                minimal = poset.minimal_absent_boxes(done)
+                pick = rng.choice([i for i in minimal if shape.mask >> i & 1])
                 ext.append(pick)
-                remaining &= ~(1 << pick)
+                done |= 1 << pick
             chosen.append(tuple(ext))
         exts = chosen
         mode = "sampled"
@@ -567,15 +540,12 @@ def check_full_commutativity(
 def run_suite(kind: str, rank: int, node: int) -> dict:
     """The exhaustive per-(type, node) report used by tests and the CLI."""
     data = MarkedRootData(kind, rank, node)
-    from .poset import enumerate_shapes
-
-    shapes = enumerate_shapes(data.poset)
     checks = [
         data.embedding,
-        check_inversion_sets(data, shapes),
-        check_poincare_duality(data, shapes),
+        check_inversion_sets(data),
+        check_poincare_duality(data),
         check_incomparable_orthogonal(data),
-        check_bruhat_containment(data, shapes),
+        check_bruhat_containment(data),
     ]
     return {
         "type": f"{kind}{rank}",

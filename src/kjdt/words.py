@@ -25,17 +25,11 @@ def lis(word) -> int:
     """Length of the longest strictly increasing subsequence."""
     tails: list[int] = []
     for x in word:
-        lo, hi = 0, len(tails)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if tails[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(tails):
+        k = bisect_left(tails, x)
+        if k == len(tails):
             tails.append(x)
         else:
-            tails[lo] = x
+            tails[k] = x
     return len(tails)
 
 

@@ -130,3 +130,22 @@ def test_library_defines_no_unused_private_names():
         if private not in used
     ]
     assert not unused
+
+
+# The imports a library function may make when it runs, each for a reason:
+# words and tableau import each other, fixtures loads only for `verify`, and
+# multiprocessing only when `verify` starts a pool.
+LAZY_IMPORTS = {("words.py", "tableau"), ("cli.py", "fixtures"), ("cli.py", "multiprocessing")}
+
+
+def test_library_imports_at_module_level_except_three_lazy_imports():
+    lazy = set()
+    for path in sorted(Path(kjdt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and id(node) not in top:
+                lazy.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and id(node) not in top:
+                lazy.add((path.name, node.module))
+    assert lazy == LAZY_IMPORTS

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from itertools import permutations
@@ -553,6 +554,59 @@ def test_pieri_a_closed_form_matches_counting():
             closed = terms(pieri_A(lam, p, rows=4, cols=6))
             counted = terms(pieri_A_by_counting(lam, p, rows=4, cols=6))
             assert closed == counted, (lam, p)
+
+
+def _horizontal_strips(lam: tuple[int, ...], max_rows: int, max_cols: int):
+    """Reference: partitions nu >= lam in the window, at most one new box per column.
+
+    The strip condition is the interlacing nu[i] <= lam[i-1] for i >= 1.
+    """
+
+    def rec(row: int, acc: list[int]):
+        if row == max_rows:
+            yield tuple(x for x in acc if x)
+            return
+        base = lam[row] if row < len(lam) else 0
+        if row == 0:
+            cap = max_cols
+        else:
+            cap = min(acc[row - 1], lam[row - 1] if row - 1 < len(lam) else 0)
+        for length in range(base, cap + 1):
+            acc.append(length)
+            yield from rec(row + 1, acc)
+            acc.pop()
+
+    yield from rec(0, [])
+
+
+def _pieri_a_by_strip_recursion(lam, p: int, rows: int, cols: int) -> dict:
+    """The closed form C(r - 1, k - p) summed over the reference strips."""
+    out = {}
+    for nu in _horizontal_strips(lam, rows, cols):
+        k = sum(nu) - sum(lam)
+        r = sum(1 for i, x in enumerate(nu) if x > (lam[i] if i < len(lam) else 0))
+        c = math.comb(r - 1, k - p) if k >= p else 0
+        if c:
+            out[nu] = c
+    return out
+
+
+def test_pieri_a_strips_match_the_strip_recursion():
+    # pieri_A reads its strips from the ideal walk; the reference recursion
+    # gives the same element in the least window and in the 4x6 window
+    grid = ambient_grid(4, 6)
+    cases = 0
+    for mask in grid.ideals_between(0, grid.full_mask):
+        lam = grid.row_lengths(mask)
+        for p in range(1, 5):
+            windows = [(len(lam) + 1, (lam[0] if lam else 0) + p)]
+            if len(lam) < 4 and (lam[0] if lam else 0) + p <= 6:
+                windows.append((4, 6))
+            for rows, cols in windows:
+                got = terms(pieri_A(lam, p, rows=rows, cols=cols))
+                assert got == _pieri_a_by_strip_recursion(lam, p, rows, cols), (lam, p, rows, cols)
+                cases += 1
+    assert cases == 961
 
 
 def test_pieri_word_recognition():

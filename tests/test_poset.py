@@ -302,6 +302,19 @@ def _ideals_by_filter(poset, lo, hi):
     )
 
 
+def _ideals_by_minimal_boxes(poset, lo, hi):
+    """Reference walk: breadth-first, each ideal grown by its minimal absent boxes in ``hi``."""
+    start = poset.down_closure(lo)
+    if start & ~hi:
+        return []
+    found = [start]
+    for mask in found:
+        for i in poset.minimal_absent_boxes(mask):
+            if hi >> i & 1 and mask | 1 << i not in found:
+                found.append(mask | 1 << i)
+    return found
+
+
 @pytest.mark.parametrize("spec", ["grid:3,3", "shifted:4", "og:4", "a:2,3"])
 def test_ideals_between_matches_subset_filter(spec):
     poset = parse_poset(spec)
@@ -315,6 +328,7 @@ def test_ideals_between_matches_subset_filter(spec):
         got = poset.ideals_between(lo, hi)
         assert len(set(got)) == len(got), (lo, hi)
         assert sorted(got) == _ideals_by_filter(poset, lo, hi), (lo, hi)
+        assert got == _ideals_by_minimal_boxes(poset, lo, hi), (lo, hi)  # same order
         sizes = [m.bit_count() for m in got]
         assert sizes == sorted(sizes), (lo, hi)  # breadth-first
 

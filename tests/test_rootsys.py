@@ -1,7 +1,7 @@
 import pytest
 
 from kjdt.errors import PosetError
-from kjdt.poset import build_poset, enumerate_shapes, type_a
+from kjdt.poset import bits, build_poset, enumerate_shapes, type_a
 from kjdt.rootsys import (
     MarkedRootData,
     check_bruhat_containment,
@@ -157,6 +157,42 @@ def test_full_commutativity():
     assert sampled["pass"] and sampled["mode"] == "sampled"
     exhaustive = check_full_commutativity(og, og.poset.full_shape())
     assert exhaustive["pass"] and exhaustive["mode"] == "exhaustive"
+
+
+def _linear_extensions(poset, mask: int) -> list[tuple[int, ...]]:
+    """Reference: every linear extension of the shape, by recursion on minimal boxes."""
+    out = []
+
+    def rec(remaining: int, prefix: list[int]):
+        if not remaining:
+            out.append(tuple(prefix))
+            return
+        for i in bits(remaining):
+            if not (poset.below[i] & remaining & ~(1 << i)):
+                prefix.append(i)
+                rec(remaining & ~(1 << i), prefix)
+                prefix.pop()
+
+    rec(mask, [])
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind,rank,node,spec", [("A", 3, 2, "a:2,2"), ("D", 5, 5, "og:5"), ("E6", 6, 1, "e6")]
+)
+def test_full_commutativity_counts_the_recursions_extensions(kind, rank, node, spec):
+    # the extensions come from the level walk, one box a level
+    data = MarkedRootData(kind, rank, node)
+    assert data.poset.family.spec() == spec
+    shapes = [s for s in enumerate_shapes(data.poset) if s.size <= 8]
+    for shape in shapes:
+        want = len(_linear_extensions(data.poset, shape.mask))
+        rep = check_full_commutativity(data, shape)
+        assert rep["pass"] and rep["mode"] == "exhaustive", shape
+        assert rep["extensions"] == want, shape
+        if want > 1:  # a budget one short of the count samples instead
+            cut = check_full_commutativity(data, shape, budget=want - 1, samples=3)
+            assert cut["pass"] and cut["mode"] == "sampled", shape
 
 
 def test_run_suite_smoke():
