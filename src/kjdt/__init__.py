@@ -65,12 +65,14 @@ from .tableau import (
     conjugate,
     doubling,
     forward_slide,
+    hecke_of_tableau,
     infusion,
     is_urt,
     jdt_class,
     maximal_tableau,
     minimal_tableau,
     parse_tableau,
+    reading_words,
     rect_greedy,
     rectify_all,
     resolutions,
@@ -86,14 +88,12 @@ from .words import (
     Permutation,
     conjecture_search,
     grassmannian_permutation,
-    hecke_of_tableau,
     hecke_of_word,
     hecke_product,
     kknuth_basic_moves,
     kknuth_equiv,
     lds,
     lis,
-    reading_words,
     weak_kknuth_equiv,
 )
 

@@ -41,12 +41,13 @@ from .tableau import (
     maximal_tableau,
     minimal_tableau,
     parse_tableau,
+    reading_words,
     rectify_all,
     superstandard,
     tableau_product,
     value_rows,
 )
-from .words import hecke_of_word, reading_words
+from .words import hecke_of_word
 
 
 def _shapes(poset, *lits):

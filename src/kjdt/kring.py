@@ -112,7 +112,6 @@ class GammaElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return other * self
-        self._check_same(other)
         return multiply(self, other)
 
     def __eq__(self, other):
@@ -175,7 +174,11 @@ def from_schubert_basis(o: SignedKElement) -> GammaElement:
 
 # -- products ----------------------------------------------------------------
 
-def _require_ring_poset(poset: MinusculePoset, assume_urp: bool):
+def _ring_poset(assume_urp: bool, *shapes: Shape) -> MinusculePoset:
+    """The one poset of ``shapes``, refused unless its products are K-theory constants."""
+    poset = shapes[0].poset
+    if any(s.poset is not poset for s in shapes):
+        raise PosetError("shapes live on different posets")
     if poset.is_ambient:
         raise NonMinusculePoset(
             "ring products need a bounded poset; use the Pieri and "
@@ -187,6 +190,7 @@ def _require_ring_poset(poset: MinusculePoset, assume_urp: bool):
             "its products are the K-theory structure constants of the geometry "
             "(pass assume_urp to experiment, output is then unverified)"
         )
+    return poset
 
 
 def class_supports(poset: MinusculePoset, mu: Shape) -> Mapping[int, int]:
@@ -226,14 +230,14 @@ def basis_product(
     lam: Shape, mu: Shape, assume_urp: bool = False
 ) -> dict[int, int]:
     """Coefficients of G_lam * G_mu as a map from outer-shape masks."""
-    poset = lam.poset
-    _require_ring_poset(poset, assume_urp)
+    poset = _ring_poset(assume_urp, lam, mu)
     return _attach(poset, lam.mask, class_supports(poset, mu))
 
 
 def multiply(a: GammaElement, b: GammaElement, assume_urp: bool = False) -> GammaElement:
     if type(a) is not type(b):
         raise PosetError("cannot multiply elements written in different bases")
+    a._check_same(b)
     if isinstance(a, SignedKElement):
         ga = from_schubert_basis(a)
         gb = from_schubert_basis(b)
@@ -261,10 +265,7 @@ def structure_constant(
     which cuts a partial filling at the first level whose rectification
     differs from M_mu.
     """
-    poset = lam.poset
-    _require_ring_poset(poset, assume_urp)
-    if mu.poset is not poset or nu.poset is not poset:
-        raise PosetError("shapes live on different posets")
+    poset = _ring_poset(assume_urp, lam, mu, nu)
     if lam.mask & ~nu.mask:
         return 0
     return _greedy_count(poset, lam, mu, nu)
@@ -281,7 +282,7 @@ def _greedy_count(poset, lam: Shape, mu: Shape, nu: Shape) -> int:
     return sum(1 for _ in fillings)
 
 
-# -- duality, pairing, symmetry ------------------------------------------------
+# -- duality and pairing ------------------------------------------------------
 
 def dual_class(lam: Shape) -> SignedKElement:
     """Alternating sum of O_nu over rook-strip extensions of the dual shape."""
@@ -299,24 +300,6 @@ def euler_pairing(lam: Shape, mu: Shape, assume_urp: bool = False) -> int:
     for nu, c in basis_product(lam, mu, assume_urp).items():
         total += (-1) ** (nu.bit_count() - lam.size - mu.size) * c
     return total
-
-
-def check_symmetry(lam: Shape, mu: Shape, nu: Shape) -> dict:
-    """Dual-class identity and the structure-constant symmetry on one triple."""
-    poset = lam.poset
-    one = SignedKElement(poset, {0: 1})
-    o1 = SignedKElement(poset, {poset.shape("1").mask: 1})
-    lhs = dual_class(lam)
-    rhs = multiply(one - o1, SignedKElement(poset, {lam.dual().mask: 1}))
-    dual_ok = lhs == rhs
-    c1 = basis_product(lam, mu).get(nu.mask, 0)
-    c2 = basis_product(lam, nu.dual()).get(mu.dual().mask, 0)
-    return {
-        "dual_class_identity": dual_ok,
-        "c": c1,
-        "c_dual": c2,
-        "pass": dual_ok and c1 == c2,
-    }
 
 
 # -- Pieri rules ----------------------------------------------------------------

@@ -176,6 +176,7 @@ class MinusculePoset:
             sum(1 << j for j in up[i] + down[i]) for i in range(self.n)
         )
         self.heights: tuple[int, ...] = tuple(heights)
+        self._minimal_mask = sum(1 << j for j, covered in enumerate(down) if not covered)
 
         self.wx: tuple[int, ...] | None = None
         if not self.is_ambient:
@@ -303,13 +304,14 @@ class MinusculePoset:
         return found
 
     def minimal_absent_boxes(self, mask: int) -> list[int]:
-        """Minimal boxes of the complement of the ideal ``mask``."""
-        return [
-            i
-            for i in range(self.n)
-            if not mask & (1 << i)
-            and all(mask & (1 << j) for j in self.down[i])
-        ]
+        """Minimal boxes of the complement of the ideal ``mask``.
+
+        Such a box is a minimal box of the poset or covers a box of
+        ``mask``, so only those candidates are tested.
+        """
+        below = self.below
+        candidates = (self._expand_cache[mask] | self._minimal_mask) & ~mask
+        return [i for i in bits(candidates) if below[i] & ~mask == 1 << i]
 
     # -- shapes ----------------------------------------------------------
 
@@ -600,17 +602,3 @@ def rook_strips_over(shape: Shape) -> list[Shape]:
     shapes = [Shape(poset, shape.mask | s) for s in (0, *starts)]
     shapes.sort(key=lambda s: (s.size, s.row_lengths))
     return shapes
-
-
-def shape_from_json(data: dict) -> Shape:
-    poset = build_poset(PosetFamily(data["family"], tuple(data["params"])))
-    return poset.shape(data["rows"])
-
-
-def shape_to_json(shape: Shape) -> dict:
-    fam = shape.poset.family
-    return {
-        "family": fam.kind,
-        "params": list(fam.params),
-        "rows": list(shape.row_lengths),
-    }

@@ -26,21 +26,19 @@ from functools import reduce
 from itertools import product
 from operator import or_
 
-from .errors import BudgetExceeded, PosetError, WindowExceeded, check_budget
+from .errors import BudgetExceeded, KjdtError, PosetError, WindowExceeded, check_budget
 from .poset import (
     Box,
     MinusculePoset,
-    PosetFamily,
     Shape,
     SkewShape,
     ambient_grid,
     ambient_shifted,
     bits,
-    build_poset,
     enumerate_shapes,
     parse_entry,
 )
-from .words import hecke_of_tableau, kknuth_equiv, lds, lis
+from .words import Permutation, hecke_of_word, kknuth_equiv, lds, lis
 
 
 class _Dot:
@@ -259,16 +257,14 @@ def _row_word(filling: dict[Box, int]) -> tuple[int, ...]:
 
 
 def parse_tableau(poset: MinusculePoset, literal: str) -> Tableau:
-    """Parse the row literal form, e.g. ``".,.,.,1/.,2,4,6/3,4,5"``."""
+    """Parse the row literal form, e.g. ``".,.,.,1/.,2,4,6/3,4,5"``.
+
+    Row k goes left-aligned on poset row k; ``.`` marks an inner box.
+    """
     rows = []
     for row in literal.split("/") if literal.strip() else []:
         toks = [t.strip() for t in row.split(",")] if row.strip() else []
         rows.append([None if t == "." else parse_entry(t, "tableau") for t in toks])
-    return _place_rows(poset, rows)
-
-
-def _place_rows(poset: MinusculePoset, rows: list[list[int | None]]) -> Tableau:
-    """Put ``rows[k]`` left-aligned on poset row k; ``None`` marks an inner box."""
     if len(rows) > len(poset.row_numbers):
         raise WindowExceeded("tableau has more rows than the poset")
     filling: dict[Box, int] = {}
@@ -290,36 +286,6 @@ def tableau_to_json(tab: Tableau) -> dict:
         "outer": list(tab.poset.row_lengths(tab.outer_mask())),
         "rows": [list(row) for row in value_rows(tab.as_dict()).values()],
     }
-
-
-def tableau_from_json(data: dict, poset: MinusculePoset | None = None) -> Tableau:
-    """Read ``tableau_to_json`` output.
-
-    ``rows`` lists the value rows of the support only, so each entry goes
-    on the next poset row where ``outer`` exceeds ``inner``, after that
-    row's inner boxes.  A missing key, entries left over, rows that do not
-    fit the poset, and values that do not fill ``outer`` raise a
-    ``KjdtError``.
-    """
-    try:
-        if poset is None:
-            p = data["poset"]
-            poset = build_poset(PosetFamily(p["family"], tuple(p["params"])))
-        inner, outer = list(data.get("inner", [])), list(data["outer"])
-        entries = iter(data["rows"])
-    except KeyError as exc:
-        raise PosetError(f"JSON tableau has no {exc} entry") from None
-    rows = []
-    for k, length in enumerate(outer):
-        skip = inner[k] if k < len(inner) else 0
-        values = list(next(entries, [])) if length > skip else []
-        rows.append([None] * skip + values)
-    if next(entries, None) is not None:
-        raise WindowExceeded("JSON tableau has more value rows than its outer shape")
-    tab = _place_rows(poset, rows)
-    if tab.outer_mask() != poset.shape(outer).mask:
-        raise PosetError(f"JSON tableau values do not fill the outer shape {outer}")
-    return tab
 
 
 # -- the slide engine ------------------------------------------------------
@@ -902,9 +868,13 @@ def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int |
     Only straight seeds are looked up: an exhausted class, which expanded
     every state, is remembered by its straight members, a cut class whole,
     each by its masks, since seeds are packed and slides keep values.
+    Only shapes of at most ``max_size`` boxes are seeded; a ``max_size``
+    that is not ``None`` or a non-negative int raises ``KjdtError``.
     """
     if poset.is_ambient:
         raise PosetError("the census needs a bounded poset")
+    if max_size is not None and not (isinstance(max_size, int) and max_size >= 0):
+        raise KjdtError(f"max_size must be a non-negative integer or None, not {max_size!r}")
     check_budget(budget)
     visited: set[tuple[int, ...]] = set()
     certified: list[Tableau] = []
@@ -1018,6 +988,16 @@ def doubling(tab: Tableau, target: MinusculePoset | None = None) -> Tableau:
     return Tableau.from_dict(target, filling)
 
 
+def hecke_of_tableau(tab) -> Permutation:
+    """Hecke permutation of a grid tableau (doubling a shifted one first)."""
+    kind = tab.poset.family.kind
+    if kind in {"shifted", "og"}:
+        tab = doubling(tab)
+    elif kind not in {"grid", "a"}:
+        raise PosetError("Hecke permutations are defined for grid tableaux")
+    return hecke_of_word(tab.row_word())
+
+
 def conjugate(tab: Tableau) -> Tableau:
     """Mirror a grid tableau in the north-west to south-east diagonal."""
     if tab.poset.family.kind not in {"grid", "a"}:
@@ -1123,8 +1103,8 @@ class WeakTableau:
     def boxes(self):
         return sorted(self.filling)
 
-    def value(self, box):
-        return self.filling[box]
+    def as_dict(self):
+        return dict(self.filling)
 
     def row_word(self) -> tuple[int, ...]:
         return _row_word(self.filling)
@@ -1159,6 +1139,67 @@ def is_hook_closed(boxes) -> bool:
                 if not all((r, c2) in s for r in range(r1, r2 + 1)):
                     return False
     return True
+
+
+def reading_words(tab, limit: int | None = None):
+    """All reading words of a (weakly) increasing hook-closed tableau.
+
+    A reading word lists every box before all boxes north-east of it;
+    a box equal to its upper neighbor comes before everything strictly
+    north of it, and a box equal to its right neighbor comes before
+    everything strictly east of it.  The support is checked at call time;
+    the returned generator yields distinct words lazily.
+    """
+    filling = tab.as_dict()
+    boxes = sorted(filling)
+    if not is_hook_closed(boxes):
+        raise PosetError("reading words need a hook-closed support")
+    n = len(boxes)
+    idx = {b: k for k, b in enumerate(boxes)}
+    after: list[set[int]] = [set() for _ in range(n)]  # after[a]: boxes after a
+    for b, k in idx.items():
+        r, c = b
+        for b2, k2 in idx.items():
+            if b2 == b:
+                continue
+            r2, c2 = b2
+            if r2 <= r and c2 >= c:
+                after[k].add(k2)
+        if (r - 1, c) in filling and filling[(r - 1, c)] == filling[b]:
+            after[k].update(k2 for b2, k2 in idx.items() if b2[0] < r)
+        if (r, c + 1) in filling and filling[(r, c + 1)] == filling[b]:
+            after[k].update(k2 for b2, k2 in idx.items() if b2[1] > c)
+    indeg = [0] * n
+    for k in range(n):
+        for k2 in after[k]:
+            indeg[k2] += 1
+    seen: set[tuple[int, ...]] = set()
+    emitted = 0
+
+    def walk(avail: list[int], degs: list[int], prefix: list[int]):
+        nonlocal emitted
+        if limit is not None and emitted >= limit:
+            return
+        if not avail:
+            word = tuple(prefix)
+            if word not in seen:
+                seen.add(word)
+                emitted += 1
+                yield word
+            return
+        for k in list(avail):
+            nxt = [x for x in avail if x != k]
+            degs2 = list(degs)
+            for k2 in after[k]:
+                degs2[k2] -= 1
+                if degs2[k2] == 0:
+                    nxt.append(k2)
+            prefix.append(filling[boxes[k]])
+            yield from walk(nxt, degs2, prefix)
+            prefix.pop()
+
+    start = [k for k in range(n) if indeg[k] == 0]
+    return walk(start, indeg, [])
 
 
 def resolutions(dotted: DottedTableau) -> set[WeakTableau]:

@@ -1,4 +1,4 @@
-"""Word combinatorics: reading words, K-Knuth rewriting, the Hecke monoid.
+"""Word combinatorics: K-Knuth rewriting and the Hecke monoid.
 
 The K-Knuth relation is generated by deleting or inserting a repeated
 letter, the braid move aba ~ bab, and two order-constrained commutations
@@ -156,10 +156,6 @@ def hecke_product(u: Permutation, v: Permutation) -> Permutation:
     return hecke_of_word(reduced_word(u) + reduced_word(v))
 
 
-def is_reduced_product(u: Permutation, v: Permutation) -> bool:
-    return hecke_product(u, v).length() == u.length() + v.length()
-
-
 def hecke_of_word(word) -> Permutation:
     """The Hecke permutation of a word of simple-reflection indices.
 
@@ -195,18 +191,6 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     return True
 
 
-def hecke_of_tableau(tab) -> Permutation:
-    """Hecke permutation of a grid tableau (doubling a shifted one first)."""
-    kind = tab.poset.family.kind
-    if kind in {"shifted", "og"}:
-        from .tableau import doubling
-
-        tab = doubling(tab)
-    elif kind not in {"grid", "a"}:
-        raise PosetError("Hecke permutations are defined for grid tableaux")
-    return hecke_of_word(tab.row_word())
-
-
 def grassmannian_permutation(partition) -> Permutation:
     """The increasing-elsewhere permutation with w(i) = i + lambda_{l+1-i}.
 
@@ -224,79 +208,6 @@ def grassmannian_permutation(partition) -> Permutation:
     taken = set(head)
     rest = [x for x in range(1, ell + lam[0] + 1) if x not in taken]
     return Permutation.from_one_line(head + rest)
-
-
-# -- reading words -----------------------------------------------------------
-
-def _tableau_boxes(tab) -> dict:
-    if hasattr(tab, "as_dict"):
-        return tab.as_dict()
-    if hasattr(tab, "filling"):
-        return dict(tab.filling)
-    return dict(tab)
-
-
-def reading_words(tab, limit: int | None = None):
-    """All reading words of a (weakly) increasing hook-closed tableau.
-
-    A reading word lists every box before all boxes north-east of it;
-    a box equal to its upper neighbor comes before everything strictly
-    north of it, and a box equal to its right neighbor comes before
-    everything strictly east of it.  The support is checked at call time;
-    the returned generator yields distinct words lazily.
-    """
-    from .tableau import is_hook_closed
-
-    filling = _tableau_boxes(tab)
-    boxes = sorted(filling)
-    if not is_hook_closed(boxes):
-        raise PosetError("reading words need a hook-closed support")
-    n = len(boxes)
-    idx = {b: k for k, b in enumerate(boxes)}
-    after: list[set[int]] = [set() for _ in range(n)]  # after[a]: boxes after a
-    for b, k in idx.items():
-        r, c = b
-        for b2, k2 in idx.items():
-            if b2 == b:
-                continue
-            r2, c2 = b2
-            if r2 <= r and c2 >= c:
-                after[k].add(k2)
-        if (r - 1, c) in filling and filling[(r - 1, c)] == filling[b]:
-            after[k].update(k2 for b2, k2 in idx.items() if b2[0] < r)
-        if (r, c + 1) in filling and filling[(r, c + 1)] == filling[b]:
-            after[k].update(k2 for b2, k2 in idx.items() if b2[1] > c)
-    indeg = [0] * n
-    for k in range(n):
-        for k2 in after[k]:
-            indeg[k2] += 1
-    seen: set[Word] = set()
-    emitted = 0
-
-    def walk(avail: list[int], degs: list[int], prefix: list[int]):
-        nonlocal emitted
-        if limit is not None and emitted >= limit:
-            return
-        if not avail:
-            word = tuple(prefix)
-            if word not in seen:
-                seen.add(word)
-                emitted += 1
-                yield word
-            return
-        for k in list(avail):
-            nxt = [x for x in avail if x != k]
-            degs2 = list(degs)
-            for k2 in after[k]:
-                degs2[k2] -= 1
-                if degs2[k2] == 0:
-                    nxt.append(k2)
-            prefix.append(filling[boxes[k]])
-            yield from walk(nxt, degs2, prefix)
-            prefix.pop()
-
-    start = [k for k in range(n) if indeg[k] == 0]
-    return walk(start, indeg, [])
 
 
 # -- K-Knuth rewriting --------------------------------------------------------

@@ -14,7 +14,6 @@ from kjdt.kring import (
     GammaElement,
     SignedKElement,
     basis_product,
-    check_symmetry,
     euler_pairing,
     multiply,
     pieri_A,
@@ -39,6 +38,7 @@ from kjdt.tableau import (
     Tableau,
     doubling,
     forward_slide,
+    hecke_of_tableau,
     infusion,
     jdt_class,
     minimal_tableau,
@@ -51,7 +51,6 @@ from kjdt.tableau import (
 )
 from kjdt.words import (
     conjecture_search,
-    hecke_of_tableau,
     hecke_product,
     lds,
     lis,

@@ -133,12 +133,12 @@ def test_library_defines_no_unused_private_names():
 
 
 # The imports a library function may make when it runs, each for a reason:
-# words and tableau import each other, fixtures loads only for `verify`, and
-# multiprocessing only when `verify` starts a pool.
-LAZY_IMPORTS = {("words.py", "tableau"), ("cli.py", "fixtures"), ("cli.py", "multiprocessing")}
+# fixtures loads only for `verify`, and multiprocessing only when `verify`
+# starts a pool.
+LAZY_IMPORTS = {("cli.py", "fixtures"), ("cli.py", "multiprocessing")}
 
 
-def test_library_imports_at_module_level_except_three_lazy_imports():
+def test_library_imports_at_module_level_except_two_lazy_imports():
     lazy = set()
     for path in sorted(Path(kjdt.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -149,3 +149,12 @@ def test_library_imports_at_module_level_except_three_lazy_imports():
             elif isinstance(node, ast.ImportFrom) and id(node) not in top:
                 lazy.add((path.name, node.module))
     assert lazy == LAZY_IMPORTS
+
+
+def test_words_imports_nothing_of_kjdt_but_its_errors():
+    # words sit under the tableaux that read them, so no import cycle can form
+    tree = ast.parse((Path(kjdt.__file__).parent / "words.py").read_text())
+    relative = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert relative == {"errors"}

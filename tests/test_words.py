@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from kjdt.errors import KjdtError
 from kjdt.poset import ambient_grid, ambient_shifted, cayley_plane, max_orthogonal, type_a
-from kjdt.tableau import Tableau, WeakTableau, minimal_tableau, parse_tableau
+from kjdt.tableau import (
+    Tableau,
+    WeakTableau,
+    hecke_of_tableau,
+    minimal_tableau,
+    parse_tableau,
+    reading_words,
+)
 from kjdt.words import (
     Permutation,
     _moves,
@@ -18,15 +25,12 @@ from kjdt.words import (
     conjecture_search,
     doubled_word,
     grassmannian_permutation,
-    hecke_of_tableau,
     hecke_of_word,
     hecke_product,
-    is_reduced_product,
     kknuth_basic_moves,
     kknuth_equiv,
     lds,
     lis,
-    reading_words,
     reduced_word,
     weak_kknuth_equiv,
 )
@@ -270,8 +274,8 @@ def test_hecke_product_matches_fold():
 
 def test_hecke_reducedness():
     s1, s3 = Permutation.transposition(1), Permutation.transposition(3)
-    assert is_reduced_product(s1, s3)
-    assert not is_reduced_product(s1, s1)
+    assert hecke_product(s1, s3).length() == s1.length() + s3.length()
+    assert hecke_product(s1, s1).length() < s1.length() + s1.length()
 
 
 def test_one_row_word_hecke():
