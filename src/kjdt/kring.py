@@ -309,13 +309,23 @@ def _check_row_length(p: int):
         raise PosetError("the Pieri row length must be positive")
 
 
+def _partition(lam) -> tuple[int, ...]:
+    """lam without trailing zeros; a non-partition raises ``PosetError``."""
+    lam = tuple(lam)
+    if not all(isinstance(x, int) and x >= 0 for x in lam):
+        raise PosetError(f"{lam} is not a partition: entries must be nonnegative ints")
+    if any(a < b for a, b in zip(lam, lam[1:])):
+        raise PosetError(f"{lam} is not a partition: entries must not increase")
+    return tuple(x for x in lam if x)  # every zero trails now
+
+
 def _pieri_a_window(lam, p: int, rows: int | None, cols: int | None) -> Shape:
     """The shape lam in the grid window of G_lam * G_p; the window defaults to the least.
 
     A window too small to hold every term raises ``WindowExceeded``, and a
     lam that is not a partition ``PosetError``.
     """
-    lam = tuple(x for x in lam if x)
+    lam = _partition(lam)
     _check_row_length(p)
     need_rows = len(lam) + 1
     need_cols = (lam[0] if lam else 0) + p
@@ -407,7 +417,7 @@ def is_pieri_word_b(word) -> bool:
 
 def _pieri_b_window(lam, p: int, cols: int | None) -> Shape:
     """The shape lam in the shifted window of G_lam * G_p, as ``_pieri_a_window``."""
-    lam = tuple(x for x in lam if x)
+    lam = _partition(lam)
     _check_row_length(p)
     need = (lam[0] if lam else 0) + p
     cols = need if cols is None else cols
@@ -453,7 +463,9 @@ def grothendieck_times_shape(w: Permutation, lam) -> GammaElement:
     ``w``'s support [lo, hi] (0 for the identity), used letters or not:
     s1*s3 gives d = 3.  The window is at least 1x1.
     """
-    lam = tuple(x for x in lam if x)
+    if not isinstance(w, Permutation):
+        raise PosetError(f"{w!r} is not a Permutation")
+    lam = _partition(lam)
     lo, hi = w.support()
     d = max(hi - lo, 0)  # letters lo..hi-1
     poset = ambient_grid(max(len(lam) + d, 1), max((lam[0] if lam else 0) + d, 1))
@@ -464,7 +476,7 @@ def grothendieck_times_shape(w: Permutation, lam) -> GammaElement:
 # -- fat hooks --------------------------------------------------------------------
 
 def _fat_hook_params(lam) -> tuple[int, int, int, int]:
-    lam = tuple(x for x in lam if x)
+    lam = _partition(lam)
     if not lam:
         raise PosetError("a fat hook needs at least one row")
     distinct = sorted(set(lam), reverse=True)

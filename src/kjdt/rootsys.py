@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import islice
 import random
 
 from .errors import PosetError
@@ -75,6 +75,9 @@ class RootSystem:
         self.kind = kind
         self.rank = rank
         self.cartan, self.half_norm = _cartan(kind, rank)
+        self.simple_roots: list[Coeffs] = [
+            tuple(int(j == i) for j in range(rank)) for i in range(rank)
+        ]
         self.positive_roots: list[Coeffs] = self._close()
         self.index: dict[Coeffs, int] = {
             r: i for i, r in enumerate(self.positive_roots)
@@ -86,39 +89,18 @@ class RootSystem:
         return f"RootSystem({self.kind}{self.rank}, {self.nroots} positive roots)"
 
     def _close(self) -> list[Coeffs]:
-        simple = [
-            tuple(1 if j == i else 0 for j in range(self.rank))
-            for i in range(self.rank)
-        ]
-        known = set(simple)
-        by_height = {1: list(simple)}
-        h = 1
-        while by_height.get(h):
-            nxt = []
-            for beta in by_height[h]:
-                for i in range(self.rank):
-                    pairing = sum(
-                        c * self.cartan[j][i] for j, c in enumerate(beta) if c
-                    )
-                    down = 0
-                    probe = list(beta)
-                    while True:
-                        probe[i] -= 1
-                        if any(x < 0 for x in probe) or tuple(probe) not in known:
-                            break
-                        down += 1
-                    if down - pairing > 0:
-                        up = list(beta)
-                        up[i] += 1
-                        cand = tuple(up)
-                        if cand not in known:
-                            known.add(cand)
-                            nxt.append(cand)
-            h += 1
-            if nxt:
-                by_height[h] = nxt
-        roots = sorted(known, key=lambda r: (sum(r), r))
-        return roots
+        """The simple roots closed under the simple reflections that raise height."""
+        known = set(self.simple_roots)
+        queue = list(self.simple_roots)
+        for beta in queue:
+            for i, alpha in enumerate(self.simple_roots):
+                k = sum(c * self.cartan[j][i] for j, c in enumerate(beta) if c)
+                if k < 0:  # s_i(beta) = beta - k alpha_i
+                    up = tuple(b - k * a for b, a in zip(beta, alpha))
+                    if up not in known:
+                        known.add(up)
+                        queue.append(up)
+        return sorted(known, key=lambda r: (sum(r), r))
 
     # -- forms ------------------------------------------------------------
 
@@ -184,8 +166,7 @@ class RootSystem:
         return w
 
     def simple_reflection(self, i: int) -> "WeylElement":
-        alpha = tuple(1 if j == i else 0 for j in range(self.rank))
-        return self._reflections_by_root()[alpha]
+        return self._reflections_by_root()[self.simple_roots[i]]
 
     def reflections(self) -> dict[tuple, Coeffs]:
         """Map from each reflection's images to its positive root."""
@@ -197,16 +178,16 @@ class RootSystem:
         moved = True
         while moved:
             moved = False
-            for i in range(self.rank):
-                if i == avoid:
-                    continue
-                alpha = tuple(1 if j == i else 0 for j in range(self.rank))
-                if w.act(alpha)[0] > 0:
+            for i, alpha in enumerate(self.simple_roots):
+                if i != avoid and w.act(alpha)[0] > 0:
                     w = w * self.simple_reflection(i)
                     moved = True
         return w
 
 
+# Unbounded on purpose: a WeylElement is a frozen dataclass whose ``system``
+# field compares root systems by identity, so evicting one would make equal
+# elements compare unequal; it grows only with the (type, rank) pairs built.
 @lru_cache(maxsize=None)
 def root_system(kind: str, rank: int) -> RootSystem:
     return RootSystem(kind, rank)
@@ -324,49 +305,30 @@ def verify_poset_embedding(
     if sorted(heights) != sorted(poset.heights):
         report["witness"] = "height multisets differ"
         return report
-    by_height: dict[int, list[int]] = {}
-    for i, h in enumerate(heights):
-        by_height.setdefault(h, []).append(i)
-    box_by_height: dict[int, list[int]] = {}
-    for i, h in enumerate(poset.heights):
-        box_by_height.setdefault(h, []).append(i)
+    boxes_at: dict[int, list[int]] = {}
+    for bi, h in enumerate(poset.heights):
+        boxes_at.setdefault(h, []).append(bi)
+    assign: list[int] = []  # assign[ri] is root ri's box; roots come in height order
 
-    assign: dict[int, int] = {}
-
-    def compatible(ri: int, bi: int) -> bool:
-        for rj, bj in assign.items():
-            if order[rj][ri] != poset.leq(bj, bi):
-                return False
-            if order[ri][rj] != poset.leq(bi, bj):
-                return False
-        return True
-
-    levels = sorted(by_height)
-
-    def backtrack(li: int) -> bool:
-        if li == len(levels):
+    def extend() -> bool:
+        ri = len(assign)
+        if ri == len(roots):
             return True
-        level = levels[li]
-        rs = by_height[level]
-        for perm in permutations(box_by_height[level]):
-            ok = True
-            saved = []
-            for ri, bi in zip(rs, perm):
-                if not compatible(ri, bi):
-                    ok = False
-                    break
-                assign[ri] = bi
-                saved.append(ri)
-            if ok and backtrack(li + 1):
-                return True
-            for ri in saved:
-                assign.pop(ri, None)
+        for bi in boxes_at[heights[ri]]:
+            if bi not in assign and all(
+                order[rj][ri] == poset.leq(bj, bi) and order[ri][rj] == poset.leq(bi, bj)
+                for rj, bj in enumerate(assign)
+            ):
+                assign.append(bi)
+                if extend():
+                    return True
+                assign.pop()
         return False
 
-    if backtrack(0):
+    if extend():
         report["pass"] = True
         report["isomorphism"] = [
-            [list(roots[ri]), list(poset.boxes[bi])] for ri, bi in sorted(assign.items())
+            [list(roots[ri]), list(poset.boxes[bi])] for ri, bi in enumerate(assign)
         ]
         return report
     report["witness"] = "no order isomorphism found"
@@ -388,6 +350,9 @@ class MarkedRootData:
             self.box_to_root[self.poset.index[tuple(box)]] = tuple(root)
         self.w0 = self.system.longest_element()
         self.wx = self.system.longest_element(avoid=self.node)
+        # the shape checks read each shape's Weyl element from here
+        self.shapes = enumerate_shapes(self.poset)
+        self.weyl = {shape.mask: self.weyl_of_shape(shape) for shape in self.shapes}
 
     def weyl_of_shape(self, shape: Shape) -> WeylElement:
         """Product of box reflections along any linear extension."""
@@ -403,13 +368,11 @@ class MarkedRootData:
 
     def in_wp(self, w: WeylElement) -> bool:
         """Minimal coset representative test: w sends other simples positive."""
-        for i in range(self.system.rank):
-            if i == self.node:
-                continue
-            alpha = tuple(1 if j == i else 0 for j in range(self.system.rank))
-            if w.act(alpha)[0] < 0:
-                return False
-        return True
+        return all(
+            w.act(alpha)[0] > 0
+            for i, alpha in enumerate(self.system.simple_roots)
+            if i != self.node
+        )
 
     def box_label(self, i: int) -> WeylElement:
         """Heap label of a box: the simple reflection of its one-box skew."""
@@ -423,17 +386,16 @@ class MarkedRootData:
 
 def check_inversion_sets(data: MarkedRootData) -> dict:
     """For every straight shape: w is a minimal representative and I(w) = shape."""
-    shapes = enumerate_shapes(data.poset)
     failures = []
-    for shape in shapes:
-        w = data.weyl_of_shape(shape)
+    for shape in data.shapes:
+        w = data.weyl[shape.mask]
         ok = data.in_wp(w) and w.inversion_set() == data.shape_root_indices(shape)
         ok = ok and w.length() == shape.size
         if not ok:
             failures.append(shape.literal())
     return {
         "check": "inversion_sets",
-        "shapes": len(shapes),
+        "shapes": len(data.shapes),
         "pass": not failures,
         "failures": failures,
     }
@@ -441,13 +403,11 @@ def check_inversion_sets(data: MarkedRootData) -> dict:
 
 def check_bruhat_containment(data: MarkedRootData) -> dict:
     """Covering Bruhat order matches containment of shapes."""
-    shapes = enumerate_shapes(data.poset)
-    refl = data.system.reflections()
-    weyl = {s.mask: data.weyl_of_shape(s) for s in shapes}
+    refl, weyl = data.system.reflections(), data.weyl
     failures = []
-    for mu in shapes:
+    for mu in data.shapes:
         wmu_inv = weyl[mu.mask].inverse()
-        for lam in shapes:
+        for lam in data.shapes:
             if lam.size != mu.size + 1:
                 continue
             cover = (wmu_inv * weyl[lam.mask]).images in refl
@@ -458,11 +418,10 @@ def check_bruhat_containment(data: MarkedRootData) -> dict:
 
 def check_poincare_duality(data: MarkedRootData) -> dict:
     """w of the dual shape equals w0 * w * wX."""
-    shapes = enumerate_shapes(data.poset)
     failures = []
-    for lam in shapes:
-        lhs = data.weyl_of_shape(lam.dual())
-        rhs = data.w0 * data.weyl_of_shape(lam) * data.wx
+    for lam in data.shapes:
+        lhs = data.weyl[lam.dual().mask]
+        rhs = data.w0 * data.weyl[lam.mask] * data.wx
         if lhs != rhs:
             failures.append(lam.literal())
     return {"check": "poincare", "pass": not failures, "failures": failures}

@@ -702,6 +702,47 @@ def test_grothendieck_times_shape_specializations():
         assert stable.coeffs == times_empty.coeffs, images
 
 
+_A21_TIMES_ROW = {
+    (3, 1): 1, (2, 2): 1, (2, 1, 1): 1, (3, 2): 1, (3, 1, 1): 1, (2, 2, 1): 1, (3, 2, 1): 1,
+}
+
+
+@pytest.mark.parametrize(
+    "route,want",
+    [
+        (lambda lam: terms(pieri_A(lam, 1)), _A21_TIMES_ROW),
+        (lambda lam: terms(pieri_B(lam, 1)), {(3, 1): 1}),
+        (
+            lambda lam: terms(grothendieck_times_shape(Permutation.transposition(1), lam)),
+            _A21_TIMES_ROW,
+        ),
+        (
+            lambda lam: fat_hook_urt(lam, Tableau.from_dict(ambient_grid(3, 3), {(1, 1): 4}))[
+                "direct_verdict"
+            ],
+            "certified",
+        ),
+    ],
+    ids=["pieri_A", "pieri_B", "grothendieck_times_shape", "fat_hook_urt"],
+)
+def test_partition_routes_refuse_non_partitions(route, want):
+    # Trailing zeros drop, as in poset.shape; an interior zero, an increase,
+    # a negative or a non-int entry is refused, not read as another partition.
+    for lam in [(2, 1), (2, 1, 0), [2, 1, 0, 0]]:
+        assert route(lam) == want, lam
+    for bad in [(2, 0, 1), (1, 2), (1, -1), ("a",), (1.5,)]:
+        with pytest.raises(PosetError):
+            route(bad)
+
+
+def test_grothendieck_routes_refuse_a_non_permutation():
+    for bad in ["x", (2, 1), None]:
+        with pytest.raises(PosetError):
+            stable_grothendieck_coeffs(bad)
+        with pytest.raises(PosetError):
+            grothendieck_times_shape(bad, (1,))
+
+
 def _unpruned_hecke_counts(poset, lam_mask, lo, hi, target):
     """Hecke counts over every shape above lam, folding each row word by hand."""
     counts = {}

@@ -19,13 +19,31 @@ from kjdt.rootsys import (
 )
 
 
+_CLOSED_FORMS = (
+    [("A", n, n * (n + 1) // 2) for n in range(1, 9)]
+    + [(kind, n, n * n) for kind in "BC" for n in range(2, 9)]
+    + [("D", n, n * (n - 1)) for n in range(3, 9)]
+    + [("E6", 6, 36), ("E7", 7, 63)]
+)
+
+
 def test_positive_root_counts():
-    assert root_system("A", 5).nroots == 15
-    assert root_system("B", 4).nroots == 16
-    assert root_system("C", 4).nroots == 16
-    assert root_system("D", 5).nroots == 20
-    assert root_system("E6", 6).nroots == 36
-    assert root_system("E7", 7).nroots == 63
+    for kind, rank, count in _CLOSED_FORMS:
+        assert root_system(kind, rank).nroots == count, (kind, rank)
+
+
+def test_simple_reflections_permute_the_positive_roots():
+    # s_i sends every positive root but alpha_i to a positive root
+    for kind, rank, _ in _CLOSED_FORMS:
+        rs = root_system(kind, rank)
+        roots = set(rs.positive_roots)
+        for alpha in rs.simple_roots:
+            for beta in rs.positive_roots:
+                image = rs.reflect(beta, alpha)
+                if beta == alpha:
+                    assert image == tuple(-x for x in alpha)
+                else:
+                    assert image in roots, (kind, rank, alpha, beta)
 
 
 def test_positive_roots_have_nonnegative_coefficients():
@@ -63,6 +81,56 @@ def test_embeddings():
         data = MarkedRootData(kind, rank, node)
         rep = verify_poset_embedding(data.system, data.node, data.poset)
         assert rep["pass"], (kind, rank, node, rep)
+
+
+def _has_grid_family(kind, rank, node):
+    try:
+        grid_family_for(kind, rank, node)
+    except PosetError:
+        return False
+    return True
+
+
+_SUITE_CASES = [
+    (kind, rank, node)
+    for kind, low in [("A", 1), ("B", 2), ("C", 2), ("D", 3)]
+    for rank in range(low, 7)
+    for node in range(1, rank + 1)
+    if _has_grid_family(kind, rank, node)
+] + [("E6", 6, 1), ("E6", 6, 6), ("E7", 7, 7)]
+
+
+def test_suite_cases_count_every_grid_family_up_to_rank_6():
+    assert len(_SUITE_CASES) == 53 + 3
+
+
+@pytest.mark.parametrize("kind,rank,node", _SUITE_CASES)
+def test_run_suite_passes_on_every_grid_family(kind, rank, node):
+    rep = run_suite(kind, rank, node)
+    assert rep["pass"], [c for c in rep["checks"] if not c["pass"]]
+
+
+@pytest.mark.parametrize(
+    "kind,rank,node,spec,isomorphism",
+    [
+        (
+            "A", 3, 2, "a:2,2",
+            [[[0, 1, 0], [1, 1]], [[0, 1, 1], [1, 2]], [[1, 1, 0], [2, 1]], [[1, 1, 1], [2, 2]]],
+        ),
+        (
+            "D", 4, 1, "qeven:3",
+            [
+                [[1, 0, 0, 0], [1, 1]], [[1, 1, 0, 0], [1, 2]], [[1, 1, 0, 1], [1, 3]],
+                [[1, 1, 1, 0], [2, 2]], [[1, 1, 1, 1], [2, 3]], [[1, 2, 1, 1], [3, 3]],
+            ],
+        ),
+    ],
+)
+def test_embedding_is_the_first_in_box_order(kind, rank, node, spec, isomorphism):
+    # both posets have automorphisms, so the search order picks the answer
+    data = MarkedRootData(kind, rank, node)
+    assert data.poset.family.spec() == spec
+    assert data.embedding["isomorphism"] == isomorphism
 
 
 def test_embedding_heights_match():
@@ -110,6 +178,25 @@ def test_reflection_table_matches_direct_computation(kind, rank):
     for bad in [(0,) * rank, (2,) + (0,) * (rank - 1), (1, -1) + (0,) * (rank - 2)]:
         with pytest.raises(PosetError):
             rs.reflection(bad)
+
+
+def test_marked_root_data_computes_each_weyl_element_once(monkeypatch):
+    calls = []
+    compute = MarkedRootData.weyl_of_shape
+
+    def counted(self, shape):
+        calls.append(shape.mask)
+        return compute(self, shape)
+
+    monkeypatch.setattr(MarkedRootData, "weyl_of_shape", counted)
+    data = MarkedRootData("E7", 7, 7)
+    assert len(calls) == len(set(calls)) == len(data.shapes) == 56
+    calls.clear()
+    for check in (check_inversion_sets, check_bruhat_containment, check_poincare_duality):
+        assert check(data)["pass"]
+    assert calls == []
+    for shape in data.shapes:
+        assert data.weyl[shape.mask] == data.weyl_of_shape(shape)
 
 
 def test_shape_lengths_everywhere():
