@@ -41,6 +41,7 @@ from .errors import NonMinusculePoset, PosetError, WindowExceeded
 from .poset import (
     MinusculePoset,
     Shape,
+    _partition,
     ambient_grid,
     ambient_shifted,
     bits,
@@ -309,16 +310,6 @@ def _check_row_length(p: int):
         raise PosetError("the Pieri row length must be positive")
 
 
-def _partition(lam) -> tuple[int, ...]:
-    """lam without trailing zeros; a non-partition raises ``PosetError``."""
-    lam = tuple(lam)
-    if not all(isinstance(x, int) and x >= 0 for x in lam):
-        raise PosetError(f"{lam} is not a partition: entries must be nonnegative ints")
-    if any(a < b for a, b in zip(lam, lam[1:])):
-        raise PosetError(f"{lam} is not a partition: entries must not increase")
-    return tuple(x for x in lam if x)  # every zero trails now
-
-
 def _pieri_a_window(lam, p: int, rows: int | None, cols: int | None) -> Shape:
     """The shape lam in the grid window of G_lam * G_p; the window defaults to the least.
 
@@ -505,8 +496,7 @@ def fat_hook_urt(lam, u_tab: Tableau, pad: int = 2) -> dict:
         raise PosetError("the attached tableau does not fit in the corner")
     poset = ambient_grid(b + d + pad, a + pad)
     m_lam = minimal_tableau(poset.shape(list(lam)))
-    m_max = max(m_lam.values)
-    if u_tab.size and min(u_tab.values) <= m_max:
+    if u_tab.size and u_tab.level_values[0] <= m_lam.level_values[-1]:
         raise PosetError("attached entries must exceed the minimal tableau")
     filling = m_lam.as_dict()
     for r, row in enumerate(u_rows, start=b + 1):

@@ -319,15 +319,11 @@ class MinusculePoset:
         """Shape from its partition view (row lengths, or a text literal)."""
         if isinstance(rows, str):
             rows = [parse_entry(t, "shape") for t in rows.split(",") if t.strip()]
-        rows = [r for r in rows]
-        while rows and rows[-1] == 0:
-            rows.pop()
+        rows = _partition(rows)
+        if len(rows) > len(self.row_numbers):
+            raise PosetError(f"shape {rows} has more rows than the poset")
         mask = 0
         for k, length in enumerate(rows):
-            if length < 0:
-                raise PosetError(f"negative row length in {rows}")
-            if k >= len(self.row_numbers):
-                raise PosetError(f"shape {rows} has more rows than the poset")
             row = self.row_boxes[self.row_numbers[k]]
             if length > len(row):
                 raise PosetError(f"row {k + 1} of shape {rows} exceeds the poset row")
@@ -435,6 +431,16 @@ class SkewShape:
 
     def __repr__(self):
         return f"SkewShape({self.outer.literal()!r}/{self.inner.literal()!r})"
+
+
+def _partition(lam) -> tuple[int, ...]:
+    """lam without trailing zeros; a non-partition raises ``PosetError``."""
+    lam = tuple(lam)
+    if not all(type(x) is int and x >= 0 for x in lam):
+        raise PosetError(f"{lam} is not a partition: entries must be nonnegative ints")
+    if any(a < b for a, b in zip(lam, lam[1:])):
+        raise PosetError(f"{lam} is not a partition: entries must not increase")
+    return tuple(x for x in lam if x)  # every zero trails now
 
 
 def parse_entry(token: str, what: str) -> int:

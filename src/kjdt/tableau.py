@@ -58,10 +58,9 @@ DEFAULT_BUDGET = 200000  # node budget of bounded searches when none is given
 class Tableau:
     """Strictly increasing filling of a skew box set, keyed by its level values and masks."""
 
-    __slots__ = ("poset", "mask", "level_values", "masks", "_values", "_hash")
+    __slots__ = ("poset", "mask", "level_values", "masks")
 
     def __init__(self, poset: MinusculePoset, mask: int, values: tuple[int, ...]):
-        values = tuple(values)
         d: dict[int, int] = {}
         for i, v in zip(bits(mask), values):
             d[v] = d.get(v, 0) | (1 << i)
@@ -69,8 +68,6 @@ class Tableau:
         self.mask = mask
         self.level_values: tuple[int, ...] = tuple(sorted(d))
         self.masks: tuple[int, ...] = tuple(d[v] for v in self.level_values)
-        self._values: tuple[int, ...] | None = values
-        self._hash: int | None = None
 
     # -- constructors ----------------------------------------------------
 
@@ -90,8 +87,6 @@ class Tableau:
         tab.mask = reduce(or_, masks, 0)
         tab.level_values = level_values
         tab.masks = masks
-        tab._values = None
-        tab._hash = None
         return tab
 
     @classmethod
@@ -100,18 +95,15 @@ class Tableau:
         return cls.from_masks(poset, tuple(v for v, _ in levels), tuple(m for _, m in levels))
 
     def validate(self) -> None:
-        poset, mask = self.poset, self.mask
-        inner = self.inner_mask()
-        if not poset.is_ideal(inner):
+        poset = self.poset
+        if not poset.is_ideal(self.inner_mask()):
             raise PosetError("support is not a skew shape (not order convex)")
-        val = self.value_at
-        for i in bits(mask):
-            for j in poset.down[i]:
-                if mask & (1 << j) and val(j) >= val(i):
-                    raise PosetError(
-                        f"not increasing at {self.poset.boxes[i]}: "
-                        f"{val(j)} !< {val(i)}"
-                    )
+        filling = self.as_dict()
+        for box, v in filling.items():
+            for j in poset.down[poset.index[box]]:
+                w = filling.get(poset.boxes[j])
+                if w is not None and w >= v:
+                    raise PosetError(f"not increasing at {box}: {w} !< {v}")
 
     # -- structure -------------------------------------------------------
 
@@ -138,22 +130,13 @@ class Tableau:
     @property
     def values(self) -> tuple[int, ...]:
         """One value per box of ``mask``, in the order of ``bits(mask)``."""
-        if self._values is None:
-            val_at = {}
-            for v, m in zip(self.level_values, self.masks):
-                for i in bits(m):
-                    val_at[i] = v
-            self._values = tuple(val_at[i] for i in bits(self.mask))
-        return self._values
-
-    def value_at(self, i: int) -> int:
-        offset = (self.mask & ((1 << i) - 1)).bit_count()
-        return self.values[offset]
+        return tuple(self.as_dict().values())
 
     def as_dict(self) -> dict[Box, int]:
-        return {
-            self.poset.boxes[i]: v for i, v in zip(bits(self.mask), self.values)
-        }
+        """``{box: value}``, boxes in the order of ``bits(mask)``, read from the levels."""
+        boxes = self.poset.boxes
+        cells = sorted((i, v) for v, m in zip(self.level_values, self.masks) for i in bits(m))
+        return {boxes[i]: v for i, v in cells}
 
     def levels(self) -> Levels:
         """The levels key: ``(value, mask)`` pairs sorted by value."""
@@ -192,9 +175,7 @@ class Tableau:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((id(self.poset), self.level_values, self.masks))
-        return self._hash
+        return hash((id(self.poset), self.level_values, self.masks))
 
     def __repr__(self):
         return f"Tableau({self.literal()!r})"
@@ -203,28 +184,20 @@ class Tableau:
 
     def literal(self) -> str:
         """Rows separated by '/', '.' marking inner boxes."""
-        poset = self.poset
-        outer = self.outer_mask()
-        inner = self.inner_mask()
+        poset, outer, cells = self.poset, self.outer_mask(), self.as_dict()
         parts = []
         for r in poset.row_numbers:
-            row = poset.row_boxes[r]
-            toks = []
-            for i in row:
-                if inner & (1 << i):
-                    toks.append(".")
-                elif self.mask & (1 << i):
-                    toks.append(str(self.value_at(i)))
-            if not toks and not any(outer & (1 << i) for i in row):
+            toks = [
+                str(cells.get(poset.boxes[i], ".")) for i in poset.row_boxes[r] if outer >> i & 1
+            ]
+            if not toks:
                 break
             parts.append(",".join(toks))
-        while parts and not parts[-1]:
-            parts.pop()
         return "/".join(parts)
 
     def render(self) -> str:
         """Column-aligned ASCII grid with '.' for inner boxes."""
-        cells = {self.poset.boxes[i]: str(v) for i, v in zip(bits(self.mask), self.values)}
+        cells = {box: str(v) for box, v in self.as_dict().items()}
         for i in bits(self.inner_mask()):
             cells[self.poset.boxes[i]] = "."
         if not cells:
@@ -769,6 +742,15 @@ def straight_tableaux_with_values(poset: MinusculePoset, letters):
         yield from sorted(tabs, key=lambda t: t.values)
 
 
+def _urt_window(tab: Tableau, shifted: bool, pad: int) -> MinusculePoset:
+    """The least ambient window holding the straight rows of ``tab`` plus ``pad``, at least 1x1."""
+    rows = tab.straight_rows()
+    ncols = max(max((len(r) for r in rows), default=0) + pad, 1)
+    if shifted:
+        return ambient_shifted(ncols)
+    return ambient_grid(max(len(rows) + pad, 1), ncols)
+
+
 def _urt_by_words(tab: Tableau, shifted: bool, budget: int) -> URTVerdict:
     """Certify or refute an ambient URT through word equivalence.
 
@@ -778,15 +760,10 @@ def _urt_by_words(tab: Tableau, shifted: bool, budget: int) -> URTVerdict:
     That candidate set is finite; each candidate is compared by bounded
     search, so the verdict stays three-valued.
     """
-    rows = doubling(tab).straight_rows() if shifted and tab.size else tab.straight_rows()
     letters = sorted(tab.value_set())
     word = tab.row_word()
     target = hecke_of_tableau(tab)
-    nrows, ncols = len(rows), max((len(r) for r in rows), default=0)
-    if shifted:
-        window = ambient_shifted(max(ncols, 1))
-    else:
-        window = ambient_grid(max(nrows, 1), max(ncols, 1))
+    window = _urt_window(tab, shifted, pad=0)
     inv = (lis(word), lds(word)) if not shifted else None
     inconclusive = False
     for cand in straight_tableaux_with_values(window, letters):
@@ -812,7 +789,8 @@ def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
 
     On a bounded poset the jeu de taquin class is enumerated exactly.  On
     the ambient grid or shifted posets, a window of ``pad`` extra rows
-    and columns is searched first for a refuting second straight member;
+    and columns (at least one box) is searched first for a refuting
+    second straight member;
     if none appears, the word-equivalence certificate decides between
     ``certified`` and ``inconclusive`` (never trusting the window alone,
     since classes roam past any fixed boundary).
@@ -834,13 +812,7 @@ def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
         return URTVerdict("certified", class_size=cls.size)
 
     shifted = poset.family.kind == "shifted"
-    rows = tab.straight_rows()
-    nrows = len(rows)
-    ncols = max((len(r) for r in rows), default=0)
-    if shifted:
-        window = ambient_shifted(ncols + pad)
-    else:
-        window = ambient_grid(nrows + pad, ncols + pad)
+    window = _urt_window(tab, shifted, pad)
     embedded = Tableau.from_dict(window, tab.as_dict())
     budget = DEFAULT_BUDGET if budget is None else budget
     cls = jdt_class(embedded, budget=budget, stop_second_straight=True)
@@ -964,10 +936,9 @@ def wx_act(tab: Tableau) -> Tableau:
     wx = tab.poset.wx
     if wx is None:
         raise PosetError("wx action needs a bounded poset")
-    filling = {}
-    for i, v in zip(bits(tab.mask), tab.values):
-        filling[tab.poset.boxes[wx[i]]] = -v
-    return Tableau.from_dict(tab.poset, filling)
+    poset = tab.poset
+    filling = {poset.boxes[wx[poset.index[box]]]: -v for box, v in tab.as_dict().items()}
+    return Tableau.from_dict(poset, filling)
 
 
 # -- type B doubling and type A products ------------------------------------

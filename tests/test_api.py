@@ -37,6 +37,11 @@ def test_public_names_are_pinned():
     assert names == PUBLIC
 
 
+def test_tableau_stores_its_levels_and_no_cache():
+    # A value or hash cache comes back only on purpose, with benchmark pairs to justify it.
+    assert kjdt.Tableau.__slots__ == ("poset", "mask", "level_values", "masks")
+
+
 def _imported_names(tree: ast.Module) -> dict[str, int]:
     """Name bound by each import statement of a module, with its line."""
     names = {}

@@ -202,6 +202,8 @@ def test_counts_out_of_range_exit_2(capsys, argv, message):
         (["urt", "--poset", "a:2,2", "--all", "--max-size", "0"],
          "census for a:2,2: 0 certified, 0 refuted"),
         (["urt", "--poset", "grid:3,3", "--tableau", "1,2", "--pad", "0"], "certified"),
+        (["urt", "--poset", "grid:3,3", "--tableau", "", "--pad", "0"], "certified"),
+        (["urt", "--poset", "shifted:3", "--tableau", "", "--pad", "0"], "certified"),
     ],
 )
 def test_zero_counts_are_accepted(capsys, argv, expected):

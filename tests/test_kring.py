@@ -722,15 +722,16 @@ _A21_TIMES_ROW = {
             ],
             "certified",
         ),
+        (lambda lam: ambient_grid(3, 3).shape(lam).literal(), "2,1"),
     ],
-    ids=["pieri_A", "pieri_B", "grothendieck_times_shape", "fat_hook_urt"],
+    ids=["pieri_A", "pieri_B", "grothendieck_times_shape", "fat_hook_urt", "shape"],
 )
 def test_partition_routes_refuse_non_partitions(route, want):
-    # Trailing zeros drop, as in poset.shape; an interior zero, an increase,
-    # a negative or a non-int entry is refused, not read as another partition.
+    # Trailing zeros drop; an interior zero, an increase, a negative or a
+    # non-int entry (a bool too) is refused, not read as another partition.
     for lam in [(2, 1), (2, 1, 0), [2, 1, 0, 0]]:
         assert route(lam) == want, lam
-    for bad in [(2, 0, 1), (1, 2), (1, -1), ("a",), (1.5,)]:
+    for bad in [(2, 0, 1), (1, 2), (1, -1), ("a",), (1.5,), (True, True), ["a"], [1.5]]:
         with pytest.raises(PosetError):
             route(bad)
 

@@ -1066,6 +1066,73 @@ def test_tableau_identity_does_not_depend_on_constructor(spec, seed):
     assert tab.pack() == Tableau(poset, tab.mask, tuple(ranks[v] for v in tab.values))
 
 
+def _reference_values(tab):
+    """The value tuple in ``bits(mask)`` order, looked up box by box from the levels."""
+    val_at = {}
+    for v, m in zip(tab.level_values, tab.masks):
+        for i in bits(m):
+            val_at[i] = v
+    return tuple(val_at[i] for i in bits(tab.mask))
+
+
+def _reference_value_at(tab, i):
+    """The offset reader: box i's value sits at i's rank among the bits of ``mask``."""
+    return _reference_values(tab)[(tab.mask & ((1 << i) - 1)).bit_count()]
+
+
+def _reference_literal(tab):
+    """The row walker over the inner and support masks, cutting empty trailing rows."""
+    poset, outer, inner = tab.poset, tab.outer_mask(), tab.inner_mask()
+    parts = []
+    for r in poset.row_numbers:
+        row = poset.row_boxes[r]
+        toks = []
+        for i in row:
+            if inner & (1 << i):
+                toks.append(".")
+            elif tab.mask & (1 << i):
+                toks.append(str(_reference_value_at(tab, i)))
+        if not toks and not any(outer & (1 << i) for i in row):
+            break
+        parts.append(",".join(toks))
+    while parts and not parts[-1]:
+        parts.pop()
+    return "/".join(parts)
+
+
+def _reference_render(tab):
+    """The grid render from the reference value tuple."""
+    cells = {tab.poset.boxes[i]: str(v) for i, v in zip(bits(tab.mask), _reference_values(tab))}
+    for i in bits(tab.inner_mask()):
+        cells[tab.poset.boxes[i]] = "."
+    if not cells:
+        return "(empty)"
+    width = max(len(s) for s in cells.values())
+    cols = range(min(c for _, c in cells), max(c for _, c in cells) + 1)
+    return "\n".join(
+        " ".join(cells.get((r, c), "").rjust(width) for c in cols).rstrip()
+        for r in sorted({r for r, _ in cells})
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SLIDE_FAMILIES + ["grid:1,1", "grid:6,2", "shifted:1", "shifted:7"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_readers_match_the_offset_reader(spec, seed):
+    poset = parse_poset(spec)
+    tab = random_skew_tableau(random.Random(seed), poset)
+    values = _reference_values(tab)
+    assert tab.values == values
+    assert list(tab.as_dict().items()) == [
+        (poset.boxes[i], _reference_value_at(tab, i)) for i in bits(tab.mask)
+    ]
+    assert tab.literal() == _reference_literal(tab)
+    assert tab.render() == _reference_render(tab)
+    assert parse_tableau(poset, tab.literal()) == tab
+
+
 def test_budget_paths():
     from kjdt.errors import BudgetExceeded
 
