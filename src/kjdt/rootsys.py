@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from operator import mul
 import random
 
 from .errors import PosetError
@@ -24,8 +25,18 @@ from .tableau import increasing_fillings
 Coeffs = tuple[int, ...]
 
 
+_LEAST_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+
+
+def _type_label(kind: str, rank: int) -> str:
+    """``A3``, ``D5``, ``E6``: the E kinds already carry their rank."""
+    return kind if kind in {"E6", "E7"} else f"{kind}{rank}"
+
+
 def _cartan(kind: str, n: int) -> tuple[list[list[int]], list[int]]:
     """Cartan data ``M[i][j] = <alpha_i, alpha_j-coroot>`` and half norms."""
+    if kind in _LEAST_RANK and n < _LEAST_RANK[kind]:
+        raise PosetError(f"type {kind} needs rank >= {_LEAST_RANK[kind]}")
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def link(i, j, a=-1, b=-1):
@@ -39,18 +50,14 @@ def _cartan(kind: str, n: int) -> tuple[list[list[int]], list[int]]:
     elif kind == "B":  # last simple root short
         for i in range(n - 2):
             link(i, i + 1)
-        if n >= 2:
-            link(n - 2, n - 1, -2, -1)
+        link(n - 2, n - 1, -2, -1)
         d = [2] * (n - 1) + [1]
     elif kind == "C":  # last simple root long
         for i in range(n - 2):
             link(i, i + 1)
-        if n >= 2:
-            link(n - 2, n - 1, -1, -2)
+        link(n - 2, n - 1, -1, -2)
         d = [1] * (n - 1) + [2]
     elif kind == "D":
-        if n < 3:
-            raise PosetError("type D needs rank >= 3")
         for i in range(n - 3):
             link(i, i + 1)
         link(n - 3, n - 2)
@@ -75,6 +82,10 @@ class RootSystem:
         self.kind = kind
         self.rank = rank
         self.cartan, self.half_norm = _cartan(kind, rank)
+        # the symmetrized form (alpha_i, alpha_j), scaled to integers
+        self.form: list[list[int]] = [
+            [d * c for d, c in zip(self.half_norm, row)] for row in self.cartan
+        ]
         self.simple_roots: list[Coeffs] = [
             tuple(int(j == i) for j in range(rank)) for i in range(rank)
         ]
@@ -86,7 +97,7 @@ class RootSystem:
         self._reflection_table: dict[Coeffs, WeylElement] | None = None
 
     def __repr__(self):
-        return f"RootSystem({self.kind}{self.rank}, {self.nroots} positive roots)"
+        return f"RootSystem({_type_label(self.kind, self.rank)}, {self.nroots} positive roots)"
 
     def _close(self) -> list[Coeffs]:
         """The simple roots closed under the simple reflections that raise height."""
@@ -106,12 +117,7 @@ class RootSystem:
 
     def bilinear(self, a: Coeffs, b: Coeffs) -> int:
         """Symmetrized invariant form (scaled to integers)."""
-        return sum(
-            a[i] * b[j] * self.half_norm[j] * self.cartan[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if a[i] and b[j]
-        )
+        return sum(x * sum(map(mul, row, b)) for x, row in zip(a, self.form) if x)
 
     def pair_coroot(self, beta: Coeffs, alpha: Coeffs) -> int:
         """<beta, alpha-coroot> = 2 (beta, alpha) / (alpha, alpha)."""
@@ -146,15 +152,28 @@ class RootSystem:
         return WeylElement(self, tuple(range(1, self.nroots + 1)))
 
     def _reflections_by_root(self) -> dict[Coeffs, "WeylElement"]:
-        """Every reflection, keyed by its positive root; built on first use."""
+        """Every reflection, keyed by its positive root; built on first use.
+
+        Each alpha reads one row ``r`` of the form, ``(beta, alpha) = beta . r``,
+        and its norm once, so every image is ``beta - k alpha`` with
+        ``k = 2 (beta . r) / (alpha . r)``.
+        """
         if self._reflection_table is None:
-            self._reflection_table = {
-                alpha: WeylElement(self, tuple(
-                    self.signed_index(self.reflect(r, alpha))
-                    for r in self.positive_roots
-                ))
-                for alpha in self.positive_roots
-            }
+            table = {}
+            for alpha in self.positive_roots:
+                r = [sum(map(mul, row, alpha)) for row in self.form]
+                norm = sum(map(mul, alpha, r))
+                images = []
+                for i, beta in enumerate(self.positive_roots, 1):
+                    k, rem = divmod(2 * sum(map(mul, beta, r)), norm)
+                    if rem:
+                        raise PosetError("non-integral coroot pairing")
+                    images.append(  # a root orthogonal to alpha is fixed
+                        self.signed_index(tuple(b - k * a for b, a in zip(beta, alpha)))
+                        if k else i
+                    )
+                table[alpha] = WeylElement(self, tuple(images))
+            self._reflection_table = table
         return self._reflection_table
 
     def reflection(self, alpha: Coeffs) -> "WeylElement":
@@ -166,6 +185,9 @@ class RootSystem:
         return w
 
     def simple_reflection(self, i: int) -> "WeylElement":
+        """The reflection in the simple root alpha_i, for 0 <= i < rank."""
+        if not 0 <= i < self.rank:
+            raise PosetError(f"no simple root {i} in rank {self.rank}")
         return self._reflections_by_root()[self.simple_roots[i]]
 
     def reflections(self) -> dict[tuple, Coeffs]:
@@ -250,7 +272,7 @@ def cominuscule_realization(system: RootSystem, node: int) -> tuple[RootSystem, 
     if is_minuscule(system, node):
         return system.dual(), node
     raise PosetError(
-        f"node {node + 1} of {system.kind}{system.rank} is neither "
+        f"node {node + 1} of {_type_label(system.kind, system.rank)} is neither "
         "cominuscule nor minuscule"
     )
 
@@ -283,7 +305,9 @@ def grid_family_for(kind: str, rank: int, node: int) -> PosetFamily:
         return PosetFamily("e6")
     if kind == "E7" and node == 7:
         return PosetFamily("e7")
-    raise PosetError(f"no (co)minuscule grid family for {kind}{rank} node {node}")
+    raise PosetError(
+        f"no (co)minuscule grid family for {_type_label(kind, rank)} node {node}"
+    )
 
 
 def verify_poset_embedding(
@@ -340,6 +364,8 @@ class MarkedRootData:
 
     def __init__(self, kind: str, rank: int, node: int):
         base = root_system(kind, rank)
+        if not 1 <= node <= rank:
+            raise PosetError(f"node {node} is outside 1..{rank}")
         self.system, self.node = cominuscule_realization(base, node - 1)
         self.poset = build_poset(grid_family_for(kind, rank, node))
         self.embedding = verify_poset_embedding(self.system, self.node, self.poset)
@@ -507,7 +533,7 @@ def run_suite(kind: str, rank: int, node: int) -> dict:
         check_bruhat_containment(data),
     ]
     return {
-        "type": f"{kind}{rank}",
+        "type": _type_label(kind, rank),
         "node": node,
         "pass": all(c["pass"] for c in checks),
         "checks": checks,

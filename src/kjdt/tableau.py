@@ -61,6 +61,8 @@ class Tableau:
     __slots__ = ("poset", "mask", "level_values", "masks")
 
     def __init__(self, poset: MinusculePoset, mask: int, values: tuple[int, ...]):
+        if len(values) != mask.bit_count():
+            raise PosetError(f"{len(values)} values for {mask.bit_count()} boxes")
         d: dict[int, int] = {}
         for i, v in zip(bits(mask), values):
             d[v] = d.get(v, 0) | (1 << i)

@@ -2,13 +2,16 @@ import pytest
 
 from kjdt.errors import PosetError
 from kjdt.poset import bits, build_poset, enumerate_shapes, type_a
+import kjdt.rootsys as rootsys_module
 from kjdt.rootsys import (
     MarkedRootData,
+    RootSystem,
     check_bruhat_containment,
     check_full_commutativity,
     check_incomparable_orthogonal,
     check_inversion_sets,
     check_poincare_duality,
+    cominuscule_realization,
     grid_family_for,
     is_cominuscule,
     is_minuscule,
@@ -44,6 +47,27 @@ def test_simple_reflections_permute_the_positive_roots():
                     assert image == tuple(-x for x in alpha)
                 else:
                     assert image in roots, (kind, rank, alpha, beta)
+
+
+def _bilinear_by_double_sum(rs, a, b):
+    """Reference: the rank^2 sum of a_i b_j (alpha_i, alpha_j) from the Cartan data."""
+    return sum(
+        a[i] * b[j] * rs.half_norm[j] * rs.cartan[i][j]
+        for i in range(rs.rank)
+        for j in range(rs.rank)
+        if a[i] and b[j]
+    )
+
+
+def test_bilinear_reads_a_symmetric_form_equal_to_the_double_sum():
+    for kind, rank, _ in _CLOSED_FORMS:
+        rs = root_system(kind, rank)
+        assert all(
+            rs.form[i][j] == rs.form[j][i] for i in range(rank) for j in range(rank)
+        ), (kind, rank)
+        for a in rs.positive_roots:
+            for b in rs.positive_roots:
+                assert rs.bilinear(a, b) == _bilinear_by_double_sum(rs, a, b), (kind, rank)
 
 
 def test_positive_roots_have_nonnegative_coefficients():
@@ -157,10 +181,9 @@ def test_weyl_of_shape_basics():
     assert full.inversion_set() == data.shape_root_indices(data.poset.full_shape())
 
 
-@pytest.mark.parametrize(
-    "kind,rank", [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("E6", 6), ("E7", 7)]
-)
+@pytest.mark.parametrize("kind,rank", [(kind, rank) for kind, rank, _ in _CLOSED_FORMS])
 def test_reflection_table_matches_direct_computation(kind, rank):
+    # the table reads rows of the form; reflect goes through pair_coroot and bilinear
     rs = root_system(kind, rank)
     for alpha in rs.positive_roots:
         w = rs.reflection(alpha)
@@ -178,6 +201,67 @@ def test_reflection_table_matches_direct_computation(kind, rank):
     for bad in [(0,) * rank, (2,) + (0,) * (rank - 1), (1, -1) + (0,) * (rank - 2)]:
         with pytest.raises(PosetError):
             rs.reflection(bad)
+
+
+def test_reflection_table_reads_rows_of_the_form_not_the_pairing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the reflection table called the pairwise form")
+
+    monkeypatch.setattr(RootSystem, "bilinear", refuse)
+    monkeypatch.setattr(RootSystem, "pair_coroot", refuse)
+    fresh = RootSystem("E7", 7)
+    assert fresh.reflections() == {
+        w.images: alpha for alpha, w in root_system("E7", 7)._reflections_by_root().items()
+    }
+
+
+def test_reflection_table_refuses_a_non_integral_pairing(monkeypatch):
+    # half norms 3, 3, 1 on B3 make <alpha_3, (alpha_2 + alpha_3)-coroot> = -2/3
+    cartan = rootsys_module._cartan
+    monkeypatch.setattr(
+        rootsys_module, "_cartan", lambda kind, n: (cartan(kind, n)[0], [3, 3, 1])
+    )
+    rs = RootSystem("B", 3)
+    assert rs.positive_roots == root_system("B", 3).positive_roots
+    assert rs._reflection_table is None
+    with pytest.raises(PosetError, match="non-integral coroot pairing"):
+        rs.reflection(rs.simple_roots[0])
+    with pytest.raises(PosetError, match="non-integral coroot pairing"):
+        rs.pair_coroot((0, 0, 1), (0, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: root_system("A", 0), "type A needs rank >= 1"),
+        (lambda: root_system("A", -1), "type A needs rank >= 1"),
+        (lambda: root_system("B", 1), "type B needs rank >= 2"),
+        (lambda: root_system("C", 1), "type C needs rank >= 2"),
+        (lambda: root_system("D", 2), "type D needs rank >= 3"),
+        (lambda: root_system("E7", 6), "type E7 has rank 7"),
+        (lambda: root_system("F", 4), "unknown root system type"),
+        (lambda: root_system("A", 3).simple_reflection(7), "no simple root 7 in rank 3"),
+        (lambda: root_system("A", 3).simple_reflection(-1), "no simple root -1 in rank 3"),
+        (lambda: run_suite("A", 3, 9), "node 9 is outside 1..3"),
+        (lambda: run_suite("A", 3, 0), "node 0 is outside 1..3"),
+        (lambda: MarkedRootData("D", 4, 5), "node 5 is outside 1..4"),
+    ],
+    ids=["A0", "A-1", "B1", "C1", "D2", "E7-6", "F4", "A3-s7", "A3-s-1", "A3-n9", "A3-n0", "D4-n5"],
+)
+def test_bad_root_data_is_refused(build, message):
+    with pytest.raises(PosetError, match=message):
+        build()
+
+
+def test_type_labels_name_each_system_once():
+    assert run_suite("E6", 6, 6)["type"] == "E6"
+    assert run_suite("E7", 7, 7)["type"] == "E7"
+    assert run_suite("C", 3, 1)["type"] == "C3"
+    assert repr(root_system("E7", 7)) == "RootSystem(E7, 63 positive roots)"
+    with pytest.raises(PosetError, match="node 1 of E7 is neither"):
+        cominuscule_realization(root_system("E7", 7), 0)
+    with pytest.raises(PosetError, match="grid family for E6 node 2"):
+        grid_family_for("E6", 6, 2)
 
 
 def test_marked_root_data_computes_each_weyl_element_once(monkeypatch):

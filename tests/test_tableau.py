@@ -81,6 +81,13 @@ def test_validation_rejects_non_convex():
         Tableau.from_dict(g, {(1, 1): 1, (1, 3): 2})
 
 
+@pytest.mark.parametrize("mask,values", [(0b11, (1,)), (0b1, (1, 2))])
+def test_constructor_refuses_one_value_per_box_mismatch(mask, values):
+    # a box with no value, or a value with no box, would be dropped silently
+    with pytest.raises(PosetError, match="values for"):
+        Tableau(ambient_grid(2, 2), mask, values)
+
+
 def test_literal_round_trip():
     e6 = cayley_plane()
     lit = ".,.,.,1/.,2,4,5/3,4,5"
