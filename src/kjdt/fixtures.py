@@ -119,7 +119,7 @@ def check_e8_fails():
     skew = nu.mask & ~lam.mask
     for orient in ("row", "col"):
         target = superstandard(mu, orient)
-        cls = jdt_class(target)
+        cls = jdt_class(target, within=nu.mask)
         cands = [masks for masks in cls.states if reduce(or_, masks, 0) == skew]
         has = unique = 0
         for masks in cands:

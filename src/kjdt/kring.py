@@ -491,6 +491,8 @@ def fat_hook_urt(lam, u_tab: Tableau, pad: int = 2) -> dict:
     the direct class check on the combined tableau in a window.
     """
     a, b, c, d = _fat_hook_params(lam)
+    if not isinstance(u_tab, Tableau):
+        raise PosetError(f"the attached tableau must be a Tableau, not {u_tab!r}")
     u_rows = u_tab.straight_rows() if u_tab.size else ()
     if len(u_rows) > d or any(len(r) > a - c for r in u_rows):
         raise PosetError("the attached tableau does not fit in the corner")

@@ -35,6 +35,8 @@ def _type_label(kind: str, rank: int) -> str:
 
 def _cartan(kind: str, n: int) -> tuple[list[list[int]], list[int]]:
     """Cartan data ``M[i][j] = <alpha_i, alpha_j-coroot>`` and half norms."""
+    if type(n) is not int:
+        raise PosetError(f"a rank is an int, not {n!r}")
     if kind in _LEAST_RANK and n < _LEAST_RANK[kind]:
         raise PosetError(f"type {kind} needs rank >= {_LEAST_RANK[kind]}")
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -210,7 +212,9 @@ class RootSystem:
 # Unbounded on purpose: a WeylElement is a frozen dataclass whose ``system``
 # field compares root systems by identity, so evicting one would make equal
 # elements compare unequal; it grows only with the (type, rank) pairs built.
-@lru_cache(maxsize=None)
+# Typed, so ``True`` or ``3.0`` misses the entry of 1 or 3 and meets the
+# rank check.
+@lru_cache(maxsize=None, typed=True)
 def root_system(kind: str, rank: int) -> RootSystem:
     return RootSystem(kind, rank)
 
@@ -364,6 +368,8 @@ class MarkedRootData:
 
     def __init__(self, kind: str, rank: int, node: int):
         base = root_system(kind, rank)
+        if type(node) is not int:
+            raise PosetError(f"a node is an int, not {node!r}")
         if not 1 <= node <= rank:
             raise PosetError(f"node {node} is outside 1..{rank}")
         self.system, self.node = cominuscule_realization(base, node - 1)

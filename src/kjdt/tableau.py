@@ -418,8 +418,8 @@ def rect_greedy(tab: Tableau, inner: int | None = None) -> Tableau:
 
 
 def rectify_all(tab: Tableau, budget: int | None = None) -> set[Tableau]:
-    """All straight-shape tableaux reachable by forward slides: the forward-only closure."""
-    cls = _closure(tab, budget, both_ways=False)
+    """All straight-shape tableaux reachable by forward slides: the closure with ``within=0``."""
+    cls = _closure(tab, budget, within=0)
     if not cls.exhausted:
         raise BudgetExceeded(f"rectify_all exceeded {budget} intermediate tableaux")
     return set(cls.straight)
@@ -487,8 +487,12 @@ def jdt_class(
     stop_second_straight: bool = False,
     *,
     seed_is_urt: bool = False,
+    within: int | None = None,
 ) -> JdtClass:
     """Breadth-first closure of ``tab`` under slides inside its poset.
+
+    ``within``, a box mask, takes a reverse slide only when its start lies
+    inside it (see ``_closure``); ``None`` sets no bound.
 
     ``seed_is_urt`` builds, for a straight ``tab``, only the tableaux whose
     greedy rectification is ``tab`` (see ``_greedy_tree``).  That is the
@@ -496,12 +500,14 @@ def jdt_class(
     the result is trusted only then; ``straight`` is ``[tab]``.
     """
     if seed_is_urt:
+        if within is not None:
+            raise KjdtError("the greedy tree takes no within bound")
         return _greedy_tree(tab, budget)
-    return _closure(tab, budget, stop_second_straight)
+    return _closure(tab, budget, stop_second_straight, within)
 
 
-def _closure(tab: Tableau, budget, stop_second_straight=False, both_ways=True) -> JdtClass:
-    """The loop of ``jdt_class`` and, with ``both_ways=False``, of ``rectify_all``.
+def _closure(tab: Tableau, budget, stop_second_straight=False, within=None) -> JdtClass:
+    """The loop of ``jdt_class`` and, with ``within=0``, of ``rectify_all``.
 
     A state is the tuple of a member's level masks; slides keep the seed's
     values, so a ``Tableau`` is built only for a straight member.
@@ -512,9 +518,29 @@ def _closure(tab: Tableau, budget, stop_second_straight=False, both_ways=True) -
     them are skipped when the state is expanded, and its entry is dropped.
     Forward slides alone need none: their way back is a reverse start.  A
     budget cuts the run after the expansion that takes ``seen`` past it.
+
+    A reverse slide is taken only when its start lies inside the box mask
+    ``within`` (``None``: no bound; ``0``: forward slides only).  From a
+    straight seed T and a mask ν, this still reaches every S whose outer
+    shape lies inside ν and which has T among its rectifications
+    (Thomas and Yong, *A jeu de taquin theory for increasing tableaux*,
+    2009): undo a forward path from S to T, and each reverse start on the
+    way back is the final holes of a forward slide, which lie inside the
+    outer shape of the state it slid, so inside ν.  Conversely, a state
+    reached by reverse slides alone rectifies back to T along the forward
+    slides that undo them, and every state reached lies in T's class.  A
+    forward slide's holes lie inside its state's outer shape, so the back
+    start that ``backs`` skips passes the bound too.
     """
     check_budget(budget)
     poset = tab.poset
+    if within is not None:
+        if type(within) is not int or within < 0:
+            raise KjdtError(f"within must be a non-negative int mask or None, not {within!r}")
+        if within & ~poset.full_mask:
+            raise PosetError(f"within has boxes outside the poset: {within:#x}")
+        outside = ~within
+    both_ways = within != 0
     geometry = poset.skew_geometry
     values, start = tab.level_values, tab.masks
     seen = {start}
@@ -532,10 +558,12 @@ def _closure(tab: Tableau, budget, stop_second_straight=False, both_ways=True) -
                 )
                 if stop_second_straight and len(straight) > 1:
                     return JdtClass(tab, seen, straight, False)
+            if within is not None:
+                reverse_starts = [c for c in reverse_starts if not c & outside]
             forward_backs, reverse_backs = backs.pop(masks, ((), ()))
             for starts, fwd, skip in (
                 (forward_starts, True, forward_backs),
-                (reverse_starts if both_ways else (), False, reverse_backs),
+                (reverse_starts, False, reverse_backs),
             ):
                 for c_mask in starts:
                     if c_mask in skip:

@@ -277,7 +277,8 @@ def kknuth_equiv(
     Intermediate words may exceed both input lengths by at most ``slack``
     letters, and at most ``budget`` words are explored in total: ``None``
     sets no bound, and a budget that is neither ``None`` nor a positive
-    int raises ``KjdtError``.  An undecided search returns
+    int raises ``KjdtError``, and so does a letter that is not an int, a
+    bool included.  An undecided search returns
     ``inconclusive``.  Each word's neighbours are visited in one fixed
     order: drops, then inserts (one per run of equal letters), then the
     moves of each window of three from the left, then the weak prefix
@@ -285,6 +286,8 @@ def kknuth_equiv(
     """
     check_budget(budget)
     u, v = tuple(u), tuple(v)
+    if any(type(x) is not int for x in u + v):
+        raise KjdtError(f"letters must be ints, not {u!r} and {v!r}")
     if u == v:
         return EquivalenceVerdict("equivalent", path=[u])
     inv_u, inv_v = _invariants(u, weak), _invariants(v, weak)

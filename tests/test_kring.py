@@ -862,6 +862,12 @@ def test_fat_hook_rejects_bad_corner():
         fat_hook_urt((2, 1), u)  # corner is 1x1, the attachment is too wide
 
 
+@pytest.mark.parametrize("u_tab", ["x", None, {(1, 1): 4}])
+def test_fat_hook_refuses_an_attachment_that_is_not_a_tableau(u_tab):
+    with pytest.raises(PosetError, match="must be a Tableau"):
+        fat_hook_urt((2, 1), u_tab)
+
+
 def test_near_counterexample_is_refuted():
     from kjdt.tableau import is_urt
 

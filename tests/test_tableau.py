@@ -498,6 +498,89 @@ def test_greedy_tree_budget_cuts_like_the_closure():
             assert cut.size > budget or cut.member_keys == whole.member_keys
 
 
+def _rectifying_to(cls, target, keep_support):
+    """``{masks: number of rectifications}`` over the states of ``cls`` whose
+    support passes ``keep_support`` and that have ``target`` among their
+    rectifications."""
+    poset, values = target.poset, target.level_values
+    found = {}
+    for masks in cls.states:
+        if keep_support(reduce(or_, masks, 0)):
+            rects = rectify_all(Tableau.from_masks(poset, values, masks))
+            if target in rects:
+                found[masks] = len(rects)
+    return found
+
+
+@pytest.mark.parametrize("orient, size", [("row", 923), ("col", 632)])
+def test_bounded_closure_finds_the_e8_fails_tableaux_of_the_whole_class(orient, size):
+    # the e8-fails fixture's counts, from the whole class and from the class
+    # bounded by nu: the same tableaux of shape nu/lam, 12 with the target,
+    # 10 of them uniquely
+    e7 = freudenthal()
+    lam, mu, nu = (e7.shape(lit) for lit in ("5,1", "5,3,3", "5,5,5,2,1,1"))
+    target = superstandard(mu, orient)
+    whole = jdt_class(target)
+    bounded = jdt_class(target, within=nu.mask)
+    assert bounded.exhausted and bounded.size == size
+    assert bounded.states < whole.states
+    skew = nu.mask & ~lam.mask
+    found = [_rectifying_to(cls, target, skew.__eq__) for cls in (whole, bounded)]
+    assert found[0] == found[1]
+    assert len(found[1]) == 12
+    assert sum(n == 1 for n in found[1].values()) == 10
+
+
+def test_bounded_closure_keeps_every_tableau_inside_nu_that_rectifies_to_the_seed():
+    # seeded sweep: the refuted straight tableaux and 15 sampled certified
+    # ones of five posets, each bounded by 4 sampled outer shapes nu
+    cases = found = 0
+    for spec in ["a:3,3", "og:5", "a:2,5", "e6", "qeven:5"]:
+        poset = parse_poset(spec)
+        rng = random.Random(spec)
+        report = urt_census(poset)
+        shapes = [shape.mask for shape in enumerate_shapes(poset)]
+        for tab in report["refuted"] + rng.sample(report["certified"], 15):
+            outers = [m for m in shapes if m & tab.mask == tab.mask]
+            whole = jdt_class(tab)
+            for nu in rng.sample(outers, min(4, len(outers))):
+                bounded = jdt_class(tab, within=nu)
+                assert bounded.states <= whole.states
+                assert all(not poset.down_closure(reduce(or_, m, 0)) & ~nu for m in bounded.states)
+
+                def inside(support):
+                    return not poset.down_closure(support) & ~nu
+
+                want = _rectifying_to(whole, tab, inside)
+                assert _rectifying_to(bounded, tab, inside) == want, (spec, tab.literal(), nu)
+                cases += 1
+                found += len(want)
+    assert cases > 200 and found > 500
+
+
+def test_within_zero_is_the_forward_closure_and_the_full_mask_no_bound():
+    for tab in _closure_seeds():
+        assert set(jdt_class(tab, within=0).straight) == rectify_all(tab)
+        if not tab.poset.is_ambient:
+            assert jdt_class(tab, within=tab.poset.full_mask).states == jdt_class(tab).states
+
+
+@pytest.mark.parametrize("within", [2.5, "x", True, False, -1])
+def test_within_must_be_a_non_negative_int_mask(within):
+    tab = minimal_tableau(cayley_plane().shape("3,1"))
+    with pytest.raises(KjdtError, match="within must be a non-negative int mask"):
+        jdt_class(tab, within=within)
+
+
+def test_within_refuses_boxes_outside_the_poset():
+    e6 = cayley_plane()
+    tab = minimal_tableau(e6.shape("3,1"))
+    with pytest.raises(PosetError, match="outside the poset"):
+        jdt_class(tab, within=1 << e6.n)
+    with pytest.raises(KjdtError, match="no within bound"):
+        jdt_class(tab, within=e6.full_mask, seed_is_urt=True)
+
+
 def test_member_keys_view_zips_the_seed_values_with_each_state():
     shifted = parse_poset("shifted:4")
     seeds = [minimal_tableau(cayley_plane().shape("4,2"))]

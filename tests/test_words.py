@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kjdt.words as words_module
 from kjdt.errors import KjdtError
 from kjdt.poset import ambient_grid, ambient_shifted, cayley_plane, max_orthogonal, type_a
 from kjdt.tableau import (
@@ -531,6 +532,20 @@ def test_kknuth_equiv_has_the_closures_budget_rule(budget, status, u, v):
     else:
         want = "equivalent" if u == v else status
         assert kknuth_equiv(u, v, budget=budget).status == want
+
+
+@pytest.mark.parametrize(
+    "u, v", [((1, "a"), (1, 2)), ((1, 2), (2.0, 1)), ((True, 2), (1, 2)), ((1, 2), (1, None))]
+)
+def test_kknuth_equiv_refuses_a_letter_that_is_not_an_int(u, v, monkeypatch):
+    # refused before any search: no invariant is computed, no move is tried
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(words_module, "_invariants", no_search)
+    monkeypatch.setattr(words_module, "_moves", no_search)
+    with pytest.raises(KjdtError, match="letters must be ints"):
+        kknuth_equiv(u, v)
 
 
 def test_conjecture_sweep_small():
