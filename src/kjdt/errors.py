@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Exception types and the argument checks that several modules share."""
 
 
 class KjdtError(Exception):
@@ -22,6 +22,16 @@ class NonMinusculePoset(KjdtError):
 
 
 def check_budget(budget) -> None:
-    """A search budget is ``None`` (no bound) or a positive int; anything else raises."""
-    if budget is not None and not (isinstance(budget, int) and budget > 0):
+    """A search budget is ``None`` (no bound) or a positive int, not a bool; anything else raises."""
+    if budget is not None and not (type(budget) is int and budget > 0):
         raise KjdtError(f"a budget must be a positive integer or None, not {budget!r}")
+
+
+def _partition(lam) -> tuple[int, ...]:
+    """lam without trailing zeros; a non-partition raises ``PosetError``."""
+    lam = tuple(lam)
+    if not all(type(x) is int and x >= 0 for x in lam):
+        raise PosetError(f"{lam} is not a partition: entries must be nonnegative ints")
+    if any(a < b for a, b in zip(lam, lam[1:])):
+        raise PosetError(f"{lam} is not a partition: entries must not increase")
+    return tuple(x for x in lam if x)  # every zero trails now

@@ -37,11 +37,10 @@ from functools import reduce
 from operator import or_
 from types import MappingProxyType
 
-from .errors import NonMinusculePoset, PosetError, WindowExceeded
+from .errors import NonMinusculePoset, PosetError, WindowExceeded, _partition
 from .poset import (
     MinusculePoset,
     Shape,
-    _partition,
     ambient_grid,
     ambient_shifted,
     bits,
@@ -306,8 +305,8 @@ def euler_pairing(lam: Shape, mu: Shape, assume_urp: bool = False) -> int:
 # -- Pieri rules ----------------------------------------------------------------
 
 def _check_row_length(p: int):
-    if p < 1:
-        raise PosetError("the Pieri row length must be positive")
+    if type(p) is not int or p < 1:
+        raise PosetError(f"the Pieri row length must be positive and an int, not {p!r}")
 
 
 def _pieri_a_window(lam, p: int, rows: int | None, cols: int | None) -> Shape:

@@ -7,11 +7,10 @@ A poset is a finite set of boxes with the induced order.  Straight shapes
 ordering of the boxes, so shape arithmetic stays cheap inside exhaustive
 tableau searches that hash millions of shapes.
 
-Bounded families carry the order-reversing involution ``wx`` used for
-Poincare duality: a 180 degree rotation for rectangles, odd quadrics,
-even quadrics with even parameter, and the 16-box exceptional poset, and
-a reflection in the south-west to north-east diagonal for staircases,
-even quadrics with odd parameter, and the 27-box exceptional poset.
+Each family is one row of ``_FAMILIES``.  Bounded families carry the
+order-reversing involution ``wx`` used for Poincare duality, which the row
+names: a 180 degree rotation or a reflection in the south-west to
+north-east diagonal.
 
 The two ambient families (the full grid and the shifted half grid) are
 truncated to an explicit window; operations that could escape the window
@@ -19,27 +18,20 @@ raise :class:`~kjdt.errors.WindowExceeded` instead of silently clipping.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, groupby, islice
+from typing import NamedTuple
 
-from .errors import PosetError
+from .errors import PosetError, _partition
 
 Box = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class PosetFamily:
-    """Tagged family descriptor: ``kind`` plus integer parameters.
-
-    Kinds: ``a`` (m x k rectangle), ``og`` (shifted staircase with n-1
-    rows), ``lg`` (staircase with n rows), ``qodd`` (single row of 2n-1
-    boxes), ``qeven`` (two-row or row-plus-column layout of 2n boxes,
-    split by the parity of n), ``e6`` (16 boxes), ``e7`` (27 boxes),
-    ``grid`` (ambient rectangle window), ``shifted`` (ambient shifted
-    window).
-    """
+    """Tagged family descriptor: ``kind``, a key of ``_FAMILIES``, plus integer parameters."""
 
     kind: str
     params: tuple[int, ...] = ()
@@ -50,80 +42,78 @@ class PosetFamily:
         return self.kind
 
 
-# Exact embeddings of the two exceptional posets, {row: (first col, last col)}.
-_E6_ROWS = {1: (1, 4), 2: (3, 6), 3: (3, 6), 4: (5, 8)}
-_E7_ROWS = {
-    1: (1, 5), 2: (4, 8), 3: (4, 8), 4: (6, 8),
-    5: (7, 9), 6: (7, 9), 7: (9, 9), 8: (9, 9), 9: (9, 9),
-}
-
-ROTATION_KINDS = frozenset({"a", "qodd", "qeven_even", "e6"})
-REFLECTION_KINDS = frozenset({"og", "lg", "qeven_odd", "e7"})
-
-
-# Number of integer parameters each family takes.
-_ARITY = {
-    "a": 2, "og": 1, "lg": 1, "qodd": 1, "qeven": 1,
-    "e6": 0, "e7": 0, "grid": 2, "shifted": 1,
-}
-
-
 # Most boxes a poset may have.  Every poset the tests, the fixtures and
 # ``is_urt``'s padded windows build has at most 144; a larger family is
 # refused before more than this many of its boxes are listed.
 MAX_BOXES = 4096
 
 
-def _family_boxes(family: PosetFamily) -> Iterable[Box]:
-    """The boxes of a family, listed lazily once its parameters are checked."""
+class _Family(NamedTuple):
+    """One row of the family table; the functions take the family's parameters."""
+
+    least: tuple[int, ...]  # least value of each parameter; its length is the arity
+    boxes: Callable[..., Iterable[Box]]  # the boxes, listed lazily
+    wx: Callable[..., str | None]  # "rotate", "reflect", or None for an ambient window
+    minuscule: bool
+    reading: str | None  # a tableau's word: "row", "doubled" (of its doubling) or None
+
+
+def _rectangle(rows: int, cols: int) -> Iterable[Box]:
+    return ((r, c) for r in range(1, rows + 1) for c in range(1, cols + 1))
+
+
+def _staircase(n: int) -> Iterable[Box]:
+    """The shifted staircase with n rows."""
+    return ((r, c) for r in range(1, n + 1) for c in range(r, n + 1))
+
+
+def _quadric_even(n: int) -> Iterable[Box]:
+    """2n boxes: two rows when n is even, a row and a column when n is odd."""
+    first = ((1, c) for c in range(1, n + 1))
+    if n % 2 == 0:
+        return chain(first, ((2, c) for c in range(n - 1, 2 * n - 1)))
+    return chain(first, [(2, n - 1), (2, n)], ((r, n) for r in range(3, n + 1)))
+
+
+def _spans(rows: dict[int, tuple[int, int]]) -> Iterable[Box]:
+    """The boxes of ``{row: (first col, last col)}``."""
+    return ((r, c) for r, (a, b) in rows.items() for c in range(a, b + 1))
+
+
+# The exceptional posets of E6 (16 boxes) and E7 (27 boxes), exactly embedded.
+_E6_ROWS = {1: (1, 4), 2: (3, 6), 3: (3, 6), 4: (5, 8)}
+_E7_ROWS = {
+    1: (1, 5), 2: (4, 8), 3: (4, 8), 4: (6, 8),
+    5: (7, 9), 6: (7, 9), 7: (9, 9), 8: (9, 9), 9: (9, 9),
+}
+
+_FAMILIES = {
+    "a": _Family((1, 1), _rectangle, lambda m, k: "rotate", True, "row"),
+    "og": _Family((2,), lambda n: _staircase(n - 1), lambda n: "reflect", True, "doubled"),
+    "lg": _Family((1,), _staircase, lambda n: "reflect", False, None),
+    "qodd": _Family((1,), lambda n: _rectangle(1, 2 * n - 1), lambda n: "rotate", False, None),
+    "qeven": _Family((2,), _quadric_even, lambda n: "reflect" if n % 2 else "rotate", True, None),
+    "e6": _Family((), lambda: _spans(_E6_ROWS), lambda: "rotate", True, None),
+    "e7": _Family((), lambda: _spans(_E7_ROWS), lambda: "reflect", True, None),
+    "grid": _Family((1, 1), _rectangle, lambda rows, cols: None, False, "row"),
+    "shifted": _Family((1,), _staircase, lambda cols: None, False, "doubled"),
+}
+
+
+def _family_row(family: PosetFamily) -> _Family:
+    """The table row of a family; raises ``PosetError`` unless the parameters are a tuple
+    of ints (no bool), one per parameter of the row, each at least its least value."""
     kind, params = family.kind, family.params
-    if kind not in _ARITY:
+    row = _FAMILIES.get(kind) if type(kind) is str else None
+    if row is None:
         raise PosetError(f"unknown poset family {kind!r}")
-    if len(params) != _ARITY[kind]:
-        raise PosetError(
-            f"{kind} poset takes {_ARITY[kind]} parameter(s), got {len(params)}"
-        )
-    if kind == "a":
-        m, k = params
-        if m < 1 or k < 1:
-            raise PosetError(f"rectangle needs positive sides, got {m}x{k}")
-        return ((r, c) for r in range(1, m + 1) for c in range(1, k + 1))
-    if kind == "og":
-        (n,) = params
-        if n < 2:
-            raise PosetError(f"og poset needs n >= 2, got {n}")
-        return ((r, c) for r in range(1, n) for c in range(r, n))
-    if kind == "lg":
-        (n,) = params
-        if n < 1:
-            raise PosetError(f"lg poset needs n >= 1, got {n}")
-        return ((r, c) for r in range(1, n + 1) for c in range(r, n + 1))
-    if kind == "qodd":
-        (n,) = params
-        if n < 1:
-            raise PosetError(f"qodd poset needs n >= 1, got {n}")
-        return ((1, c) for c in range(1, 2 * n))
-    if kind == "qeven":
-        (n,) = params
-        if n < 2:
-            raise PosetError(f"qeven poset needs n >= 2, got {n}")
-        first = ((1, c) for c in range(1, n + 1))
-        if n % 2 == 0:
-            return chain(first, ((2, c) for c in range(n - 1, 2 * n - 1)))
-        return chain(first, [(2, n - 1), (2, n)], ((r, n) for r in range(3, n + 1)))
-    if kind == "e6":
-        return [(r, c) for r, (a, b) in _E6_ROWS.items() for c in range(a, b + 1)]
-    if kind == "e7":
-        return [(r, c) for r, (a, b) in _E7_ROWS.items() for c in range(a, b + 1)]
-    if kind == "grid":
-        rows, cols = params
-        if rows < 1 or cols < 1:
-            raise PosetError(f"grid window needs positive sides, got {rows}x{cols}")
-        return ((r, c) for r in range(1, rows + 1) for c in range(1, cols + 1))
-    (cols,) = params  # shifted
-    if cols < 1:
-        raise PosetError(f"shifted window needs positive size, got {cols}")
-    return ((r, c) for r in range(1, cols + 1) for c in range(r, cols + 1))
+    if type(params) is not tuple:
+        raise PosetError(f"{kind} poset parameters are a tuple, not {params!r}")
+    if len(params) != len(row.least):
+        raise PosetError(f"{kind} poset takes {len(row.least)} parameter(s), got {len(params)}")
+    if not all(type(p) is int and p >= least for p, least in zip(params, row.least)):
+        raise PosetError(f"{kind} poset parameters are ints >= {row.least}, got {params!r}")
+    return row
 
 
 class MinusculePoset:
@@ -136,20 +126,23 @@ class MinusculePoset:
     that depends only on a mask (neighbor unions, skew presentations and
     their slide starts, greedy layers, class supports) is memoised per
     poset on first use, each memo holding at most ``MEMO_CAP`` entries.
+    The family's row of ``_FAMILIES`` gives ``is_minuscule``,
+    ``is_ambient`` (no ``wx`` rule), ``wx`` and ``reading``.
     """
 
     def __init__(self, family: PosetFamily):
         self.family = family
-        boxes = sorted(islice(_family_boxes(family), MAX_BOXES + 1))
+        row = _family_row(family)
+        boxes = sorted(islice(row.boxes(*family.params), MAX_BOXES + 1))
         if len(boxes) > MAX_BOXES:
             raise PosetError(f"poset {family.spec()} has more than {MAX_BOXES} boxes")
-        if len(set(boxes)) != len(boxes):
-            raise PosetError("duplicate boxes in family layout")
         self.boxes: tuple[Box, ...] = tuple(boxes)
         self.n = len(boxes)
         self.index: dict[Box, int] = {b: i for i, b in enumerate(boxes)}
-        self.is_minuscule = family.kind in {"a", "og", "qeven", "e6", "e7"}
-        self.is_ambient = family.kind in {"grid", "shifted"}
+        self.is_minuscule = row.minuscule
+        self.reading = row.reading
+        wx_rule = row.wx(*family.params)
+        self.is_ambient = wx_rule is None
 
         # The covers of a box are its grid neighbours (r - 1, c) and (r, c - 1)
         # in the poset.  Row-major order is a linear extension, so the inclusive
@@ -179,19 +172,14 @@ class MinusculePoset:
         self._minimal_mask = sum(1 << j for j, covered in enumerate(down) if not covered)
 
         self.wx: tuple[int, ...] | None = None
-        if not self.is_ambient:
-            kind = family.kind
-            if kind == "qeven":
-                kind = "qeven_even" if family.params[0] % 2 == 0 else "qeven_odd"
+        if wx_rule is not None:
             max_r = max(r for r, _ in boxes)
             max_c = max(c for _, c in boxes)
-            if kind in ROTATION_KINDS:
+            if wx_rule == "rotate":
                 image = [(max_r + 1 - r, max_c + 1 - c) for r, c in boxes]
-            elif kind in REFLECTION_KINDS:
+            else:
                 side = max(max_r, max_c)
                 image = [(side + 1 - c, side + 1 - r) for r, c in boxes]
-            else:
-                raise PosetError(f"no involution rule for {kind!r}")
             self.wx = tuple(self.index[b] for b in image)
 
         self.full_mask = (1 << self.n) - 1
@@ -433,16 +421,6 @@ class SkewShape:
         return f"SkewShape({self.outer.literal()!r}/{self.inner.literal()!r})"
 
 
-def _partition(lam) -> tuple[int, ...]:
-    """lam without trailing zeros; a non-partition raises ``PosetError``."""
-    lam = tuple(lam)
-    if not all(type(x) is int and x >= 0 for x in lam):
-        raise PosetError(f"{lam} is not a partition: entries must be nonnegative ints")
-    if any(a < b for a, b in zip(lam, lam[1:])):
-        raise PosetError(f"{lam} is not a partition: entries must not increase")
-    return tuple(x for x in lam if x)  # every zero trails now
-
-
 def parse_entry(token: str, what: str) -> int:
     """One integer entry of a text literal; ``PosetError`` names a bad one."""
     try:
@@ -557,7 +535,9 @@ _POSET_CACHE: dict[PosetFamily, MinusculePoset] = {}
 
 
 def build_poset(family: PosetFamily) -> MinusculePoset:
-    """Build (and cache) the poset of a family descriptor."""
+    """Build (and cache) the poset of a family descriptor, checked before the cache
+    is read: ``True == 1``, so ``a:True,2`` would otherwise get the poset of ``a:1,2``."""
+    _family_row(family)
     try:
         return _POSET_CACHE[family]
     except KeyError:

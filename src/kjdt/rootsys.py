@@ -25,55 +25,53 @@ from .tableau import increasing_fillings
 Coeffs = tuple[int, ...]
 
 
-_LEAST_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+def _path(n: int) -> list[tuple[int, int]]:
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def _e_bonds(n: int) -> list[tuple[int, int]]:
+    """Node 2 hangs off node 4; the others form the path 1, 3, 4, ..., n."""
+    return [(0, 2), (1, 3), *_path(n)[2:]]
+
+
+# type: (least rank, whether it is the only rank, the simple bonds at rank n
+# between 0-based nodes, the half norms of the first n - 1 simple roots and of the last)
+_DYNKIN = {
+    "A": (1, False, _path, (1, 1)),
+    "B": (2, False, _path, (2, 1)),  # last simple root short
+    "C": (2, False, _path, (1, 2)),  # last simple root long
+    "D": (3, False, lambda n: _path(n - 1) + [(n - 3, n - 1)], (1, 1)),
+    "E6": (6, True, _e_bonds, (1, 1)),
+    "E7": (7, True, _e_bonds, (1, 1)),
+}
 
 
 def _type_label(kind: str, rank: int) -> str:
-    """``A3``, ``D5``, ``E6``: the E kinds already carry their rank."""
-    return kind if kind in {"E6", "E7"} else f"{kind}{rank}"
+    """``A3``, ``D5``, ``E6``: a type named with its rank is not given it twice."""
+    return kind if kind[-1:].isdigit() else f"{kind}{rank}"
 
 
 def _cartan(kind: str, n: int) -> tuple[list[list[int]], list[int]]:
-    """Cartan data ``M[i][j] = <alpha_i, alpha_j-coroot>`` and half norms."""
+    """Cartan data ``M[i][j] = <alpha_i, alpha_j-coroot>`` and half norms.
+
+    A bad type or rank raises ``PosetError``.  A bond from a root to one of
+    half its norm is -2 that way (the B and C double bond); every other
+    bond is -1 both ways.
+    """
+    if type(kind) is not str or kind not in _DYNKIN:
+        raise PosetError(f"unknown root system type {kind!r}")
+    least, exact, bonds, (norm, last_norm) = _DYNKIN[kind]
     if type(n) is not int:
         raise PosetError(f"a rank is an int, not {n!r}")
-    if kind in _LEAST_RANK and n < _LEAST_RANK[kind]:
-        raise PosetError(f"type {kind} needs rank >= {_LEAST_RANK[kind]}")
+    if exact and n != least:
+        raise PosetError(f"type {kind} has rank {least}")
+    if n < least:
+        raise PosetError(f"type {kind} needs rank >= {least}")
+    d = [norm] * (n - 1) + [last_norm]
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def link(i, j, a=-1, b=-1):
-        m[i][j] = a
-        m[j][i] = b
-
-    d = [1] * n
-    if kind == "A":
-        for i in range(n - 1):
-            link(i, i + 1)
-    elif kind == "B":  # last simple root short
-        for i in range(n - 2):
-            link(i, i + 1)
-        link(n - 2, n - 1, -2, -1)
-        d = [2] * (n - 1) + [1]
-    elif kind == "C":  # last simple root long
-        for i in range(n - 2):
-            link(i, i + 1)
-        link(n - 2, n - 1, -1, -2)
-        d = [1] * (n - 1) + [2]
-    elif kind == "D":
-        for i in range(n - 3):
-            link(i, i + 1)
-        link(n - 3, n - 2)
-        link(n - 3, n - 1)
-    elif kind in {"E6", "E7"}:
-        rank = 6 if kind == "E6" else 7
-        if n != rank:
-            raise PosetError(f"type {kind} has rank {rank}")
-        chain = [0, 2, 3, 4, 5, 6][: rank - 1]
-        for a, b in zip(chain, chain[1:]):
-            link(a, b)
-        link(1, 3)
-    else:
-        raise PosetError(f"unknown root system type {kind!r}")
+    for i, j in bonds(n):
+        m[i][j] = -max(d[i] // d[j], 1)
+        m[j][i] = -max(d[j] // d[i], 1)
     return m, d
 
 
@@ -209,13 +207,17 @@ class RootSystem:
         return w
 
 
+def root_system(kind: str, rank: int) -> RootSystem:
+    """The shared root system of a type and rank; ``_cartan`` checks both before the cache is read."""
+    _cartan(kind, rank)
+    return _root_system(kind, rank)
+
+
 # Unbounded on purpose: a WeylElement is a frozen dataclass whose ``system``
 # field compares root systems by identity, so evicting one would make equal
 # elements compare unequal; it grows only with the (type, rank) pairs built.
-# Typed, so ``True`` or ``3.0`` misses the entry of 1 or 3 and meets the
-# rank check.
-@lru_cache(maxsize=None, typed=True)
-def root_system(kind: str, rank: int) -> RootSystem:
+@lru_cache(maxsize=None)
+def _root_system(kind: str, rank: int) -> RootSystem:
     return RootSystem(kind, rank)
 
 

@@ -841,7 +841,7 @@ def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
             return URTVerdict("inconclusive", class_size=cls.size)
         return URTVerdict("certified", class_size=cls.size)
 
-    shifted = poset.family.kind == "shifted"
+    shifted = poset.reading == "doubled"
     window = _urt_window(tab, shifted, pad)
     embedded = Tableau.from_dict(window, tab.as_dict())
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -871,11 +871,12 @@ def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int |
     every state, is remembered by its straight members, a cut class whole,
     each by its masks, since seeds are packed and slides keep values.
     Only shapes of at most ``max_size`` boxes are seeded; a ``max_size``
-    that is not ``None`` or a non-negative int raises ``KjdtError``.
+    that is not ``None`` or a non-negative int, a bool excluded, raises
+    ``KjdtError``.
     """
     if poset.is_ambient:
         raise PosetError("the census needs a bounded poset")
-    if max_size is not None and not (isinstance(max_size, int) and max_size >= 0):
+    if max_size is not None and not (type(max_size) is int and max_size >= 0):
         raise KjdtError(f"max_size must be a non-negative integer or None, not {max_size!r}")
     check_budget(budget)
     visited: set[tuple[int, ...]] = set()
@@ -975,8 +976,7 @@ def wx_act(tab: Tableau) -> Tableau:
 
 def doubling(tab: Tableau, target: MinusculePoset | None = None) -> Tableau:
     """Union of a shifted tableau with its reflection across the diagonal."""
-    kind = tab.poset.family.kind
-    if kind not in {"shifted", "og"}:
+    if tab.poset.reading != "doubled":
         raise PosetError("doubling expects a tableau on a shifted poset")
     d = tab.as_dict()
     size = max(max(r, c) for r, c in d) if d else 1
@@ -991,17 +991,17 @@ def doubling(tab: Tableau, target: MinusculePoset | None = None) -> Tableau:
 
 def hecke_of_tableau(tab) -> Permutation:
     """Hecke permutation of a grid tableau (doubling a shifted one first)."""
-    kind = tab.poset.family.kind
-    if kind in {"shifted", "og"}:
+    reading = tab.poset.reading
+    if reading == "doubled":
         tab = doubling(tab)
-    elif kind not in {"grid", "a"}:
+    elif reading != "row":
         raise PosetError("Hecke permutations are defined for grid tableaux")
     return hecke_of_word(tab.row_word())
 
 
 def conjugate(tab: Tableau) -> Tableau:
     """Mirror a grid tableau in the north-west to south-east diagonal."""
-    if tab.poset.family.kind not in {"grid", "a"}:
+    if tab.poset.reading != "row":
         raise PosetError("conjugate expects a grid tableau")
     d = tab.as_dict()
     rows = max((r for r, _ in d), default=1)

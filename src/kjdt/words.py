@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .errors import KjdtError, PosetError, check_budget
+from .errors import KjdtError, _partition, check_budget
 
 Word = tuple[int, ...]
 
@@ -156,16 +156,25 @@ def hecke_product(u: Permutation, v: Permutation) -> Permutation:
     return hecke_of_word(reduced_word(u) + reduced_word(v))
 
 
+def _letters(word) -> Word:
+    """``word`` as a tuple; a letter that is not an int, a bool included, raises ``KjdtError``."""
+    word = tuple(word)
+    if any(type(x) is not int for x in word):
+        raise KjdtError(f"letters must be ints, not {word!r}")
+    return word
+
+
 def hecke_of_word(word) -> Permutation:
     """The Hecke permutation of a word of simple-reflection indices.
 
     Letters act on the right: the letter ``a`` swaps the images of a and
     a+1 unless that would shorten the permutation.  The images of the
     points touched so far are swapped in one map, so the cost follows the
-    length of the word, not its letters.
+    length of the word, not its letters.  A letter that is not an int, a
+    bool included, raises ``KjdtError``.
     """
     im: dict[int, int] = {}
-    for a in word:
+    for a in _letters(word):
         x, y = im.get(a, a), im.get(a + 1, a + 1)
         if x < y:
             im[a], im[a + 1] = y, x
@@ -194,13 +203,10 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
 def grassmannian_permutation(partition) -> Permutation:
     """The increasing-elsewhere permutation with w(i) = i + lambda_{l+1-i}.
 
-    A ``partition`` that is not weakly decreasing and non-negative raises
-    ``PosetError``.
+    A ``partition`` that is not a weakly decreasing tuple of non-negative
+    ints raises ``PosetError`` (``errors._partition``, the one check).
     """
-    parts = tuple(partition)
-    if any(p < 0 for p in parts) or any(a < b for a, b in zip(parts, parts[1:])):
-        raise PosetError(f"{parts} is not a partition")
-    lam = [p for p in parts if p > 0]
+    lam = _partition(partition)
     ell = len(lam)
     if ell == 0:
         return Permutation.identity()
@@ -285,9 +291,7 @@ def kknuth_equiv(
     swap; ``explored`` and the path follow that order.
     """
     check_budget(budget)
-    u, v = tuple(u), tuple(v)
-    if any(type(x) is not int for x in u + v):
-        raise KjdtError(f"letters must be ints, not {u!r} and {v!r}")
+    u, v = _letters(u), _letters(v)
     if u == v:
         return EquivalenceVerdict("equivalent", path=[u])
     inv_u, inv_v = _invariants(u, weak), _invariants(v, weak)

@@ -1,4 +1,7 @@
+import faulthandler
+import os
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -71,6 +74,30 @@ def fillings_skipping_values(poset, lam: int, nu: int, d: int):
         for values in combinations(range(1, d + 1), k):
             for masks in increasing_fillings(poset, lam, nu, k):
                 yield walk_tableau(poset, masks, values)
+
+
+# A copy of stderr taken while pytest captures no output, so the guard's dump is seen.
+_GUARD_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    config.stash[_GUARD_STDERR] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_GUARD_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def _runaway_guard(request):
+    """A test still running after 60 s dumps every thread's traceback and ends the run.
+
+    The slowest test takes a few seconds, so this only turns a runaway search
+    into a prompt failure with a traceback; it forgives nothing.
+    """
+    faulthandler.dump_traceback_later(60, exit=True, file=request.config.stash[_GUARD_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

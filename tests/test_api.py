@@ -1,8 +1,11 @@
-"""The public names of ``kjdt`` (change this list only on purpose) and the imports of its modules."""
+"""The public names of ``kjdt`` (change this list only on purpose), the imports of its
+modules, where family kinds are named, and the errors that refuse malformed input."""
 import ast
 import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import kjdt
 
@@ -163,3 +166,72 @@ def test_words_imports_nothing_of_kjdt_but_its_errors():
         node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
     }
     assert relative == {"errors"}
+
+
+def _enclosing_functions(tree: ast.Module) -> dict[int, str]:
+    """Name of the outermost function around each node of a module, by ``id``."""
+    owner = {}
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            for node in ast.walk(top):
+                owner[id(node)] = top.name
+    return owner
+
+
+# Where a module other than poset.py builds a family by its kind.
+FAMILY_BUILDERS = {("rootsys.py", "grid_family_for")}
+
+
+def test_no_module_but_poset_names_a_family_kind():
+    # family facts are rows of poset._FAMILIES; other modules read the poset's attributes
+    from kjdt.poset import _FAMILIES
+
+    named = []
+    for path in sorted(Path(kjdt.__file__).parent.glob("*.py")):
+        if path.name == "poset.py":
+            continue
+        tree = ast.parse(path.read_text())
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in _FAMILIES:
+                where = owner.get(id(node))
+                if (path.name, where) not in FAMILY_BUILDERS:
+                    named.append(f"{path.name}:{node.lineno} {node.value!r} in {where}")
+    assert not named
+
+
+# Malformed input and the KjdtError subclass that refuses it.  Item 5 of the
+# roadmap grows this table to every public callable.
+REFUSALS = [
+    ("type_a-bool", lambda: kjdt.type_a(True, 2), kjdt.PosetError),
+    ("type_a-float", lambda: kjdt.type_a(2.5, 2), kjdt.PosetError),
+    ("ambient_grid-str", lambda: kjdt.ambient_grid("3", 3), kjdt.PosetError),
+    ("build_poset-list-kind", lambda: kjdt.build_poset(kjdt.PosetFamily(["a"], (2, 2))), kjdt.PosetError),
+    ("build_poset-list-params", lambda: kjdt.build_poset(kjdt.PosetFamily("a", [3, 4])), kjdt.PosetError),
+    ("root_system-list-kind", lambda: kjdt.root_system(["A"], 3), kjdt.PosetError),
+    ("hecke_of_word-str", lambda: kjdt.hecke_of_word((1, "a")), kjdt.KjdtError),
+    ("hecke_of_word-bool", lambda: kjdt.hecke_of_word((1, True)), kjdt.KjdtError),
+    ("kknuth_equiv-bool-letter", lambda: kjdt.kknuth_equiv((1, 2), (True, 2)), kjdt.KjdtError),
+    ("kknuth_equiv-bool-budget", lambda: kjdt.kknuth_equiv((1, 2), (2, 1), budget=True), kjdt.KjdtError),
+    (
+        "jdt_class-bool-budget",
+        lambda: kjdt.jdt_class(kjdt.parse_tableau(kjdt.type_a(2, 2), "1,2"), budget=True),
+        kjdt.KjdtError,
+    ),
+    (
+        "urt_census-bool-max_size",
+        lambda: kjdt.urt_census(kjdt.parse_poset("a:2,2"), max_size=True),
+        kjdt.KjdtError,
+    ),
+    ("pieri_A-float", lambda: kjdt.pieri_A((1,), 1.5), kjdt.PosetError),
+    ("pieri_B-bool", lambda: kjdt.pieri_B((1,), True), kjdt.PosetError),
+    ("grassmannian_permutation-bool", lambda: kjdt.grassmannian_permutation((True,)), kjdt.PosetError),
+    ("grassmannian_permutation-float", lambda: kjdt.grassmannian_permutation((2.5,)), kjdt.PosetError),
+]
+
+
+@pytest.mark.parametrize("call, error", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_malformed_input_is_refused_with_a_kjdt_error(call, error):
+    with pytest.raises(kjdt.KjdtError) as info:
+        call()
+    assert type(info.value) is error

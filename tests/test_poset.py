@@ -71,6 +71,21 @@ def test_parameter_validation():
         ambient_grid(0, 5)
     with pytest.raises(PosetError):
         build_poset(PosetFamily("nope"))
+    # every parameter is an int, a bool excluded, of at least its least value
+    for build, message in [
+        (lambda: type_a(True, 2), r"a poset parameters are ints >= \(1, 1\), got \(True, 2\)"),
+        # True == 1: the cached a:1,2 must not answer for a:True,2
+        (lambda: (type_a(1, 2), type_a(True, 2)), r"got \(True, 2\)"),
+        (lambda: type_a(2.5, 2), r"got \(2.5, 2\)"),
+        (lambda: ambient_grid("3", 3), r"grid poset parameters are ints >= \(1, 1\), got \('3', 3\)"),
+        (lambda: max_orthogonal(1), r"og poset parameters are ints >= \(2,\), got \(1,\)"),
+        (lambda: parse_poset("qeven:1"), r"qeven poset parameters are ints >= \(2,\)"),
+        (lambda: build_poset(PosetFamily(["a"], (2, 2))), r"unknown poset family \['a'\]"),
+        (lambda: build_poset(PosetFamily("a", [3, 4])), r"a poset parameters are a tuple, not \[3, 4\]"),
+        (lambda: MinusculePoset(PosetFamily("og", 5)), "og poset parameters are a tuple, not 5"),
+    ]:
+        with pytest.raises(PosetError, match=message):
+            build()
 
 
 def _order_by_double_loop(poset):

@@ -253,9 +253,11 @@ def test_reflection_table_refuses_a_non_integral_pairing(monkeypatch):
         (lambda: run_suite("A", 3, 2.0), "a node is an int, not 2.0"),
         (lambda: run_suite("A", 3, True), "a node is an int, not True"),
         (lambda: MarkedRootData("D", 4.0, 1), "a rank is an int, not 4.0"),
+        # refused before the cache, which would raise TypeError on an unhashable kind
+        (lambda: root_system(["A"], 3), r"unknown root system type \['A'\]"),
     ],
     ids=["A0", "A-1", "B1", "C1", "D2", "E7-6", "F4", "A3-s7", "A3-s-1", "A3-n9", "A3-n0", "D4-n5",
-         "A3.0", "ATrue", "E6-str", "A1-then-ATrue", "A3-n2.0", "A3-nTrue", "D4.0"],
+         "A3.0", "ATrue", "E6-str", "A1-then-ATrue", "A3-n2.0", "A3-nTrue", "D4.0", "list-kind"],
 )
 def test_bad_root_data_is_refused(build, message):
     with pytest.raises(PosetError, match=message):
