@@ -32,7 +32,8 @@ from .tableau import (
     rect_greedy,
     rectify_all,
     tableau_to_json,
-    urt_census,
+    _census_classes,
+    _census_order,
 )
 from .words import kknuth_equiv, hecke_of_word, lds, lis
 
@@ -165,25 +166,31 @@ def cmd_urt(args) -> int:
     poset = parse_poset(args.poset)
     budget = _budget(args)
     if args.all:
-        report = urt_census(poset, max_size=args.max_size, budget=budget)
+        # certified classes are counted, not kept: a long census holds only the refuted
+        certified, refuted, exhausted = 0, [], True
+        for status, members in _census_classes(poset, args.max_size, budget):
+            if status == "cut":
+                exhausted = False
+            elif status == "certified":
+                certified += len(members)
+            else:
+                refuted.extend(members)
+        refuted.sort(key=_census_order)
         summary = {
-            "poset": report["poset"],
-            "certified": len(report["certified"]),
-            "refuted": len(report["refuted"]),
-            "all_certified": report["all_certified"],
-            "exhausted": report["exhausted"],
+            "poset": poset.family.spec(),
+            "certified": certified,
+            "refuted": len(refuted),
+            "all_certified": exhausted and not refuted,
+            "exhausted": exhausted,
         }
         if args.json:
-            summary["refuted_tableaux"] = [t.literal() for t in report["refuted"]]
+            summary["refuted_tableaux"] = [t.literal() for t in refuted]
             _emit(summary, True)
         else:
-            print(f"census for {report['poset']}: {summary['certified']} certified, "
-                  f"{summary['refuted']} refuted")
-            for t in report["refuted"]:
+            print(f"census for {summary['poset']}: {certified} certified, {len(refuted)} refuted")
+            for t in refuted:
                 print(f"  not a URT: {t.literal()}")
-        if not report["exhausted"]:
-            return EXIT_BUDGET
-        return EXIT_OK
+        return EXIT_OK if exhausted else EXIT_BUDGET
     if args.tableau is None:
         _progress("urt needs --tableau or --all")
         return EXIT_PARSE

@@ -27,6 +27,12 @@ def check_budget(budget) -> None:
         raise KjdtError(f"a budget must be a positive integer or None, not {budget!r}")
 
 
+def check_count(name: str, value) -> None:
+    """A count such as a size bound or a window side is a non-negative int, not a bool."""
+    if not (type(value) is int and value >= 0):
+        raise KjdtError(f"{name} must be a non-negative integer, not {value!r}")
+
+
 def _partition(lam) -> tuple[int, ...]:
     """lam without trailing zeros; a non-partition raises ``PosetError``."""
     lam = tuple(lam)

@@ -37,7 +37,7 @@ from functools import reduce
 from operator import or_
 from types import MappingProxyType
 
-from .errors import NonMinusculePoset, PosetError, WindowExceeded, _partition
+from .errors import KjdtError, NonMinusculePoset, PosetError, WindowExceeded, _partition, check_count
 from .poset import (
     MinusculePoset,
     Shape,
@@ -105,13 +105,15 @@ class GammaElement:
         return self + (-1) * other
 
     def __rmul__(self, k):
-        if isinstance(k, int):
+        if type(k) is int:
             return type(self)(self.poset, {m: k * c for m, c in self.coeffs.items()})
+        if isinstance(k, int):  # a bool or another int subclass
+            raise KjdtError(f"a scalar must be an int, not {k!r}")
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return other * self
+            return self.__rmul__(other)
         return multiply(self, other)
 
     def __eq__(self, other):
@@ -312,8 +314,9 @@ def _check_row_length(p: int):
 def _pieri_a_window(lam, p: int, rows: int | None, cols: int | None) -> Shape:
     """The shape lam in the grid window of G_lam * G_p; the window defaults to the least.
 
-    A window too small to hold every term raises ``WindowExceeded``, and a
-    lam that is not a partition ``PosetError``.
+    A window too small to hold every term raises ``WindowExceeded``, a
+    lam that is not a partition ``PosetError``, and a side that is not
+    ``None`` or a non-negative int ``KjdtError``.
     """
     lam = _partition(lam)
     _check_row_length(p)
@@ -321,6 +324,8 @@ def _pieri_a_window(lam, p: int, rows: int | None, cols: int | None) -> Shape:
     need_cols = (lam[0] if lam else 0) + p
     rows = need_rows if rows is None else rows
     cols = need_cols if cols is None else cols
+    check_count("rows", rows)
+    check_count("cols", cols)
     if rows < need_rows or cols < need_cols:
         raise WindowExceeded(
             f"window {rows}x{cols} cannot hold all terms; "

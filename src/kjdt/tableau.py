@@ -26,7 +26,7 @@ from functools import reduce
 from itertools import product
 from operator import or_
 
-from .errors import BudgetExceeded, KjdtError, PosetError, WindowExceeded, check_budget
+from .errors import BudgetExceeded, KjdtError, PosetError, WindowExceeded, check_budget, check_count
 from .poset import (
     Box,
     MinusculePoset,
@@ -37,6 +37,7 @@ from .poset import (
     bits,
     enumerate_shapes,
     parse_entry,
+    _Memo,
 )
 from .words import Permutation, hecke_of_word, kknuth_equiv, lds, lis
 
@@ -828,7 +829,10 @@ def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
     On an ambient poset the one ``budget`` bounds the window closure in
     states and then each candidate's word search in explored words, so it
     does not bound the total work (an open fault, documented, not mended).
+    A ``pad`` that is not a non-negative int, a bool excluded, raises
+    ``KjdtError``.
     """
+    check_count("pad", pad)
     if not tab.is_straight:
         raise PosetError("URT checks are defined for straight tableaux")
     poset = tab.poset
@@ -860,48 +864,63 @@ def packed_straight_tableaux(poset: MinusculePoset, shape: Shape):
         yield from increasing_fillings(poset, 0, shape.mask, d)
 
 
-def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int | None = None):
-    """Classify every straight packed tableau of a bounded poset as URT or not.
+def _census_order(tab: Tableau):
+    """The order of refuted tableaux in a census report: by size, then literal."""
+    return tab.size, tab.literal()
 
-    Classes are enumerated once each: all straight members of a class
-    share one verdict (certified when the class has a single straight
-    member).  Returns a report with the certified tableaux, in no
-    specified order, and the refuted ones sorted by size, then literal.
-    Only straight seeds are looked up: an exhausted class, which expanded
-    every state, is remembered by its straight members, a cut class whole,
-    each by its masks, since seeds are packed and slides keep values.
-    Only shapes of at most ``max_size`` boxes are seeded; a ``max_size``
-    that is not ``None`` or a non-negative int, a bool excluded, raises
-    ``KjdtError``.
+
+def _census_classes(poset: MinusculePoset, max_size: int | None, budget: int | None):
+    """Yield ``(status, straight members of at most max_size boxes)`` per class the census closes.
+
+    ``status`` is ``"certified"``, ``"refuted"`` or ``"cut"`` (by the
+    budget), judged on the whole class.  Only straight seeds are looked up,
+    by their masks, since seeds are packed and slides keep values.  A
+    certified class's one straight member is its seed, met once, so
+    ``visited`` keeps only the straight members of refuted classes and the
+    straight states of cut ones.  Seeds with d values share one ``(1..d)``.
     """
     if poset.is_ambient:
         raise PosetError("the census needs a bounded poset")
-    if max_size is not None and not (type(max_size) is int and max_size >= 0):
-        raise KjdtError(f"max_size must be a non-negative integer or None, not {max_size!r}")
+    if max_size is not None:
+        check_count("max_size", max_size)
     check_budget(budget)
+    runs = _Memo(lambda d: tuple(range(1, d + 1)))
     visited: set[tuple[int, ...]] = set()
-    certified: list[Tableau] = []
-    refuted: list[Tableau] = []
-    exhausted = True
     for shape in enumerate_shapes(poset):
         if shape.size == 0 or (max_size is not None and shape.size > max_size):
             continue
         for masks in packed_straight_tableaux(poset, shape):
             if masks in visited:
                 continue
-            seed = Tableau.from_masks(poset, tuple(range(1, len(masks) + 1)), masks)
-            cls = jdt_class(seed, budget=budget)
-            if not cls.exhausted:
-                visited.update(cls.states)
-                exhausted = False
-                continue
-            visited.update(t.masks for t in cls.straight)
+            cls = jdt_class(Tableau.from_masks(poset, runs[len(masks)], masks), budget=budget)
             keep = [t for t in cls.straight if max_size is None or t.size <= max_size]
-            if len(cls.straight) == 1:
-                certified.extend(keep)
+            if not cls.exhausted:
+                visited.update(m for m in cls.states if poset.is_ideal(reduce(or_, m)))
+                yield "cut", keep
+            elif len(cls.straight) == 1:
+                yield "certified", keep
             else:
-                refuted.extend(keep)
-    refuted.sort(key=lambda t: (t.size, t.literal()))
+                visited.update(t.masks for t in cls.straight)
+                yield "refuted", keep
+
+
+def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int | None = None):
+    """Classify every straight packed tableau of a bounded poset as URT or not.
+
+    Classes are enumerated once each (``_census_classes``); all straight
+    members of a class share one verdict.  Returns a report with the
+    certified tableaux, in no specified order, and the refuted ones sorted
+    by size, then literal.  Only shapes of at most ``max_size`` boxes are
+    seeded; a ``max_size`` that is not ``None`` or a non-negative int, a
+    bool excluded, raises ``KjdtError``.
+    """
+    certified, refuted, exhausted = [], [], True
+    for status, members in _census_classes(poset, max_size, budget):
+        if status == "cut":
+            exhausted = False
+        else:
+            (certified if status == "certified" else refuted).extend(members)
+    refuted.sort(key=_census_order)
     return {
         "poset": poset.family.spec(),
         "max_size": max_size,

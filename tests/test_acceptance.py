@@ -7,9 +7,12 @@ laptop-class machine.
 """
 import random
 import time
+from functools import reduce
+from operator import or_
 
 import pytest
 
+import kjdt.tableau as tableau_module
 from kjdt.kring import (
     GammaElement,
     SignedKElement,
@@ -214,6 +217,28 @@ def test_criterion_07_urt_censuses():
     counts["e6<=8"] = len(rep["certified"])
     elapsed = time.time() - t0
     report(7, ok, f"census all certified: {counts}, {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("spec, p", [("shifted:5", 2), ("og:6", 3), ("e6", 2)])
+def test_criterion_08_greedy_tree_slides_once_per_reverse_start_of_each_member(
+    monkeypatch, spec, p
+):
+    # The reverse search keeps each member under one parent, so it expands each
+    # member once.  A child rule that keeps a member under two parents gives the
+    # same members but expands them again and again: 4,664 slides for 307 on
+    # shifted:5, and criterion 08 below then takes about 48 s instead of 1.
+    slides = []
+    slide = tableau_module._slide_levels
+
+    def counted(poset, masks, dots, forward):
+        slides.append(dots)
+        return slide(poset, masks, dots, forward)
+
+    monkeypatch.setattr(tableau_module, "_slide_levels", counted)
+    poset = parse_poset(spec)
+    tree = jdt_class(minimal_tableau(poset.shape([p])), seed_is_urt=True)
+    assert tree.exhausted
+    assert len(slides) == sum(len(poset.skew_geometry(reduce(or_, m))[3]) for m in tree.states)
 
 
 def test_criterion_08_minimal_class_uniqueness():

@@ -200,6 +200,14 @@ def test_no_module_but_poset_names_a_family_kind():
     assert not named
 
 
+def _grid_row():
+    return kjdt.parse_tableau(kjdt.ambient_grid(3, 3), "1,2")
+
+
+def _gamma():
+    return kjdt.GammaElement(kjdt.type_a(2, 2), {1: 1})
+
+
 # Malformed input and the KjdtError subclass that refuses it.  Item 5 of the
 # roadmap grows this table to every public callable.
 REFUSALS = [
@@ -227,6 +235,12 @@ REFUSALS = [
     ("pieri_B-bool", lambda: kjdt.pieri_B((1,), True), kjdt.PosetError),
     ("grassmannian_permutation-bool", lambda: kjdt.grassmannian_permutation((True,)), kjdt.PosetError),
     ("grassmannian_permutation-float", lambda: kjdt.grassmannian_permutation((2.5,)), kjdt.PosetError),
+    ("is_urt-float-pad", lambda: kjdt.is_urt(_grid_row(), pad=1.5), kjdt.KjdtError),
+    ("is_urt-negative-pad", lambda: kjdt.is_urt(_grid_row(), pad=-1), kjdt.KjdtError),
+    ("pieri_A-float-rows", lambda: kjdt.pieri_A((1,), 1, rows=2.5), kjdt.KjdtError),
+    ("pieri_A-negative-cols", lambda: kjdt.pieri_A((1,), 1, cols=-1), kjdt.KjdtError),
+    ("GammaElement-mul-bool", lambda: _gamma() * True, kjdt.KjdtError),
+    ("GammaElement-rmul-bool", lambda: True * _gamma(), kjdt.KjdtError),
 ]
 
 
@@ -235,3 +249,14 @@ def test_malformed_input_is_refused_with_a_kjdt_error(call, error):
     with pytest.raises(kjdt.KjdtError) as info:
         call()
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "name, argument",
+    [("is_urt-float-pad", "pad"), ("pieri_A-float-rows", "rows"), ("pieri_A-negative-cols", "cols")],
+)
+def test_a_refused_window_argument_is_named(name, argument):
+    # not reported as an error about a window poset the caller never built
+    call = {r[0]: r[1] for r in REFUSALS}[name]
+    with pytest.raises(kjdt.KjdtError, match=f"^{argument} must be a non-negative integer"):
+        call()
