@@ -105,16 +105,14 @@ class GammaElement:
         return self + (-1) * other
 
     def __rmul__(self, k):
-        if type(k) is int:
-            return type(self)(self.poset, {m: k * c for m, c in self.coeffs.items()})
-        if isinstance(k, int):  # a bool or another int subclass
+        if type(k) is not int:  # a bool included
             raise KjdtError(f"a scalar must be an int, not {k!r}")
-        return NotImplemented
+        return type(self)(self.poset, {m: k * c for m, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.__rmul__(other)
-        return multiply(self, other)
+        if isinstance(other, GammaElement):
+            return multiply(self, other)
+        return self.__rmul__(other)
 
     def __eq__(self, other):
         return (

@@ -218,37 +218,84 @@ def grassmannian_permutation(partition) -> Permutation:
 
 # -- K-Knuth rewriting --------------------------------------------------------
 
+def _pack(words) -> tuple[tuple, int, list[int]]:
+    """Pack ``words`` into ints for a search: their letters are ranked as codes
+    1..k in b = k.bit_length() bits each, w[0] is the low digit and 0 marks
+    the end.  Returns the letters by code (0 unused), b and the packed words;
+    no move adds a letter, so one ranking serves the whole search."""
+    letters = (None, *sorted({x for w in words for x in w}))
+    b = (len(letters) - 1).bit_length() or 1
+    code = {x: k for k, x in enumerate(letters)}
+    return letters, b, [sum(code[x] << i * b for i, x in enumerate(w)) for w in words]
+
+
+def _unpack(w: int, b: int, letters) -> Word:
+    digit = (1 << b) - 1
+    return tuple([letters[w >> s & digit] for s in range(0, w.bit_length(), b)])
+
+
+class _Windows(dict):
+    """One search's move table, filled on a miss: the digit before position
+    i (0 before the word) and the window of three at i map to ``(run,
+    delta)``.  ``run`` is 0 unless a run of equal letters starts at i, 2 if
+    that run repeats, else 1; ``w ^ delta << i*b`` is the window's braid or
+    swap, and ``delta`` is 0 when it has none."""
+
+    __slots__ = ("b",)
+
+    def __init__(self, b: int):
+        self.b = b
+
+    def __missing__(self, key: int):
+        b = self.b
+        digit = (1 << b) - 1
+        p, a, x, c = key & digit, key >> b & digit, key >> 2 * b & digit, key >> 3 * b
+        if a == c != x:
+            delta = (a ^ x) * (1 | 1 << b | 1 << 2 * b)  # braid
+        elif x < a < c or 0 < c < a < x:  # c is 0 past the end of the word
+            delta = (x ^ c) << b | (x ^ c) << 2 * b  # swap last two
+        elif a < c < x or x < c < a:
+            delta = (a ^ x) | (a ^ x) << b  # swap first two
+        else:
+            delta = 0
+        self[key] = entry = (0 if p == a else 1 + (a == x), delta)
+        return entry
+
+
+def _packed_moves(w: int, table: _Windows, weak: bool, grow: bool) -> list[int]:
+    """The packed words one basic K-Knuth move from ``w``, in the order that
+    ``kknuth_equiv`` documents; two windows may give the same word."""
+    b = table.b
+    quad = (1 << 4 * b) - 1
+    wide = w << b
+    out, inserts, windows = [], [], []
+    for s in range(0, w.bit_length(), b):
+        run, delta = table[wide >> s & quad]
+        if run:
+            if run == 2:  # drop a repeat
+                out.append(w & (1 << s) - 1 | w >> s + b << s)
+            if grow:  # insert a repeat
+                inserts.append(w & (1 << s + b) - 1 | w >> s << s + b)
+        if delta:
+            windows.append(w ^ delta << s)
+    if weak:  # swap the first two letters
+        d = (w ^ w >> b) & (1 << b) - 1
+        if d and w >> b:
+            windows.append(w ^ (d | d << b))
+    return out + inserts + windows
+
+
 def _moves(w: Word, weak: bool, grow: bool) -> list[Word]:
     """The words one basic K-Knuth move from ``w``, in the order that
     ``kknuth_equiv`` documents; two windows may give the same word."""
-    n = len(w)
-    out, inserts = [], []
-    prev = None
-    for i, x in enumerate(w):
-        if x != prev:  # a run of equal letters starts at i
-            prev = x
-            if i + 1 < n and w[i + 1] == x:
-                out.append(w[:i] + w[i + 1 :])  # drop a repeat
-            if grow:
-                inserts.append(w[: i + 1] + w[i:])  # insert a repeat
-    out += inserts
-    for i in range(n - 2):
-        a, b, c = w[i], w[i + 1], w[i + 2]
-        if a == c:
-            if a != b:
-                out.append(w[:i] + (b, a, b) + w[i + 3 :])  # braid
-        elif b < a < c or c < a < b:
-            out.append(w[:i] + (a, c, b) + w[i + 3 :])  # swap last two
-        elif a < c < b or b < c < a:
-            out.append(w[:i] + (b, a, c) + w[i + 3 :])  # swap first two
-    if weak and n >= 2 and w[0] != w[1]:
-        out.append((w[1], w[0]) + w[2:])
-    return out
+    letters, b, (x,) = _pack([w])
+    return [_unpack(y, b, letters) for y in _packed_moves(x, _Windows(b), weak, grow)]
 
 
 def kknuth_basic_moves(word, weak: bool = False, max_len: int | None = None):
-    """All words one basic K-Knuth move away (both move directions)."""
-    w = tuple(word)
+    """All words one basic K-Knuth move away (both move directions).  A
+    letter that is not an int, a bool included, raises ``KjdtError``."""
+    w = _letters(word)
     return set(_moves(w, weak, max_len is None or len(w) < max_len))
 
 
@@ -301,12 +348,14 @@ def kknuth_equiv(
         if weak:
             which = f"{which} of reverse(w)+w"
         return EquivalenceVerdict("refuted", invariant=which)
-    max_len = max(len(u), len(v)) + slack
-    sides = ({u: None}, {v: None})  # word -> parent, per side
-    frontiers = ([u], [v])
+    letters, b, ends = _pack([u, v])
+    grows_below = 1 << (max(len(u), len(v)) + slack - 1) * b  # the length bound
+    table = _Windows(b)
+    sides = ({ends[0]: None}, {ends[1]: None})  # packed word -> parent, per side
+    frontiers = ([ends[0]], [ends[1]])
     explored = 2
 
-    def path_through(meet: Word, fwd: dict, bwd: dict) -> list[Word]:
+    def path_through(meet: int, fwd: dict, bwd: dict) -> list[Word]:
         left = []
         node = meet
         while node is not None:
@@ -317,16 +366,16 @@ def kknuth_equiv(
         while node is not None:
             left.append(node)
             node = bwd[node]
-        if left and left[0] != u:
+        if left and left[0] != ends[0]:
             left.reverse()
-        return left
+        return [_unpack(w, b, letters) for w in left]
 
     while frontiers[0] or frontiers[1]:
         side = 0 if 0 < len(frontiers[0]) <= len(frontiers[1]) or not frontiers[1] else 1
         mine, theirs = sides[side], sides[1 - side]
         new = []
         for word in frontiers[side]:
-            for nxt in _moves(word, weak, len(word) < max_len):
+            for nxt in _packed_moves(word, table, weak, word < grows_below):
                 if nxt in mine:
                     continue
                 mine[nxt] = word

@@ -83,9 +83,27 @@ MUTANTS = [
     ),
     Mutant(
         "braid-move", "words.py",
-        "out.append(w[:i] + (b, a, b) + w[i + 3 :])  # braid",
-        "out.append(w[:i] + (b, a, a) + w[i + 3 :])  # braid",
+        "delta = (a ^ x) * (1 | 1 << b | 1 << 2 * b)  # braid",
+        "delta = (a ^ x) * (1 | 1 << b)  # braid",
         "tests/test_cli.py::test_word_commands",
+    ),
+    Mutant(
+        "swap-first-two-flipped", "words.py",
+        "elif a < c < x or x < c < a:",
+        "elif not (a < c < x or x < c < a):",
+        "tests/test_cli.py::test_word_equiv_json_pins_the_search_order",
+    ),
+    Mutant(
+        "insert-shift", "words.py",
+        "inserts.append(w & (1 << s + b) - 1 | w >> s << s + b)",
+        "inserts.append(w & (1 << s + b) - 1 | w >> s << s + 2 * b)",
+        "tests/test_cli.py::test_word_equiv_json_pins_the_search_order",
+    ),
+    Mutant(
+        "weak-swap-one-digit", "words.py",
+        "windows.append(w ^ (d | d << b))",
+        "windows.append(w ^ d)",
+        "tests/test_words.py::test_basic_moves_match_minmax_spelling[True]",
     ),
     Mutant(
         "bruhat-leq-bound", "words.py",
@@ -107,8 +125,8 @@ MUTANTS = [
     ),
     Mutant(
         "weak-initial-swap", "words.py",
-        "if weak and n >= 2 and w[0] != w[1]:",
-        "if weak and n >= 2 and w[0] == w[1]:",
+        "if d and w >> b:",
+        "if not d and w >> b:",
         "tests/test_words.py::test_basic_moves_match_minmax_spelling[True]",
     ),
     Mutant(

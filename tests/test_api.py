@@ -220,6 +220,7 @@ REFUSALS = [
     ("hecke_of_word-str", lambda: kjdt.hecke_of_word((1, "a")), kjdt.KjdtError),
     ("hecke_of_word-bool", lambda: kjdt.hecke_of_word((1, True)), kjdt.KjdtError),
     ("kknuth_equiv-bool-letter", lambda: kjdt.kknuth_equiv((1, 2), (True, 2)), kjdt.KjdtError),
+    ("kknuth_basic_moves-str", lambda: kjdt.kknuth_basic_moves((1, "a")), kjdt.KjdtError),
     ("kknuth_equiv-bool-budget", lambda: kjdt.kknuth_equiv((1, 2), (2, 1), budget=True), kjdt.KjdtError),
     (
         "jdt_class-bool-budget",
@@ -241,6 +242,9 @@ REFUSALS = [
     ("pieri_A-negative-cols", lambda: kjdt.pieri_A((1,), 1, cols=-1), kjdt.KjdtError),
     ("GammaElement-mul-bool", lambda: _gamma() * True, kjdt.KjdtError),
     ("GammaElement-rmul-bool", lambda: True * _gamma(), kjdt.KjdtError),
+    ("GammaElement-mul-float", lambda: _gamma() * 2.5, kjdt.KjdtError),
+    ("GammaElement-rmul-float", lambda: 2.5 * _gamma(), kjdt.KjdtError),
+    ("GammaElement-mul-str", lambda: _gamma() * "2", kjdt.KjdtError),
 ]
 
 

@@ -200,6 +200,16 @@ def test_word_equiv_budget_exit(capsys):
     assert code == 4
 
 
+def test_word_equiv_json_pins_the_search_order(capsys):
+    # the documented move order fixes the words explored and the path found
+    code, out, _ = run(capsys, "word", "equiv", "--u", "1,3,1,4,2", "--v", "1,3,2,4,2", "--json")
+    assert code == 0
+    assert out == (
+        '{"explored": 211, "path": ["1,3,1,4,2", "1,3,1,4,2,2", "3,1,3,4,2,2", '
+        '"3,1,3,2,4,2", "1,3,1,2,4,2", "1,1,3,2,4,2", "1,3,2,4,2"], "status": "equivalent"}\n'
+    )
+
+
 @pytest.mark.parametrize("command", ["rectify", "urt"])
 def test_exhausted_rectification_budget_exits_4(capsys, command):
     code, out, err = run(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kjdt.words as words_module
-from kjdt.errors import KjdtError
+from kjdt.errors import KjdtError, check_budget
 from kjdt.poset import ambient_grid, ambient_shifted, cayley_plane, max_orthogonal, type_a
 from kjdt.tableau import (
     Tableau,
@@ -20,6 +20,7 @@ from kjdt.tableau import (
     reading_words,
 )
 from kjdt.words import (
+    EquivalenceVerdict,
     Permutation,
     _moves,
     bruhat_leq,
@@ -544,8 +545,140 @@ def test_kknuth_equiv_refuses_a_letter_that_is_not_an_int(u, v, monkeypatch):
 
     monkeypatch.setattr(words_module, "_invariants", no_search)
     monkeypatch.setattr(words_module, "_moves", no_search)
+    monkeypatch.setattr(words_module, "_packed_moves", no_search)
     with pytest.raises(KjdtError, match="letters must be ints"):
         kknuth_equiv(u, v)
+
+
+# The search over tuple words that the packed search replaced, kept as a
+# reference: the same moves in the same order, so the same verdicts, paths
+# and explored counts.
+
+
+def _reference_moves(w, weak, grow):
+    n = len(w)
+    out, inserts = [], []
+    prev = None
+    for i, x in enumerate(w):
+        if x != prev:  # a run of equal letters starts at i
+            prev = x
+            if i + 1 < n and w[i + 1] == x:
+                out.append(w[:i] + w[i + 1 :])  # drop a repeat
+            if grow:
+                inserts.append(w[: i + 1] + w[i:])  # insert a repeat
+    out += inserts
+    for i in range(n - 2):
+        a, b, c = w[i], w[i + 1], w[i + 2]
+        if a == c:
+            if a != b:
+                out.append(w[:i] + (b, a, b) + w[i + 3 :])  # braid
+        elif b < a < c or c < a < b:
+            out.append(w[:i] + (a, c, b) + w[i + 3 :])  # swap last two
+        elif a < c < b or b < c < a:
+            out.append(w[:i] + (b, a, c) + w[i + 3 :])  # swap first two
+    if weak and n >= 2 and w[0] != w[1]:
+        out.append((w[1], w[0]) + w[2:])
+    return out
+
+
+def _reference_kknuth_equiv(u, v, slack=3, budget=20000, weak=False):
+    check_budget(budget)
+    u, v = words_module._letters(u), words_module._letters(v)
+    if u == v:
+        return EquivalenceVerdict("equivalent", path=[u])
+    inv_u, inv_v = words_module._invariants(u, weak), words_module._invariants(v, weak)
+    if inv_u != inv_v:
+        names = ("hecke", "lis", "lds")
+        which = next(n for n, a, b in zip(names, inv_u, inv_v) if a != b)
+        if weak:
+            which = f"{which} of reverse(w)+w"
+        return EquivalenceVerdict("refuted", invariant=which)
+    max_len = max(len(u), len(v)) + slack
+    sides = ({u: None}, {v: None})
+    frontiers = ([u], [v])
+    explored = 2
+
+    def path_through(meet, fwd, bwd):
+        left = []
+        node = meet
+        while node is not None:
+            left.append(node)
+            node = fwd[node]
+        left.reverse()
+        node = bwd[meet]
+        while node is not None:
+            left.append(node)
+            node = bwd[node]
+        if left and left[0] != u:
+            left.reverse()
+        return left
+
+    while frontiers[0] or frontiers[1]:
+        side = 0 if 0 < len(frontiers[0]) <= len(frontiers[1]) or not frontiers[1] else 1
+        mine, theirs = sides[side], sides[1 - side]
+        new = []
+        for word in frontiers[side]:
+            for nxt in _reference_moves(word, weak, len(word) < max_len):
+                if nxt in mine:
+                    continue
+                mine[nxt] = word
+                explored += 1
+                if nxt in theirs:
+                    fwd, bwd = (sides[0], sides[1]) if side == 0 else (sides[1], sides[0])
+                    return EquivalenceVerdict(
+                        "equivalent", path=path_through(nxt, fwd, bwd), explored=explored
+                    )
+                new.append(nxt)
+                if budget is not None and explored >= budget:
+                    return EquivalenceVerdict("inconclusive", explored=explored)
+        frontiers = (new, frontiers[1]) if side == 0 else (frontiers[0], new)
+    return EquivalenceVerdict("inconclusive", explored=explored)
+
+
+SHORT_WORDS = [w for n in range(4) for w in product(range(1, 4), repeat=n)]
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_packed_search_matches_the_tuple_search_on_short_words(weak):
+    for u, v in product(SHORT_WORDS, repeat=2):
+        for slack in range(3):
+            for budget in (None, 25):
+                want = _reference_kknuth_equiv(u, v, slack, budget, weak)
+                assert kknuth_equiv(u, v, slack, budget, weak) == want, (u, v, slack, budget)
+
+
+@pytest.mark.parametrize(
+    "letters", [(-2, 0, 10**9), (0, 1), (-2, 10**9, 5, 0, 3, 7, 1, 2, 4)], ids=["3", "2", "9"]
+)
+def test_packed_search_matches_the_tuple_search_on_any_alphabet(letters):
+    # the codes are ranks and the digit width follows the number of letters;
+    # v is a few moves from u or a word of its own, so every verdict occurs
+    rng = random.Random(len(letters))
+    for _ in range(60):
+        u = v = tuple(rng.choices(letters, k=rng.randint(1, 5)))
+        weak = rng.random() < 0.5
+        for _ in range(rng.randint(1, 4)):
+            v = rng.choice(_reference_moves(v, weak, len(v) < 6))
+        if rng.random() < 0.3:
+            v = tuple(rng.choices(letters, k=len(v)))
+        for slack, budget in product((0, 1), (None, 8)):
+            want = _reference_kknuth_equiv(u, v, slack, budget, weak)
+            assert kknuth_equiv(u, v, slack, budget, weak) == want, (u, v, weak, budget)
+
+
+def test_packed_search_matches_the_tuple_search_on_a_long_doubled_pair():
+    # 10 letters and slack 3: the search reaches 13-letter words and spends
+    # the whole budget
+    u, v = doubled_word((1, 3, 4, 4, 3)), doubled_word((3, 4, 1, 1, 4))
+    want = _reference_kknuth_equiv(u, v, 3, 4000)
+    assert want.status == "inconclusive" and want.explored == 4000
+    assert kknuth_equiv(u, v, 3, 4000) == want
+
+
+def test_conjecture_search_is_the_same_under_the_tuple_search(monkeypatch):
+    got = conjecture_search(max_len=3, max_letter=3)
+    monkeypatch.setattr(words_module, "kknuth_equiv", _reference_kknuth_equiv)
+    assert conjecture_search(max_len=3, max_letter=3) == got
 
 
 def test_conjecture_sweep_small():
