@@ -174,10 +174,17 @@ def from_schubert_basis(o: SignedKElement) -> GammaElement:
 
 # -- products ----------------------------------------------------------------
 
-def _ring_poset(assume_urp: bool, *shapes: Shape) -> MinusculePoset:
-    """The one poset of ``shapes``, refused unless its products are K-theory constants."""
-    poset = shapes[0].poset
-    if any(s.poset is not poset for s in shapes):
+def _ring_poset(assume_urp: bool, **shapes: Shape) -> MinusculePoset:
+    """The one poset of ``shapes``, refused unless its products are K-theory constants.
+
+    The shapes come by argument name, and one that is not a ``Shape`` is
+    refused with a ``PosetError`` that names it.
+    """
+    for name, s in shapes.items():
+        if not isinstance(s, Shape):
+            raise PosetError(f"{name} must be a Shape, not {s!r}")
+    poset = shapes["lam"].poset
+    if any(s.poset is not poset for s in shapes.values()):
         raise PosetError("shapes live on different posets")
     if poset.is_ambient:
         raise NonMinusculePoset(
@@ -210,31 +217,29 @@ def class_supports(poset: MinusculePoset, mu: Shape) -> Mapping[int, int]:
 
 
 def _attach(poset: MinusculePoset, lam: int, supports: Mapping[int, int]) -> dict[int, int]:
-    """Counts of ``lam | s`` over supports ``s`` that extend ``lam`` to a shape.
+    """Counts of the shapes ``nu`` above the ideal ``lam``: that of the support ``nu & ~lam``.
 
-    A support is convex, so for the ideal ``lam`` and a support disjoint
-    from it, ``lam | s`` is an ideal exactly when the inner shape of ``s``
-    lies inside ``lam``.
+    For ideals ``lam <= nu``, only the support ``s = nu & ~lam`` gives
+    ``nu = lam | s``.  The down-closure of ``s`` lies in ``nu``, so its
+    inner shape lies in ``lam`` and needs no test: the lookup over the
+    memoised shapes above ``lam`` is exact.
     """
-    geometry = poset.skew_geometry
-    out: dict[int, int] = {}
-    for support, count in supports.items():
-        if support & lam or geometry(support)[1] & ~lam:
-            continue
-        nu = lam | support
-        out[nu] = out.get(nu, 0) + count
-    return out
+    return {nu: supports[nu & ~lam] for nu in poset._above_memo[lam] if nu & ~lam in supports}
 
 
 def basis_product(
     lam: Shape, mu: Shape, assume_urp: bool = False
 ) -> dict[int, int]:
     """Coefficients of G_lam * G_mu as a map from outer-shape masks."""
-    poset = _ring_poset(assume_urp, lam, mu)
+    poset = _ring_poset(assume_urp, lam=lam, mu=mu)
     return _attach(poset, lam.mask, class_supports(poset, mu))
 
 
 def multiply(a: GammaElement, b: GammaElement, assume_urp: bool = False) -> GammaElement:
+    if not isinstance(a, GammaElement):
+        raise KjdtError(f"a must be a GammaElement, not {a!r}")
+    if not isinstance(b, GammaElement):
+        raise KjdtError(f"b must be a GammaElement, not {b!r}")
     if type(a) is not type(b):
         raise PosetError("cannot multiply elements written in different bases")
     a._check_same(b)
@@ -265,7 +270,7 @@ def structure_constant(
     which cuts a partial filling at the first level whose rectification
     differs from M_mu.
     """
-    poset = _ring_poset(assume_urp, lam, mu, nu)
+    poset = _ring_poset(assume_urp, lam=lam, mu=mu, nu=nu)
     if lam.mask & ~nu.mask:
         return 0
     return _greedy_count(poset, lam, mu, nu)

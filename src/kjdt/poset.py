@@ -124,8 +124,9 @@ class MinusculePoset:
     (covers, heights, the ``wx`` involution) is computed once at
     construction, and instances are immutable and safe to share.  Geometry
     that depends only on a mask (neighbor unions, skew presentations and
-    their slide starts, greedy layers, class supports) is memoised per
-    poset on first use, each memo holding at most ``MEMO_CAP`` entries.
+    their slide starts, greedy layers, the shapes above an ideal, class
+    supports) is memoised per poset on first use, each memo holding at
+    most ``MEMO_CAP`` entries.
     The family's row of ``_FAMILIES`` gives ``is_minuscule``,
     ``is_ambient`` (no ``wx`` rule), ``wx`` and ``reading``.
     """
@@ -165,6 +166,7 @@ class MinusculePoset:
         self.above: tuple[int, ...] = tuple(above)
         self.up: tuple[tuple[int, ...], ...] = tuple(tuple(v) for v in up)
         self.down: tuple[tuple[int, ...], ...] = tuple(tuple(v) for v in down)
+        self.covers: tuple[int, ...] = tuple(sum(1 << i for i in v) for v in down)
         self.nbr_mask: tuple[int, ...] = tuple(
             sum(1 << j for j in up[i] + down[i]) for i in range(self.n)
         )
@@ -189,6 +191,7 @@ class MinusculePoset:
         self._expand_cache = _Memo(partial(_union, self.nbr_mask))
         self._skew_memo = _Memo(self._skew_entry)
         self._layer_memo = _Memo(self._layers)
+        self._above_memo = _Memo(lambda lam: tuple(self.ideals_between(lam, self.full_mask)))
         self.class_supports_memo: dict[int, Mapping[int, int]] = {}
 
     # -- basic queries ---------------------------------------------------
@@ -224,12 +227,8 @@ class MinusculePoset:
         return self.down_closure(mask) == mask
 
     def maximal_boxes(self, mask: int) -> list[int]:
-        """Boxes of ``mask`` with no cover inside ``mask``."""
-        return [
-            i
-            for i in bits(mask)
-            if not any(mask & (1 << j) for j in self.up[i])
-        ]
+        """Boxes of ``mask`` with no cover inside ``mask``: those no box of ``mask`` covers."""
+        return list(bits(mask & ~_union(self.covers, mask)))
 
     def skew_geometry(
         self, support: int
@@ -265,7 +264,7 @@ class MinusculePoset:
         layers = []
         rest = inner
         while rest:
-            top = sum(1 << i for i in self.maximal_boxes(rest))
+            top = rest & ~_union(self.covers, rest)
             layers.append(top)
             rest &= ~top
         return tuple(layers)

@@ -38,6 +38,7 @@ from .poset import (
     enumerate_shapes,
     parse_entry,
     _Memo,
+    _union,
 )
 from .words import Permutation, hecke_of_word, kknuth_equiv, lds, lis
 
@@ -360,7 +361,7 @@ def _check_slide_start(poset, support: int, c_mask: int, forward: bool):
     dc = poset.down_closure(support)
     up = poset.up_closure(support)
     inner = dc & ~support
-    inner_max = sum(1 << i for i in poset.maximal_boxes(inner))
+    inner_max = inner & ~_union(poset.covers, inner)
     for i in bits(c_mask):
         bit = 1 << i
         strict_down = poset.below[i] & ~bit
@@ -606,17 +607,17 @@ def _greedy_tree(tab: Tableau, budget: int | None) -> JdtClass:
         raise PosetError("the greedy tree needs a straight seed")
     check_budget(budget)
     poset = tab.poset
-    geometry, layers = poset.skew_geometry, poset.greedy_layers
+    geometry, layers = poset._skew_memo, poset._layer_memo  # memos read without a call
     start = tab.masks
     members = {start}
     frontier = [(start, tab.mask)]
     while frontier:
         new = []
         for masks, support in frontier:
-            for c_mask in geometry(support)[3]:
+            for c_mask in geometry[support][3]:
                 nxt, holes = _slide_levels(poset, masks, c_mask, False)
                 grown = (support | c_mask) & ~holes
-                top = layers(geometry(grown)[1])
+                top = layers[geometry[grown][1]]
                 if top and top[0] == holes:
                     members.add(nxt)
                     new.append((nxt, grown))

@@ -58,9 +58,15 @@ MUTANTS = [
         "perfbench/test_perfbench.py::test_ring_oracles_pass_on_published_values",
     ),
     Mutant(
-        "attach-no-inner-test", "kring.py",
-        "if support & lam or geometry(support)[1] & ~lam:",
-        "if support & lam:",
+        "attach-lookup-key", "kring.py",
+        "supports[nu & ~lam] for nu in poset._above_memo[lam] if nu & ~lam in supports",
+        "supports[nu] for nu in poset._above_memo[lam] if nu in supports",
+        "perfbench/test_perfbench.py::test_ring_oracles_pass_on_published_values",
+    ),
+    Mutant(
+        "covers-from-up", "poset.py",
+        "tuple(sum(1 << i for i in v) for v in down)",
+        "tuple(sum(1 << i for i in v) for v in up)",
         "perfbench/test_perfbench.py::test_ring_oracles_pass_on_published_values",
     ),
     Mutant(

@@ -208,6 +208,15 @@ def _gamma():
     return kjdt.GammaElement(kjdt.type_a(2, 2), {1: 1})
 
 
+def _one_box():
+    return kjdt.type_a(2, 2).shape("1")
+
+
+def _skew():
+    poset = kjdt.type_a(2, 2)
+    return kjdt.SkewShape(poset.shape("2,1"), poset.shape("1"))
+
+
 # Malformed input and the KjdtError subclass that refuses it.  Item 5 of the
 # roadmap grows this table to every public callable.
 REFUSALS = [
@@ -245,6 +254,14 @@ REFUSALS = [
     ("GammaElement-mul-float", lambda: _gamma() * 2.5, kjdt.KjdtError),
     ("GammaElement-rmul-float", lambda: 2.5 * _gamma(), kjdt.KjdtError),
     ("GammaElement-mul-str", lambda: _gamma() * "2", kjdt.KjdtError),
+    (
+        "structure_constant-skew-shape",
+        lambda: kjdt.structure_constant(_one_box(), _one_box(), _skew()),
+        kjdt.PosetError,
+    ),
+    ("euler_pairing-str", lambda: kjdt.euler_pairing(_one_box(), "2"), kjdt.PosetError),
+    ("multiply-int", lambda: kjdt.multiply(5, 5), kjdt.KjdtError),
+    ("multiply-int-right", lambda: kjdt.multiply(_gamma(), 5), kjdt.KjdtError),
 ]
 
 
@@ -263,4 +280,20 @@ def test_a_refused_window_argument_is_named(name, argument):
     # not reported as an error about a window poset the caller never built
     call = {r[0]: r[1] for r in REFUSALS}[name]
     with pytest.raises(kjdt.KjdtError, match=f"^{argument} must be a non-negative integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "name, argument, kind",
+    [
+        ("structure_constant-skew-shape", "nu", "Shape"),
+        ("euler_pairing-str", "mu", "Shape"),
+        ("multiply-int", "a", "GammaElement"),
+        ("multiply-int-right", "b", "GammaElement"),
+    ],
+)
+def test_a_refused_ring_argument_is_named(name, argument, kind):
+    # not an AttributeError from deep inside the product
+    call = {r[0]: r[1] for r in REFUSALS}[name]
+    with pytest.raises(kjdt.KjdtError, match=f"^{argument} must be a {kind}, not "):
         call()

@@ -80,8 +80,9 @@ def _attach_by_is_ideal(poset, lam, supports):
 )
 def test_attach_inner_test_matches_is_ideal(spec, rows):
     # Counts are positive and distinct supports disjoint from lam give
-    # distinct unions, so equal outputs mean the two tests agree on every
-    # (lam, support) pair.  The shifted window is the pieri_B_by_class path.
+    # distinct unions, so equal outputs mean the lookup and the is_ideal
+    # test agree on every (lam, support) pair.  The shifted window is the
+    # pieri_B_by_class path.
     poset = parse_poset(spec)
     mus = enumerate_shapes(poset) if rows is None else [poset.shape(r) for r in rows]
     lams = poset.ideals_between(0, poset.full_mask)
@@ -89,6 +90,28 @@ def test_attach_inner_test_matches_is_ideal(spec, rows):
         supports = class_supports(poset, mu)
         for lam in lams:
             assert _attach(poset, lam, supports) == _attach_by_is_ideal(poset, lam, supports)
+
+
+def _attach_by_scanning(poset, lam, supports):
+    """The rule the lookup over the shapes above lam replaced: scan every
+    support, keep one disjoint from lam whose inner shape lies in lam."""
+    out = {}
+    for support, count in supports.items():
+        inner = poset.down_closure(support) & ~support
+        if support & lam or inner & ~lam:
+            continue
+        out[lam | support] = out.get(lam | support, 0) + count
+    return out
+
+
+@pytest.mark.parametrize("spec", ["a:3,4", "og:6", "e6", "e7", "qeven:5"])
+def test_products_match_the_scanning_reference(spec):
+    poset = parse_poset(spec)
+    shapes = enumerate_shapes(poset)
+    for mu in shapes:
+        supports = class_supports(poset, mu)
+        for lam in shapes:
+            assert basis_product(lam, mu) == _attach_by_scanning(poset, lam.mask, supports)
 
 
 def test_class_supports_is_read_only():
@@ -646,8 +669,12 @@ def test_pieri_b_fixtures():
     for lam in [(), (1,), (2,), (2, 1), (3,), (3, 1), (3, 2)]:
         for p in (1, 2, 3):
             a = terms(pieri_B(lam, p, cols=(lam[0] if lam else 0) + p + 1))
-            b = terms(pieri_B_by_class(lam, p, cols=(lam[0] if lam else 0) + p + 1))
-            assert a == b, (lam, p)
+            by_class = pieri_B_by_class(lam, p, cols=(lam[0] if lam else 0) + p + 1)
+            assert a == terms(by_class), (lam, p)
+            window, lam_mask = by_class.poset, by_class.poset.shape(list(lam)).mask
+            want = _attach_by_scanning(window, lam_mask, class_supports(window, window.shape([p])))
+            want.pop(lam_mask, None)
+            assert by_class.coeffs == want, (lam, p)
 
 
 def test_pieri_b_routes_share_one_window():
