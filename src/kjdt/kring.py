@@ -1,19 +1,31 @@
 """The combinatorial K-theory ring on straight shapes of a poset.
 
-The basis elements G_lambda multiply by counting increasing tableaux
-that rectify to the minimal tableau M_lambda.  Because M_lambda is a
-unique rectification target on every minuscule poset, the coefficient
-of G_nu in G_lambda * G_mu can be read off from the jeu de taquin class
-of M_lambda: it is the number of class members whose support is exactly
-nu minus mu.  That class is computed once per factor and cached, which
-makes full multiplication tables over the exceptional posets cheap.
+The paper's rule multiplies the basis elements by counting tableaux:
+the coefficient of G_nu in G_lambda * G_mu is the number of increasing
+tableaux of shape nu/lambda that rectify to the minimal tableau M_mu.
+M_mu is a unique rectification target on every minuscule poset, so
+these are the members of the jeu de taquin class of M_mu whose support
+is exactly nu minus lambda.  The class is built once per factor and
+cached, which makes full multiplication tables over the exceptional
+posets cheap.
+
+The K-theory ring of a minuscule variety is commutative, so either
+factor's class gives the product.  It is read from the class of the
+larger factor mu, cut at |mu| inner boxes: a member counted for lambda
+has its inner shape inside lambda, so at most |lambda| <= |mu| boxes.
+Every product with mu as the larger factor reads the same cut of mu's
+class, and the members with larger inner shapes are never built.
+On posets taken under ``assume_urp`` the symmetry is seen in the data
+but not proved, so their products are read from the whole class of the
+second factor.
 
 An independent route computes a single structure constant by direct
 enumeration: count the increasing surjective fillings of the skew shape
 whose greedy rectification is M_mu.  Rectified level k depends only on
 levels 1..k of a filling, so the enumeration slides each level as it is
 added and drops a partial filling at the first level that differs from
-M_mu.  The two routes are compared in the test suite.
+M_mu.  It never swaps the factors, so the test suite's comparison of the
+two routes checks commutativity as well.
 
 The Pieri and Grothendieck counts need no jeu de taquin: they count the
 fillings whose row word has a given Hecke permutation w, on one
@@ -44,6 +56,7 @@ from .poset import (
     ambient_grid,
     ambient_shifted,
     bits,
+    check_shapes,
     remember,
     rook_strips_over,
 )
@@ -163,8 +176,16 @@ def _flip_signs(coeffs: dict[int, int]) -> dict[int, int]:
     return {m: (-1) ** m.bit_count() * c for m, c in coeffs.items()}
 
 
+def _check_elements(**elements) -> None:
+    """Refuse an argument that is not a ring element with a ``KjdtError`` that names it."""
+    for name, x in elements.items():
+        if not isinstance(x, GammaElement):
+            raise KjdtError(f"{name} must be a GammaElement, not {x!r}")
+
+
 def to_schubert_basis(g: GammaElement) -> SignedKElement:
     """G_lambda maps to (-1)^size O_lambda."""
+    _check_elements(g=g)
     return SignedKElement(g.poset, _flip_signs(g.coeffs))
 
 
@@ -180,9 +201,7 @@ def _ring_poset(assume_urp: bool, **shapes: Shape) -> MinusculePoset:
     The shapes come by argument name, and one that is not a ``Shape`` is
     refused with a ``PosetError`` that names it.
     """
-    for name, s in shapes.items():
-        if not isinstance(s, Shape):
-            raise PosetError(f"{name} must be a Shape, not {s!r}")
+    check_shapes(**shapes)
     poset = shapes["lam"].poset
     if any(s.poset is not poset for s in shapes.values()):
         raise PosetError("shapes live on different posets")
@@ -200,20 +219,27 @@ def _ring_poset(assume_urp: bool, **shapes: Shape) -> MinusculePoset:
     return poset
 
 
-def class_supports(poset: MinusculePoset, mu: Shape) -> Mapping[int, int]:
+def class_supports(
+    poset: MinusculePoset, mu: Shape, *, max_inner: int | None = None
+) -> Mapping[int, int]:
     """Support multiset of the jeu de taquin class of M_mu (memoised, read-only).
 
     M_mu is a unique rectification target, so the class is built as the
-    tree of the tableaux whose greedy rectification is M_mu.
+    tree of the tableaux whose greedy rectification is M_mu.  ``max_inner``
+    keeps only the members whose inner shape has at most that many boxes
+    (``None``: the whole class); each bound is memoised on its own.
     """
+    key = (mu.mask, max_inner)
     try:
-        return poset.class_supports_memo[mu.mask]
+        return poset.class_supports_memo[key]
     except KeyError:
+        levels = poset._minimal_memo[mu.mask]
+        seed = Tableau.from_masks(poset, tuple(range(1, len(levels) + 1)), levels)
         counts: dict[int, int] = {}
-        for masks in jdt_class(minimal_tableau(mu), seed_is_urt=True).states:
+        for masks in jdt_class(seed, seed_is_urt=True, max_inner=max_inner).states:
             s = reduce(or_, masks, 0)
             counts[s] = counts.get(s, 0) + 1
-        return remember(poset.class_supports_memo, mu.mask, MappingProxyType(counts))
+        return remember(poset.class_supports_memo, key, MappingProxyType(counts))
 
 
 def _attach(poset: MinusculePoset, lam: int, supports: Mapping[int, int]) -> dict[int, int]:
@@ -230,16 +256,25 @@ def _attach(poset: MinusculePoset, lam: int, supports: Mapping[int, int]) -> dic
 def basis_product(
     lam: Shape, mu: Shape, assume_urp: bool = False
 ) -> dict[int, int]:
-    """Coefficients of G_lam * G_mu as a map from outer-shape masks."""
+    """Coefficients of G_lam * G_mu as a map from outer-shape masks.
+
+    The coefficient of G_nu counts the tableaux of shape nu/lam that
+    rectify to M_mu.  On a minuscule poset the ring is commutative, so the
+    factors are first ordered with |lam| <= |mu|; such a tableau's inner
+    shape lies inside lam, so mu's class is read only up to |mu| inner
+    boxes.  Under ``assume_urp`` the factors keep their order and the
+    whole class of M_mu is read.
+    """
     poset = _ring_poset(assume_urp, lam=lam, mu=mu)
-    return _attach(poset, lam.mask, class_supports(poset, mu))
+    if not poset.is_minuscule:
+        return _attach(poset, lam.mask, class_supports(poset, mu))
+    if lam.size > mu.size:
+        lam, mu = mu, lam
+    return _attach(poset, lam.mask, class_supports(poset, mu, max_inner=mu.size))
 
 
 def multiply(a: GammaElement, b: GammaElement, assume_urp: bool = False) -> GammaElement:
-    if not isinstance(a, GammaElement):
-        raise KjdtError(f"a must be a GammaElement, not {a!r}")
-    if not isinstance(b, GammaElement):
-        raise KjdtError(f"b must be a GammaElement, not {b!r}")
+    _check_elements(a=a, b=b)
     if type(a) is not type(b):
         raise PosetError("cannot multiply elements written in different bases")
     a._check_same(b)
@@ -277,11 +312,7 @@ def structure_constant(
 
 
 def _greedy_count(poset, lam: Shape, mu: Shape, nu: Shape) -> int:
-    # M_mu's masks: box i of the ideal mu holds heights[i], and every height up to the top occurs.
-    heights = poset.heights
-    target = [0] * max((heights[i] for i in bits(mu.mask)), default=0)
-    for i in bits(mu.mask):
-        target[heights[i] - 1] |= 1 << i
+    target = poset._minimal_memo[mu.mask]  # M_mu's level masks
     keep = rectifies_to(poset, lam.mask, target)
     fillings = increasing_fillings(poset, lam.mask, nu.mask, len(target), keep=keep)
     return sum(1 for _ in fillings)
@@ -291,6 +322,7 @@ def _greedy_count(poset, lam: Shape, mu: Shape, nu: Shape) -> int:
 
 def dual_class(lam: Shape) -> SignedKElement:
     """Alternating sum of O_nu over rook-strip extensions of the dual shape."""
+    check_shapes(lam=lam)
     poset = lam.poset
     base = lam.dual()
     coeffs = {}

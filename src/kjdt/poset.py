@@ -192,7 +192,8 @@ class MinusculePoset:
         self._skew_memo = _Memo(self._skew_entry)
         self._layer_memo = _Memo(self._layers)
         self._above_memo = _Memo(lambda lam: tuple(self.ideals_between(lam, self.full_mask)))
-        self.class_supports_memo: dict[int, Mapping[int, int]] = {}
+        self._minimal_memo = _Memo(self._minimal_levels)
+        self.class_supports_memo: dict[tuple[int, int | None], Mapping[int, int]] = {}
 
     # -- basic queries ---------------------------------------------------
 
@@ -268,6 +269,19 @@ class MinusculePoset:
             layers.append(top)
             rest &= ~top
         return tuple(layers)
+
+    def _minimal_levels(self, ideal: int) -> tuple[int, ...]:
+        """Level masks of the minimal tableau of the ideal: box i holds ``heights[i]``.
+
+        Every box below a box of an ideal is in it, so the longest chain
+        inside it that ends at box i is its height, and every height up
+        to the top occurs.
+        """
+        heights = self.heights
+        levels = [0] * max((heights[i] for i in bits(ideal)), default=0)
+        for i in bits(ideal):
+            levels[heights[i] - 1] |= 1 << i
+        return tuple(levels)
 
     def ideals_between(self, lo: int, hi: int) -> list[int]:
         """Every order ideal ``m`` with ``lo <= m <= hi`` (as box sets).
@@ -570,7 +584,15 @@ def enumerate_shapes(poset: MinusculePoset) -> list[Shape]:
     return shapes
 
 
+def check_shapes(**shapes) -> None:
+    """Refuse an argument that is not a ``Shape`` with a ``PosetError`` that names it."""
+    for name, value in shapes.items():
+        if not isinstance(value, Shape):
+            raise PosetError(f"{name} must be a Shape, not {value!r}")
+
+
 def dual_shape(shape: Shape) -> Shape:
+    check_shapes(shape=shape)
     return shape.dual()
 
 
@@ -582,6 +604,7 @@ def rook_strips_over(shape: Shape) -> list[Shape]:
     those extends ``shape`` to an ideal: the strips are ``shape`` and
     ``shape | s`` for each reverse slide start ``s`` of ``shape``.
     """
+    check_shapes(shape=shape)
     poset = shape.poset
     starts = poset.skew_geometry(shape.mask)[3]
     shapes = [Shape(poset, shape.mask | s) for s in (0, *starts)]

@@ -490,6 +490,7 @@ def jdt_class(
     *,
     seed_is_urt: bool = False,
     within: int | None = None,
+    max_inner: int | None = None,
 ) -> JdtClass:
     """Breadth-first closure of ``tab`` under slides inside its poset.
 
@@ -500,11 +501,16 @@ def jdt_class(
     greedy rectification is ``tab`` (see ``_greedy_tree``).  That is the
     whole class exactly when ``tab`` is a unique rectification target, so
     the result is trusted only then; ``straight`` is ``[tab]``.
+    ``max_inner``, a count, keeps of those only the tableaux whose inner
+    shape has at most that many boxes; ``None`` keeps them all.  It bounds
+    the greedy tree alone, as ``within`` bounds the closure alone.
     """
     if seed_is_urt:
         if within is not None:
             raise KjdtError("the greedy tree takes no within bound")
-        return _greedy_tree(tab, budget)
+        return _greedy_tree(tab, budget, max_inner)
+    if max_inner is not None:
+        raise KjdtError("max_inner bounds only the greedy tree (seed_is_urt=True)")
     return _closure(tab, budget, stop_second_straight, within)
 
 
@@ -587,7 +593,7 @@ def _closure(tab: Tableau, budget, stop_second_straight=False, within=None) -> J
     return JdtClass(tab, seen, straight, True)
 
 
-def _greedy_tree(tab: Tableau, budget: int | None) -> JdtClass:
+def _greedy_tree(tab: Tableau, budget: int | None, max_inner: int | None) -> JdtClass:
     """The tableaux whose greedy rectification is the straight ``tab``, by reverse search.
 
     The parent of such a tableau is its first greedy slide, the forward
@@ -602,25 +608,35 @@ def _greedy_tree(tab: Tableau, budget: int | None) -> JdtClass:
     consulted (Avis and Fukuda, *Reverse search for enumeration*, 1996).
     A budget cuts the walk as it cuts the closure: after the expansion
     that takes the member count past it.
+
+    A child's inner shape is its parent's plus the final holes, so the
+    members whose inner shape has at most ``max_inner`` boxes form a
+    subtree.  Each state carries ``room``, the boxes its inner shape may
+    still gain: a child is kept only if its holes fit in it, and a state
+    with no room is not expanded.
     """
     if not tab.is_straight:
         raise PosetError("the greedy tree needs a straight seed")
     check_budget(budget)
+    if max_inner is not None:
+        check_count("max_inner", max_inner)
     poset = tab.poset
     geometry, layers = poset._skew_memo, poset._layer_memo  # memos read without a call
     start = tab.masks
     members = {start}
-    frontier = [(start, tab.mask)]
+    frontier = [(start, tab.mask, poset.n if max_inner is None else max_inner)]
     while frontier:
         new = []
-        for masks, support in frontier:
+        for masks, support, room in frontier:
+            if not room:
+                continue
             for c_mask in geometry[support][3]:
                 nxt, holes = _slide_levels(poset, masks, c_mask, False)
                 grown = (support | c_mask) & ~holes
                 top = layers[geometry[grown][1]]
-                if top and top[0] == holes:
+                if top and top[0] == holes and holes.bit_count() <= room:
                     members.add(nxt)
-                    new.append((nxt, grown))
+                    new.append((nxt, grown, room - holes.bit_count()))
             if budget is not None and len(members) > budget:
                 return JdtClass(tab, members, [tab], False)
         frontier = new

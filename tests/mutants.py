@@ -137,9 +137,21 @@ MUTANTS = [
     ),
     Mutant(
         "greedy-tree-child", "tableau.py",
-        "if top and top[0] == holes:",
-        "if top and top[0] & holes:",
+        "if top and top[0] == holes and",
+        "if top and top[0] & holes and",
         "tests/test_acceptance.py::test_criterion_08_greedy_tree_slides_once_per_reverse_start_of_each_member[shifted:5-2]",
+    ),
+    Mutant(
+        "greedy-tree-bound-strict", "tableau.py",
+        "holes.bit_count() <= room:",
+        "holes.bit_count() < room:",
+        "perfbench/test_perfbench.py::test_ring_oracles_pass_on_published_values",
+    ),
+    Mutant(
+        "product-factor-order", "kring.py",
+        "if lam.size > mu.size:",
+        "if lam.size < mu.size:",
+        "perfbench/test_perfbench.py::test_ring_oracles_pass_on_published_values",
     ),
     Mutant(
         "census-status-from-kept", "tableau.py",

@@ -241,6 +241,30 @@ def test_criterion_08_greedy_tree_slides_once_per_reverse_start_of_each_member(
     assert len(slides) == sum(len(poset.skew_geometry(reduce(or_, m))[3]) for m in tree.states)
 
 
+@pytest.mark.parametrize("spec, rows", [("og:6", "3"), ("e6", "4,1"), ("e7", "5,3")])
+def test_criterion_08_capped_tree_slides_once_per_reverse_start_below_the_bound(
+    monkeypatch, spec, rows
+):
+    # The cut tree of basis_product expands exactly the members with room
+    # left under the bound, each once; a member at the bound is kept but
+    # never slid from.
+    slides = []
+    slide = tableau_module._slide_levels
+
+    def counted(poset, masks, dots, forward):
+        slides.append(dots)
+        return slide(poset, masks, dots, forward)
+
+    monkeypatch.setattr(tableau_module, "_slide_levels", counted)
+    poset = parse_poset(spec)
+    mu = poset.shape(rows)
+    tree = jdt_class(minimal_tableau(mu), seed_is_urt=True, max_inner=mu.size)
+    assert tree.exhausted
+    geometries = [poset.skew_geometry(reduce(or_, m)) for m in tree.states]
+    assert len(slides) == sum(len(g[3]) for g in geometries if g[1].bit_count() < mu.size)
+    assert any(g[1].bit_count() == mu.size for g in geometries)  # the bound cuts this tree
+
+
 def test_criterion_08_minimal_class_uniqueness():
     t0 = time.time()
     ok = True

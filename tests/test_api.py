@@ -262,6 +262,14 @@ REFUSALS = [
     ("euler_pairing-str", lambda: kjdt.euler_pairing(_one_box(), "2"), kjdt.PosetError),
     ("multiply-int", lambda: kjdt.multiply(5, 5), kjdt.KjdtError),
     ("multiply-int-right", lambda: kjdt.multiply(_gamma(), 5), kjdt.KjdtError),
+    ("jdt_class-bool-max_inner", lambda: kjdt.jdt_class(_grid_row(), seed_is_urt=True, max_inner=True), kjdt.KjdtError),
+    ("jdt_class-negative-max_inner", lambda: kjdt.jdt_class(_grid_row(), seed_is_urt=True, max_inner=-1), kjdt.KjdtError),
+    ("jdt_class-float-max_inner", lambda: kjdt.jdt_class(_grid_row(), seed_is_urt=True, max_inner=1.5), kjdt.KjdtError),
+    ("jdt_class-max_inner-without-seed_is_urt", lambda: kjdt.jdt_class(_grid_row(), max_inner=1), kjdt.KjdtError),
+    ("dual_class-str", lambda: kjdt.dual_class("2"), kjdt.PosetError),
+    ("to_schubert_basis-int", lambda: kjdt.to_schubert_basis(5), kjdt.KjdtError),
+    ("dual_shape-str", lambda: kjdt.dual_shape("x"), kjdt.PosetError),
+    ("rook_strips_over-int", lambda: kjdt.rook_strips_over(3), kjdt.PosetError),
 ]
 
 
@@ -274,7 +282,14 @@ def test_malformed_input_is_refused_with_a_kjdt_error(call, error):
 
 @pytest.mark.parametrize(
     "name, argument",
-    [("is_urt-float-pad", "pad"), ("pieri_A-float-rows", "rows"), ("pieri_A-negative-cols", "cols")],
+    [
+        ("is_urt-float-pad", "pad"),
+        ("pieri_A-float-rows", "rows"),
+        ("pieri_A-negative-cols", "cols"),
+        ("jdt_class-bool-max_inner", "max_inner"),
+        ("jdt_class-negative-max_inner", "max_inner"),
+        ("jdt_class-float-max_inner", "max_inner"),
+    ],
 )
 def test_a_refused_window_argument_is_named(name, argument):
     # not reported as an error about a window poset the caller never built
@@ -290,6 +305,10 @@ def test_a_refused_window_argument_is_named(name, argument):
         ("euler_pairing-str", "mu", "Shape"),
         ("multiply-int", "a", "GammaElement"),
         ("multiply-int-right", "b", "GammaElement"),
+        ("dual_class-str", "lam", "Shape"),
+        ("to_schubert_basis-int", "g", "GammaElement"),
+        ("dual_shape-str", "shape", "Shape"),
+        ("rook_strips_over-int", "shape", "Shape"),
     ],
 )
 def test_a_refused_ring_argument_is_named(name, argument, kind):

@@ -114,6 +114,39 @@ def test_products_match_the_scanning_reference(spec):
             assert basis_product(lam, mu) == _attach_by_scanning(poset, lam.mask, supports)
 
 
+@pytest.mark.parametrize("spec", ["a:3,3", "og:5", "e6", "qeven:5"])
+def test_basis_product_is_commutative_and_reads_either_whole_class(spec):
+    # basis_product reads the larger factor's cut class; the paper's rule read
+    # from the whole class of M_mu, and of M_lam the other way round, agrees.
+    poset = parse_poset(spec)
+    shapes = enumerate_shapes(poset)
+    for lam in shapes:
+        for mu in shapes:
+            product = basis_product(lam, mu)
+            assert product == basis_product(mu, lam)
+            assert product == _attach(poset, lam.mask, class_supports(poset, mu))
+            assert product == _attach(poset, mu.mask, class_supports(poset, lam))
+
+
+def test_a_product_table_closes_each_cut_class_once(monkeypatch):
+    # Every mu is the larger factor of G_0 * G_mu, and each is cut at |mu|.
+    e6 = MinusculePoset(PosetFamily("e6", ()))  # not the cached poset: an empty memo
+    calls = []
+    closure = kring_module.jdt_class
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["max_inner"])
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(kring_module, "jdt_class", counted)
+    shapes = enumerate_shapes(e6)
+    for lam in shapes:
+        for mu in shapes:
+            basis_product(lam, mu)
+    assert sorted(calls) == sorted(mu.size for mu in shapes)
+    assert set(e6.class_supports_memo) == {(mu.mask, mu.size) for mu in shapes}
+
+
 def test_class_supports_is_read_only():
     e6 = cayley_plane()
     lam, mu = e6.shape("2"), e6.shape("4,1")

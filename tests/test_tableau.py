@@ -498,6 +498,24 @@ def test_greedy_tree_budget_cuts_like_the_closure():
             assert cut.size > budget or cut.member_keys == whole.member_keys
 
 
+def _capped_tree_seeds():
+    """Minimal tableaux of every shape of e6 and of a seeded sample of e7's."""
+    yield from map(minimal_tableau, enumerate_shapes(cayley_plane()))
+    yield from map(minimal_tableau, random.Random(31).sample(enumerate_shapes(freudenthal()), 8))
+
+
+def test_capped_greedy_tree_is_the_whole_tree_cut_at_the_bound():
+    # basis_product reads M_mu's class cut at |mu| inner boxes; other bounds check the cut itself.
+    for tab in _capped_tree_seeds():
+        poset, size = tab.poset, tab.size
+        whole = jdt_class(tab, seed_is_urt=True).states
+        inner = {m: poset.skew_geometry(reduce(or_, m, 0))[1].bit_count() for m in whole}
+        for bound in {0, 1, size // 2, size, size + 1}:
+            capped = jdt_class(tab, seed_is_urt=True, max_inner=bound)
+            assert capped.exhausted and capped.straight == [tab]
+            assert capped.states == {m for m in whole if inner[m] <= bound}, (tab, bound)
+
+
 def _rectifying_to(cls, target, keep_support):
     """``{masks: number of rectifications}`` over the states of ``cls`` whose
     support passes ``keep_support`` and that have ``target`` among their
