@@ -36,7 +36,6 @@ from .poset import (
     ambient_shifted,
     build_poset,
     cayley_plane,
-    dual_shape,
     enumerate_shapes,
     freudenthal,
     lagrangian,

@@ -451,6 +451,7 @@ def _pieri_b_window(lam, p: int, cols: int | None) -> Shape:
     _check_row_length(p)
     need = (lam[0] if lam else 0) + p
     cols = need if cols is None else cols
+    check_count("cols", cols)
     if cols < need:
         raise WindowExceeded(f"shifted window {cols} too small; need {need}")
     return ambient_shifted(cols).shape(list(lam))
@@ -529,6 +530,7 @@ def fat_hook_urt(lam, u_tab: Tableau, pad: int = 2) -> dict:
     unique rectification target; the claim is cross-validated by running
     the direct class check on the combined tableau in a window.
     """
+    check_count("pad", pad)
     a, b, c, d = _fat_hook_params(lam)
     if not isinstance(u_tab, Tableau):
         raise PosetError(f"the attached tableau must be a Tableau, not {u_tab!r}")

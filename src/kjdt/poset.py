@@ -337,9 +337,6 @@ class MinusculePoset:
     def empty_shape(self) -> "Shape":
         return Shape(self, 0)
 
-    def full_shape(self) -> "Shape":
-        return Shape(self, self.full_mask)
-
     def row_lengths(self, mask: int) -> tuple[int, ...]:
         lens = []
         for r in self.row_numbers:
@@ -589,11 +586,6 @@ def check_shapes(**shapes) -> None:
     for name, value in shapes.items():
         if not isinstance(value, Shape):
             raise PosetError(f"{name} must be a Shape, not {value!r}")
-
-
-def dual_shape(shape: Shape) -> Shape:
-    check_shapes(shape=shape)
-    return shape.dual()
 
 
 def rook_strips_over(shape: Shape) -> list[Shape]:

@@ -14,13 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from operator import mul
-import random
 
 from .errors import PosetError
 from .poset import MinusculePoset, PosetFamily, Shape, bits, build_poset, enumerate_shapes
-from .tableau import increasing_fillings
 
 Coeffs = tuple[int, ...]
 
@@ -408,13 +405,6 @@ class MarkedRootData:
             if i != self.node
         )
 
-    def box_label(self, i: int) -> WeylElement:
-        """Heap label of a box: the simple reflection of its one-box skew."""
-        below = self.poset.below[i]
-        lam = Shape(self.poset, below)
-        mu = Shape(self.poset, below & ~(1 << i))
-        return self.weyl_of_shape(lam) * self.weyl_of_shape(mu).inverse()
-
 
 # -- the verification suite ----------------------------------------------------
 
@@ -471,63 +461,6 @@ def check_incomparable_orthogonal(data: MarkedRootData) -> dict:
                 if system.bilinear(data.box_to_root[i], data.box_to_root[j]) != 0:
                     failures.append((poset.boxes[i], poset.boxes[j]))
     return {"check": "orthogonality", "pass": not failures, "failures": failures}
-
-
-def check_full_commutativity(
-    data: MarkedRootData,
-    shape: Shape,
-    budget: int = 10**6,
-    samples: int = 200,
-    seed: int = 0,
-) -> dict:
-    """Every linear extension multiplies the box labels to the same reduced word.
-
-    Exhaustive when the number of extensions fits the budget, otherwise a
-    random sample of extensions is checked.
-    """
-    poset = data.poset
-    labels = {i: data.box_label(i) for i in bits(shape.mask)}
-    target = data.weyl_of_shape(shape)
-    # A filling by 1..size puts one box on each level: a linear extension.
-    fillings = increasing_fillings(poset, 0, shape.mask, shape.size)
-    exts = [
-        tuple(m.bit_length() - 1 for m in key) for key in islice(fillings, budget + 1)
-    ]
-    mode = "exhaustive"
-    if len(exts) > budget:
-        rng = random.Random(seed)
-        chosen = []
-        for _ in range(samples):
-            done = 0
-            ext = []
-            while done != shape.mask:
-                minimal = poset.minimal_absent_boxes(done)
-                pick = rng.choice([i for i in minimal if shape.mask >> i & 1])
-                ext.append(pick)
-                done |= 1 << pick
-            chosen.append(tuple(ext))
-        exts = chosen
-        mode = "sampled"
-    failures = 0
-    for ext in exts:
-        w = data.system.identity()
-        ok = True
-        for i in ext:  # labels multiply on the left along the extension
-            nxt = labels[i] * w
-            if nxt.length() != w.length() + 1:
-                ok = False
-                break
-            w = nxt
-        if not ok or w != target:
-            failures += 1
-    return {
-        "check": "full_commutativity",
-        "shape": shape.literal(),
-        "mode": mode,
-        "extensions": len(exts),
-        "pass": failures == 0,
-        "failures": failures,
-    }
 
 
 def run_suite(kind: str, rank: int, node: int) -> dict:

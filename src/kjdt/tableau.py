@@ -159,15 +159,6 @@ class Tableau:
             raise PosetError("straight_rows needs a straight tableau")
         return tuple(value_rows(self.as_dict()).values())
 
-    def restrict(self, lo: int, hi: int) -> "Tableau":
-        """Sub-tableau of boxes whose values lie in [lo, hi]."""
-        filling = {b: v for b, v in self.as_dict().items() if lo <= v <= hi}
-        return Tableau.from_dict(self.poset, filling)
-
-    def pack(self) -> "Tableau":
-        """Order-isomorphic copy with values renumbered to 1..d."""
-        return Tableau.from_masks(self.poset, tuple(range(1, len(self.masks) + 1)), self.masks)
-
     # -- identity --------------------------------------------------------
 
     def __eq__(self, other):
@@ -1187,6 +1178,8 @@ def reading_words(tab, limit: int | None = None):
     everything strictly east of it.  The support is checked at call time;
     the returned generator yields distinct words lazily.
     """
+    if limit is not None:
+        check_count("limit", limit)
     filling = tab.as_dict()
     boxes = sorted(filling)
     if not is_hook_closed(boxes):

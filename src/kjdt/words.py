@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .errors import KjdtError, _partition, check_budget
+from .errors import KjdtError, _partition, check_budget, check_count
 
 Word = tuple[int, ...]
 
@@ -330,14 +330,15 @@ def kknuth_equiv(
     Intermediate words may exceed both input lengths by at most ``slack``
     letters, and at most ``budget`` words are explored in total: ``None``
     sets no bound, and a budget that is neither ``None`` nor a positive
-    int raises ``KjdtError``, and so does a letter that is not an int, a
-    bool included.  An undecided search returns
-    ``inconclusive``.  Each word's neighbours are visited in one fixed
-    order: drops, then inserts (one per run of equal letters), then the
-    moves of each window of three from the left, then the weak prefix
-    swap; ``explored`` and the path follow that order.
+    int raises ``KjdtError``, and so do a ``slack`` that is not a
+    non-negative int and a letter that is not an int, a bool included.
+    An undecided search returns ``inconclusive``.  Each word's neighbours
+    are visited in one fixed order: drops, then inserts (one per run of
+    equal letters), then the moves of each window of three from the left,
+    then the weak prefix swap; ``explored`` and the path follow that order.
     """
     check_budget(budget)
+    check_count("slack", slack)
     u, v = _letters(u), _letters(v)
     if u == v:
         return EquivalenceVerdict("equivalent", path=[u])
@@ -412,6 +413,9 @@ def conjecture_search(
     pair where one search proves equivalence while the other refutes it
     is a counterexample candidate; undecided pairs are tallied.
     """
+    for name, count in (("max_len", max_len), ("max_letter", max_letter), ("slack", slack)):
+        check_count(name, count)
+    check_budget(budget)
     words: list[Word] = []
     for n in range(1, max_len + 1):
         words.extend(iter_product(range(1, max_letter + 1), repeat=n))

@@ -16,7 +16,7 @@ PUBLIC = [
     "SignedKElement", "SkewShape", "Tableau", "URTVerdict", "WeakTableau",
     "WeylElement", "WindowExceeded", "ambient_grid", "ambient_shifted",
     "build_poset", "cayley_plane", "conjecture_search", "conjugate", "doubling",
-    "dual_class", "dual_shape", "enumerate_shapes", "euler_pairing",
+    "dual_class", "enumerate_shapes", "euler_pairing",
     "fat_hook_urt", "forward_slide", "freudenthal", "grassmannian_permutation",
     "grothendieck_times_shape", "hecke_of_tableau", "hecke_of_word",
     "hecke_product", "infusion", "is_urt", "jdt_class", "kknuth_basic_moves",
@@ -168,6 +168,52 @@ def test_words_imports_nothing_of_kjdt_but_its_errors():
     assert relative == {"errors"}
 
 
+def test_rootsys_imports_nothing_of_kjdt_but_errors_and_poset():
+    # the verifier checks the posets from root data alone, not through the slide engine
+    tree = ast.parse((Path(kjdt.__file__).parent / "rootsys.py").read_text())
+    relative = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert relative == {"errors", "poset"}
+
+
+# Public functions and methods that no library module reads, each kept for a reason.
+UNREAD_BY_THE_LIBRARY = {
+    "GammaElement.coefficient": "public element API",
+    "pieri_A_by_counting": "the words benchmark workload calls it",
+    "pieri_B_by_class": "a cross-check route for pieri_B",
+    "Tableau.from_levels": "the frozen benchmark tracer reads it (ROADMAP item 7)",
+    "JdtClass.member_keys": "the frozen benchmark tracer reads it (ROADMAP item 7)",
+    "MinusculePoset.expand_neighbors": "the frozen benchmark tracer reads it (ROADMAP item 7)",
+    "RootSystem.reflect": "the reference for the reflection table",
+}
+
+
+def test_library_reads_every_public_name_it_defines():
+    # a function or method only tests reach belongs in the tests; the functions
+    # kjdt exports are its API, and the re-exports in __init__.py are no reads
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(kjdt.__file__).parent.glob("*.py"))
+    }
+    used = set().union(*(_referenced_names(t) for name, t in trees.items() if name != "__init__.py"))
+    unread = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name not in PUBLIC:
+                defined = [(node.name, node.name)]
+            elif isinstance(node, ast.ClassDef):
+                defined = [
+                    (f"{node.name}.{f.name}", f.name)
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef)
+                ]
+            else:
+                continue
+            unread.update(q for q, name in defined if not name.startswith("_") and name not in used)
+    assert unread == set(UNREAD_BY_THE_LIBRARY)
+
+
 def _enclosing_functions(tree: ast.Module) -> dict[int, str]:
     """Name of the outermost function around each node of a module, by ``id``."""
     owner = {}
@@ -210,6 +256,10 @@ def _gamma():
 
 def _one_box():
     return kjdt.type_a(2, 2).shape("1")
+
+
+def _corner():
+    return kjdt.Tableau.from_dict(kjdt.ambient_grid(3, 3), {(1, 1): 4})
 
 
 def _skew():
@@ -268,8 +318,20 @@ REFUSALS = [
     ("jdt_class-max_inner-without-seed_is_urt", lambda: kjdt.jdt_class(_grid_row(), max_inner=1), kjdt.KjdtError),
     ("dual_class-str", lambda: kjdt.dual_class("2"), kjdt.PosetError),
     ("to_schubert_basis-int", lambda: kjdt.to_schubert_basis(5), kjdt.KjdtError),
-    ("dual_shape-str", lambda: kjdt.dual_shape("x"), kjdt.PosetError),
     ("rook_strips_over-int", lambda: kjdt.rook_strips_over(3), kjdt.PosetError),
+    ("pieri_B-str-cols", lambda: kjdt.pieri_B((1,), 1, cols="3"), kjdt.KjdtError),
+    ("pieri_B-float-cols", lambda: kjdt.pieri_B((1,), 1, cols=2.5), kjdt.KjdtError),
+    ("pieri_B_by_class-str-cols", lambda: kjdt.kring.pieri_B_by_class((1,), 1, cols="3"), kjdt.KjdtError),
+    ("fat_hook_urt-str-pad", lambda: kjdt.fat_hook_urt((2, 1), _corner(), pad="x"), kjdt.KjdtError),
+    ("fat_hook_urt-negative-pad", lambda: kjdt.fat_hook_urt((2, 1), _corner(), pad=-1), kjdt.KjdtError),
+    ("kknuth_equiv-negative-slack", lambda: kjdt.kknuth_equiv((1, 1), (1,), slack=-5), kjdt.KjdtError),
+    ("kknuth_equiv-float-slack", lambda: kjdt.kknuth_equiv((1, 1), (1,), slack=1.5), kjdt.KjdtError),
+    ("weak_kknuth_equiv-negative-slack", lambda: kjdt.weak_kknuth_equiv((1, 1), (1,), slack=-5), kjdt.KjdtError),
+    ("conjecture_search-str-max_len", lambda: kjdt.conjecture_search("2", 2), kjdt.KjdtError),
+    ("conjecture_search-float-max_letter", lambda: kjdt.conjecture_search(2, 1.5), kjdt.KjdtError),
+    ("conjecture_search-negative-slack", lambda: kjdt.conjecture_search(1, 2, slack=-1), kjdt.KjdtError),
+    ("conjecture_search-zero-budget", lambda: kjdt.conjecture_search(1, 2, budget=0), kjdt.KjdtError),
+    ("reading_words-str-limit", lambda: kjdt.reading_words(_grid_row(), limit="x"), kjdt.KjdtError),
 ]
 
 
@@ -289,6 +351,18 @@ def test_malformed_input_is_refused_with_a_kjdt_error(call, error):
         ("jdt_class-bool-max_inner", "max_inner"),
         ("jdt_class-negative-max_inner", "max_inner"),
         ("jdt_class-float-max_inner", "max_inner"),
+        ("pieri_B-str-cols", "cols"),
+        ("pieri_B-float-cols", "cols"),
+        ("pieri_B_by_class-str-cols", "cols"),
+        ("fat_hook_urt-str-pad", "pad"),
+        ("fat_hook_urt-negative-pad", "pad"),
+        ("kknuth_equiv-negative-slack", "slack"),
+        ("kknuth_equiv-float-slack", "slack"),
+        ("weak_kknuth_equiv-negative-slack", "slack"),
+        ("conjecture_search-str-max_len", "max_len"),
+        ("conjecture_search-float-max_letter", "max_letter"),
+        ("conjecture_search-negative-slack", "slack"),
+        ("reading_words-str-limit", "limit"),
     ],
 )
 def test_a_refused_window_argument_is_named(name, argument):
@@ -307,7 +381,6 @@ def test_a_refused_window_argument_is_named(name, argument):
         ("multiply-int-right", "b", "GammaElement"),
         ("dual_class-str", "lam", "Shape"),
         ("to_schubert_basis-int", "g", "GammaElement"),
-        ("dual_shape-str", "shape", "Shape"),
         ("rook_strips_over-int", "shape", "Shape"),
     ],
 )

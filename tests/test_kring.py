@@ -298,7 +298,7 @@ def test_walk_yields_the_fillings_that_rectify_to_a_given_tableau(spec, seed):
     rng = random.Random(seed)
     poset = parse_poset(spec)
     for _ in range(20):
-        skew = random_skew_tableau(rng, poset, max_size=8).pack()
+        skew = walk_tableau(poset, random_skew_tableau(rng, poset, max_size=8).masks)
         hit = rect_greedy(skew)
         shape = Shape(poset, hit.mask)
         others = [
@@ -546,8 +546,8 @@ def test_dual_class_fixture():
 def test_dual_class_of_dual_full():
     e6 = cayley_plane()
     lam = e6.shape("").dual()  # the full shape; its dual is empty
-    assert lam == e6.full_shape()
-    got = dual_class(e6.full_shape())
+    assert lam == Shape(e6, e6.full_mask)
+    got = dual_class(Shape(e6, e6.full_mask))
     # dual of the full shape is empty, so strips extend the empty shape
     assert got.coefficient(e6.shape("")) == 1
     # no strips extend the full poset: the dual of the empty class is a point

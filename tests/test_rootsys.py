@@ -1,13 +1,15 @@
+from itertools import islice
+import random
+
 import pytest
 
 from kjdt.errors import PosetError
-from kjdt.poset import bits, build_poset, enumerate_shapes, type_a
+from kjdt.poset import Shape, bits, build_poset, enumerate_shapes, type_a
 import kjdt.rootsys as rootsys_module
 from kjdt.rootsys import (
     MarkedRootData,
     RootSystem,
     check_bruhat_containment,
-    check_full_commutativity,
     check_incomparable_orthogonal,
     check_inversion_sets,
     check_poincare_duality,
@@ -20,6 +22,7 @@ from kjdt.rootsys import (
     run_suite,
     verify_poset_embedding,
 )
+from kjdt.tableau import increasing_fillings
 
 
 _CLOSED_FORMS = (
@@ -176,9 +179,10 @@ def test_weyl_of_shape_basics():
     assert data.weyl_of_shape(data.poset.empty_shape()).is_identity()
     one = data.weyl_of_shape(data.poset.shape("1"))
     assert one.length() == 1
-    full = data.weyl_of_shape(data.poset.full_shape())
+    full_shape = Shape(data.poset, data.poset.full_mask)
+    full = data.weyl_of_shape(full_shape)
     assert full.length() == 4
-    assert full.inversion_set() == data.shape_root_indices(data.poset.full_shape())
+    assert full.inversion_set() == data.shape_root_indices(full_shape)
 
 
 @pytest.mark.parametrize("kind,rank", [(kind, rank) for kind, rank, _ in _CLOSED_FORMS])
@@ -328,16 +332,82 @@ def test_incomparable_orthogonal():
         assert rep["pass"], rep
 
 
+def _box_label(data: MarkedRootData, i: int):
+    """Heap label of a box: the simple reflection of its one-box skew."""
+    below = data.poset.below[i]
+    lam = Shape(data.poset, below)
+    mu = Shape(data.poset, below & ~(1 << i))
+    return data.weyl_of_shape(lam) * data.weyl_of_shape(mu).inverse()
+
+
+def _check_full_commutativity(
+    data: MarkedRootData,
+    shape: Shape,
+    budget: int = 10**6,
+    samples: int = 200,
+    seed: int = 0,
+) -> dict:
+    """Every linear extension multiplies the box labels to the same reduced word.
+
+    Exhaustive when the number of extensions fits the budget, otherwise a
+    random sample of extensions is checked.
+    """
+    poset = data.poset
+    labels = {i: _box_label(data, i) for i in bits(shape.mask)}
+    target = data.weyl_of_shape(shape)
+    # A filling by 1..size puts one box on each level: a linear extension.
+    fillings = increasing_fillings(poset, 0, shape.mask, shape.size)
+    exts = [
+        tuple(m.bit_length() - 1 for m in key) for key in islice(fillings, budget + 1)
+    ]
+    mode = "exhaustive"
+    if len(exts) > budget:
+        rng = random.Random(seed)
+        chosen = []
+        for _ in range(samples):
+            done = 0
+            ext = []
+            while done != shape.mask:
+                minimal = poset.minimal_absent_boxes(done)
+                pick = rng.choice([i for i in minimal if shape.mask >> i & 1])
+                ext.append(pick)
+                done |= 1 << pick
+            chosen.append(tuple(ext))
+        exts = chosen
+        mode = "sampled"
+    failures = 0
+    for ext in exts:
+        w = data.system.identity()
+        ok = True
+        for i in ext:  # labels multiply on the left along the extension
+            nxt = labels[i] * w
+            if nxt.length() != w.length() + 1:
+                ok = False
+                break
+            w = nxt
+        if not ok or w != target:
+            failures += 1
+    return {
+        "check": "full_commutativity",
+        "shape": shape.literal(),
+        "mode": mode,
+        "extensions": len(exts),
+        "pass": failures == 0,
+        "failures": failures,
+    }
+
+
 def test_full_commutativity():
     data = MarkedRootData("A", 3, 2)
-    rep = check_full_commutativity(data, data.poset.shape("2,1"))
+    rep = _check_full_commutativity(data, data.poset.shape("2,1"))
     assert rep["pass"] and rep["extensions"] == 2 and rep["mode"] == "exhaustive"
-    rep_single = check_full_commutativity(data, data.poset.shape("1"))
+    rep_single = _check_full_commutativity(data, data.poset.shape("1"))
     assert rep_single["pass"]
     og = MarkedRootData("D", 5, 5)
-    sampled = check_full_commutativity(og, og.poset.full_shape(), budget=5, samples=40)
+    og_full = Shape(og.poset, og.poset.full_mask)
+    sampled = _check_full_commutativity(og, og_full, budget=5, samples=40)
     assert sampled["pass"] and sampled["mode"] == "sampled"
-    exhaustive = check_full_commutativity(og, og.poset.full_shape())
+    exhaustive = _check_full_commutativity(og, og_full)
     assert exhaustive["pass"] and exhaustive["mode"] == "exhaustive"
 
 
@@ -369,11 +439,11 @@ def test_full_commutativity_counts_the_recursions_extensions(kind, rank, node, s
     shapes = [s for s in enumerate_shapes(data.poset) if s.size <= 8]
     for shape in shapes:
         want = len(_linear_extensions(data.poset, shape.mask))
-        rep = check_full_commutativity(data, shape)
+        rep = _check_full_commutativity(data, shape)
         assert rep["pass"] and rep["mode"] == "exhaustive", shape
         assert rep["extensions"] == want, shape
         if want > 1:  # a budget one short of the count samples instead
-            cut = check_full_commutativity(data, shape, budget=want - 1, samples=3)
+            cut = _check_full_commutativity(data, shape, budget=want - 1, samples=3)
             assert cut["pass"] and cut["mode"] == "sampled", shape
 
 

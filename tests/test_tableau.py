@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import kjdt.tableau as tableau_module
 from kjdt.errors import BudgetExceeded, KjdtError, PosetError, WindowExceeded
 from kjdt.poset import (
+    Shape,
     SkewShape,
     parse_poset,
     ambient_grid,
@@ -200,7 +201,7 @@ def test_reverse_slide_anti_rectification_step():
     m = minimal_tableau(e6.shape("2"))
     # anti-rectify by the involution trick: rectify the rotated tableau
     anti = wx_act(rect_greedy(wx_act(m)))
-    expected = minimal_tableau(SkewShape(e6.full_shape(), e6.shape("2").dual()))
+    expected = minimal_tableau(SkewShape(Shape(e6, e6.full_mask), e6.shape("2").dual()))
     assert anti == expected
 
 
@@ -620,6 +621,12 @@ def test_member_keys_view_zips_the_seed_values_with_each_state():
             assert Tableau.from_levels(tab.poset, other) not in cls
 
 
+def _restrict(tab: Tableau, lo: int, hi: int) -> Tableau:
+    """Sub-tableau of boxes whose values lie in [lo, hi]."""
+    filling = {b: v for b, v in tab.as_dict().items() if lo <= v <= hi}
+    return Tableau.from_dict(tab.poset, filling)
+
+
 def test_restriction_compatibility(rng):
     # members restricted to a value interval stay in the restricted class
     poset = type_a(2, 3)
@@ -629,12 +636,12 @@ def test_restriction_compatibility(rng):
             continue
         lo = min(tab.values)
         cls = jdt_class(tab)
-        base = tab.restrict(lo, lo + 1)
+        base = _restrict(tab, lo, lo + 1)
         if base.size == 0:
             continue
         restricted_cls = jdt_class(base)
         for member in cls.members():
-            cut = member.restrict(lo, lo + 1)
+            cut = _restrict(member, lo, lo + 1)
             assert cut.levels() in restricted_cls.member_keys
 
 
@@ -885,7 +892,7 @@ def test_wx_act():
     e6 = cayley_plane()
     m = minimal_tableau(e6.shape("3,1"))
     anti = wx_act(rect_greedy(wx_act(m)))
-    assert anti == minimal_tableau(SkewShape(e6.full_shape(), e6.shape("3,1").dual()))
+    assert anti == minimal_tableau(SkewShape(Shape(e6, e6.full_mask), e6.shape("3,1").dual()))
 
 
 # -- doubling, products, conjugation ------------------------------------------
@@ -1152,7 +1159,8 @@ def test_resolutions_are_kknuth_equivalent(rng):
 def test_pack():
     a = type_a(2, 2)
     tab = Tableau.from_dict(a, {(1, 1): 3, (1, 2): 7, (2, 1): 7})
-    assert tab.pack().values == (1, 2, 2)
+    # the walk tableau of a tableau's masks renumbers its values 1..d
+    assert walk_tableau(a, tab.masks).values == (1, 2, 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1169,9 +1177,9 @@ def test_tableau_identity_does_not_depend_on_constructor(spec, seed):
     for other in copies:
         assert other == tab and hash(other) == hash(tab)
         assert other.values == tab.values and other.literal() == tab.literal()
-    # pack() renumbers levels; compare with renumbering the value tuple.
+    # packing renumbers levels; compare with renumbering the value tuple.
     ranks = {v: k for k, v in enumerate(sorted(set(tab.values)), start=1)}
-    assert tab.pack() == Tableau(poset, tab.mask, tuple(ranks[v] for v in tab.values))
+    assert walk_tableau(poset, tab.masks) == Tableau(poset, tab.mask, tuple(ranks[v] for v in tab.values))
 
 
 def _reference_values(tab):
@@ -1446,7 +1454,7 @@ def test_non_surjective_fillings_count_by_value_sets(spec, seed, d):
     lam = nu & ~tab.mask
     tabs = list(fillings_skipping_values(poset, lam, nu, d))
     assert len(tabs) == len(set(tabs))
-    packed = {t.pack().masks for t in tabs}
+    packed = {t.masks for t in tabs}  # packing a tableau keeps its level masks
     assert packed == {key for k in range(d + 1) for key in increasing_fillings(poset, lam, nu, k)}
     assert len(tabs) == sum(
         math.comb(d, k) * sum(1 for _ in increasing_fillings(poset, lam, nu, k))
