@@ -2,10 +2,9 @@
 
 Exit codes: 0 ok, 1 fixture mismatch, 2 bad input, 3 refused poset,
 4 budget exhausted.  Only library errors (``KjdtError``) become exit
-codes; any other exception is a bug and propagates.  The environment
-variable ``KJDT_BUDGET`` sets the default node budget for bounded
-searches.  All long-running enumerations report progress on standard
-error only.
+codes; any other exception is a bug and propagates.  Bounded searches
+take ``--budget``, ``DEFAULT_BUDGET`` when it is not given.  All
+long-running enumerations report progress on standard error only.
 """
 from __future__ import annotations
 
@@ -60,21 +59,8 @@ def _int_at_least(low: int):
     return parse
 
 
-_positive_int = _int_at_least(1)  # --budget, --threads, KJDT_BUDGET
+_positive_int = _int_at_least(1)  # --budget, --threads
 _non_negative_int = _int_at_least(0)  # --slack, --pad, --max-size
-
-
-def _budget(args) -> int:
-    """``--budget`` if given, else ``KJDT_BUDGET``, else ``DEFAULT_BUDGET``."""
-    if args.budget is not None:
-        return args.budget
-    text = os.environ.get("KJDT_BUDGET")
-    if text is None:
-        return DEFAULT_BUDGET
-    try:
-        return _positive_int(text)
-    except argparse.ArgumentTypeError:
-        raise KjdtError("KJDT_BUDGET must be a positive integer") from None
 
 
 def _progress(msg: str):
@@ -164,7 +150,7 @@ def cmd_product(args) -> int:
 
 def cmd_urt(args) -> int:
     poset = parse_poset(args.poset)
-    budget = _budget(args)
+    budget = args.budget
     if args.all:
         # certified classes are counted, not kept: a long census holds only the refuted
         certified, refuted, exhausted = 0, [], True
@@ -218,12 +204,11 @@ def cmd_urt(args) -> int:
 def cmd_rectify(args) -> int:
     poset = parse_poset(args.poset)
     tab = parse_tableau(poset, args.tableau)
-    budget = _budget(args)
     if args.greedy:
         out = rect_greedy(tab)
         _emit(tableau_to_json(out), args.json, out.render())
         return EXIT_OK
-    rects = sorted(rectify_all(tab, budget=budget), key=lambda t: t.values)
+    rects = sorted(rectify_all(tab, budget=args.budget), key=lambda t: t.values)
     if args.json:
         _emit([tableau_to_json(t) for t in rects], True)
     else:
@@ -237,7 +222,7 @@ def cmd_rectify(args) -> int:
 def cmd_class(args) -> int:
     poset = parse_poset(args.poset)
     tab = parse_tableau(poset, args.tableau)
-    budget = _budget(args)
+    budget = args.budget
     cls = jdt_class(tab, budget=budget)
     data = {
         "size": cls.size,
@@ -256,10 +241,9 @@ def cmd_word(args) -> int:
         if args.u is None or args.v is None:
             _progress("word equiv needs --u and --v")
             return EXIT_PARSE
-        budget = _budget(args)
         verdict = kknuth_equiv(
             _parse_word(args.u), _parse_word(args.v),
-            slack=args.slack, budget=budget, weak=args.weak,
+            slack=args.slack, budget=args.budget, weak=args.weak,
         )
         data = {"status": verdict.status, "explored": verdict.explored}
         if verdict.invariant:
@@ -336,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kjdt",
         description="K-theoretic jeu de taquin on minuscule posets",
     )
-    parser.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                        help="worker processes for sweep commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, **kwargs):
@@ -373,21 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--max-size", type=_non_negative_int)
     p.add_argument("--pad", type=_non_negative_int, default=2)
-    p.add_argument("--budget", type=_positive_int)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
 
     p = add("rectify", cmd_rectify, help="rectification")
     p.add_argument("--poset", required=True)
     p.add_argument("--tableau", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--all", action="store_true",
-                      help="every rectification (the default)")
-    mode.add_argument("--greedy", action="store_true")
-    p.add_argument("--budget", type=_positive_int)
+    p.add_argument("--greedy", action="store_true",
+                   help="only the greedy rectification, not every one")
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
 
     p = add("class", cmd_class, help="jeu de taquin class")
     p.add_argument("--poset", required=True)
     p.add_argument("--tableau", required=True)
-    p.add_argument("--budget", type=_positive_int)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
 
     p = add("word", cmd_word, help="word operations")
     p.add_argument("action", choices=["equiv", "hecke", "stats"])
@@ -396,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w")
     p.add_argument("--weak", action="store_true")
     p.add_argument("--slack", type=_non_negative_int, default=3)
-    p.add_argument("--budget", type=_positive_int)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
 
     p = add("minimal", cmd_minimal, help="minimal increasing tableau")
     p.add_argument("--poset", required=True)
@@ -407,11 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poset", required=True)
     p.add_argument("--tableau", required=True)
 
-    p = add("verify", cmd_verify, aliases=["verify-paper"],
-            help="run the reference fixture suite")
+    p = add("verify", cmd_verify, help="run the reference fixture suite")
     p.add_argument("--only")
-    # SUPPRESS keeps a top-level --threads given before the subcommand.
-    p.add_argument("--threads", type=_positive_int, default=argparse.SUPPRESS)
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
+                   help="worker processes")
     return parser
 
 

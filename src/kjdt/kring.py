@@ -471,9 +471,7 @@ def pieri_B_by_class(lam, p: int, cols: int) -> GammaElement:
     """Independent shifted Pieri check via the class of the one-row tableau."""
     lam_shape = _pieri_b_window(lam, p, cols)
     poset, lam_mask = lam_shape.poset, lam_shape.mask
-    coeffs = _attach(poset, lam_mask, class_supports(poset, poset.shape([p])))
-    coeffs.pop(lam_mask, None)
-    return GammaElement(poset, coeffs)
+    return GammaElement(poset, _attach(poset, lam_mask, class_supports(poset, poset.shape([p]))))
 
 
 # -- stable Grothendieck classes -------------------------------------------------

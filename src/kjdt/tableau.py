@@ -20,7 +20,6 @@ present is preserved by every slide.
 """
 from __future__ import annotations
 
-from collections.abc import Set
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import product
@@ -51,8 +50,6 @@ class _Dot:
 
 
 DOT = _Dot()
-
-Levels = tuple[tuple[int, int], ...]  # ((value, boxmask), ...) sorted by value
 
 DEFAULT_BUDGET = 200000  # node budget of bounded searches when none is given
 
@@ -94,7 +91,7 @@ class Tableau:
         return tab
 
     @classmethod
-    def from_levels(cls, poset: MinusculePoset, levels: Levels) -> "Tableau":
+    def from_levels(cls, poset: MinusculePoset, levels: tuple[tuple[int, int], ...]) -> "Tableau":
         """Build from a levels key: ``(value, mask)`` pairs sorted by value, no empty mask."""
         return cls.from_masks(poset, tuple(v for v, _ in levels), tuple(m for _, m in levels))
 
@@ -141,10 +138,6 @@ class Tableau:
         boxes = self.poset.boxes
         cells = sorted((i, v) for v, m in zip(self.level_values, self.masks) for i in bits(m))
         return {boxes[i]: v for i, v in cells}
-
-    def levels(self) -> Levels:
-        """The levels key: ``(value, mask)`` pairs sorted by value."""
-        return tuple(zip(self.level_values, self.masks))
 
     def value_set(self) -> set[int]:
         return set(self.level_values)
@@ -418,31 +411,6 @@ def rectify_all(tab: Tableau, budget: int | None = None) -> set[Tableau]:
     return set(cls.straight)
 
 
-class _LevelsView(Set):
-    """Read-only set of the levels keys of states that share one value tuple.
-
-    Slides keep values, so a class stores each state as its level masks
-    and its values once; this view zips them back on iteration.
-    """
-
-    __slots__ = ("_values", "_states")
-
-    def __init__(self, values: tuple[int, ...], states: set[tuple[int, ...]]):
-        self._values = values
-        self._states = states
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def __contains__(self, key) -> bool:
-        return tuple(v for v, _ in key) == self._values and tuple(m for _, m in key) in self._states
-
-    def __iter__(self):
-        values = self._values
-        for masks in self._states:
-            yield tuple(zip(values, masks))
-
-
 @dataclass
 class JdtClass:
     """Closure of a tableau under forward and reverse slides.
@@ -457,9 +425,9 @@ class JdtClass:
     exhausted: bool
 
     @property
-    def member_keys(self) -> _LevelsView:
-        """The levels keys of the members, a view over ``states``."""
-        return _LevelsView(self.seed.level_values, self.states)
+    def member_keys(self) -> set[tuple[int, ...]]:
+        """``states``, under the name the benchmark tracer reads."""
+        return self.states
 
     @property
     def size(self) -> int:

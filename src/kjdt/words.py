@@ -292,9 +292,20 @@ def _moves(w: Word, weak: bool, grow: bool) -> list[Word]:
     return [_unpack(y, b, letters) for y in _packed_moves(x, _Windows(b), weak, grow)]
 
 
+def _check_weak(weak) -> None:
+    """``weak`` picks the relation, so it must be a bool: a truthy string is no answer."""
+    if type(weak) is not bool:
+        raise KjdtError(f"weak must be a bool, not {weak!r}")
+
+
 def kknuth_basic_moves(word, weak: bool = False, max_len: int | None = None):
     """All words one basic K-Knuth move away (both move directions).  A
-    letter that is not an int, a bool included, raises ``KjdtError``."""
+    letter that is not an int, a bool included, a ``weak`` that is not a
+    bool and a ``max_len`` that is neither ``None`` nor a non-negative int
+    raise ``KjdtError``."""
+    _check_weak(weak)
+    if max_len is not None:
+        check_count("max_len", max_len)
     w = _letters(word)
     return set(_moves(w, weak, max_len is None or len(w) < max_len))
 
@@ -331,7 +342,8 @@ def kknuth_equiv(
     letters, and at most ``budget`` words are explored in total: ``None``
     sets no bound, and a budget that is neither ``None`` nor a positive
     int raises ``KjdtError``, and so do a ``slack`` that is not a
-    non-negative int and a letter that is not an int, a bool included.
+    non-negative int, a ``weak`` that is not a bool and a letter that is
+    not an int, a bool included.
     An undecided search returns ``inconclusive``.  Each word's neighbours
     are visited in one fixed order: drops, then inserts (one per run of
     equal letters), then the moves of each window of three from the left,
@@ -339,6 +351,7 @@ def kknuth_equiv(
     """
     check_budget(budget)
     check_count("slack", slack)
+    _check_weak(weak)
     u, v = _letters(u), _letters(v)
     if u == v:
         return EquivalenceVerdict("equivalent", path=[u])

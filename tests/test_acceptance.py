@@ -145,13 +145,13 @@ def test_criterion_04_freudenthal_superstandard_failure_counts():
         target = superstandard(mu, orient)
         cls = jdt_class(target)
         has = unique = 0
-        for key in cls.member_keys:
+        for masks in cls.states:
             mask = 0
-            for _, m in key:
+            for m in masks:
                 mask |= m
             if mask != skew:
                 continue
-            tab = Tableau.from_levels(e7, key)
+            tab = Tableau.from_masks(e7, target.level_values, masks)
             rects = rectify_all(tab)
             if target in rects:
                 has += 1
@@ -277,7 +277,7 @@ def test_criterion_08_minimal_class_uniqueness():
                 ok = False
             # the ring builds the class as the tree of the greedy rectifications to M_lam
             tree = jdt_class(minimal_tableau(lam), seed_is_urt=True)
-            if tree.member_keys != cls.member_keys:
+            if tree.states != cls.states:
                 ok = False
         totals[name] = len(shapes)
     elapsed = time.time() - t0

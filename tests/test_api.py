@@ -280,6 +280,12 @@ REFUSALS = [
     ("hecke_of_word-bool", lambda: kjdt.hecke_of_word((1, True)), kjdt.KjdtError),
     ("kknuth_equiv-bool-letter", lambda: kjdt.kknuth_equiv((1, 2), (True, 2)), kjdt.KjdtError),
     ("kknuth_basic_moves-str", lambda: kjdt.kknuth_basic_moves((1, "a")), kjdt.KjdtError),
+    ("kknuth_basic_moves-str-max_len", lambda: kjdt.kknuth_basic_moves((1, 2), max_len="3"), kjdt.KjdtError),
+    ("kknuth_basic_moves-negative-max_len", lambda: kjdt.kknuth_basic_moves((1, 2), max_len=-1), kjdt.KjdtError),
+    ("kknuth_basic_moves-bool-max_len", lambda: kjdt.kknuth_basic_moves((1, 2), max_len=True), kjdt.KjdtError),
+    ("kknuth_basic_moves-float-max_len", lambda: kjdt.kknuth_basic_moves((1, 2), max_len=2.5), kjdt.KjdtError),
+    ("kknuth_basic_moves-str-weak", lambda: kjdt.kknuth_basic_moves((1, 2), weak="no"), kjdt.KjdtError),
+    ("kknuth_equiv-str-weak", lambda: kjdt.kknuth_equiv((1, 2), (2, 1), weak="no"), kjdt.KjdtError),
     ("kknuth_equiv-bool-budget", lambda: kjdt.kknuth_equiv((1, 2), (2, 1), budget=True), kjdt.KjdtError),
     (
         "jdt_class-bool-budget",
@@ -363,12 +369,24 @@ def test_malformed_input_is_refused_with_a_kjdt_error(call, error):
         ("conjecture_search-float-max_letter", "max_letter"),
         ("conjecture_search-negative-slack", "slack"),
         ("reading_words-str-limit", "limit"),
+        ("kknuth_basic_moves-str-max_len", "max_len"),
+        ("kknuth_basic_moves-negative-max_len", "max_len"),
+        ("kknuth_basic_moves-bool-max_len", "max_len"),
+        ("kknuth_basic_moves-float-max_len", "max_len"),
     ],
 )
 def test_a_refused_window_argument_is_named(name, argument):
     # not reported as an error about a window poset the caller never built
     call = {r[0]: r[1] for r in REFUSALS}[name]
     with pytest.raises(kjdt.KjdtError, match=f"^{argument} must be a non-negative integer"):
+        call()
+
+
+@pytest.mark.parametrize("name", ["kknuth_basic_moves-str-weak", "kknuth_equiv-str-weak"])
+def test_a_weak_that_is_not_a_bool_is_named(name):
+    # any truthy value picked the weak relation: "no" made (1, 2) and (2, 1) equivalent
+    call = {r[0]: r[1] for r in REFUSALS}[name]
+    with pytest.raises(kjdt.KjdtError, match="^weak must be a bool, not 'no'$"):
         call()
 
 

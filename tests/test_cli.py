@@ -146,8 +146,7 @@ def test_urt_refuted_with_witness(capsys):
 
 def test_rectify_all_and_greedy(capsys):
     code, out, _ = run(
-        capsys, "rectify", "--poset", "a:3,3", "--tableau", ".,.,./.,.,2/1,3,4",
-        "--all", "--json",
+        capsys, "rectify", "--poset", "a:3,3", "--tableau", ".,.,./.,.,2/1,3,4", "--json",
     )
     assert code == 0
     data = json.loads(out)
@@ -157,15 +156,6 @@ def test_rectify_all_and_greedy(capsys):
         "--greedy",
     )
     assert code == 0 and out.strip()
-
-
-def test_rectify_all_and_greedy_exclude_each_other(capsys):
-    code, out, err = run(
-        capsys, "rectify", "--poset", "a:3,3", "--tableau", ".,.,./.,.,2/1,3,4",
-        "--all", "--greedy",
-    )
-    assert code == 2 and out == ""
-    assert "argument --greedy: not allowed with argument --all" in err
 
 
 def test_class_command(capsys):
@@ -232,7 +222,7 @@ def test_budget_must_be_positive_integer(capsys, budget):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--threads", "0", "verify", "--only", "cayley"],
+        (["verify", "--threads", "0", "--only", "cayley"],
          "--threads: must be a positive integer, got '0'"),
         (["verify", "--threads", "-3", "--only", "cayley"],
          "--threads: must be a positive integer, got '-3'"),
@@ -268,16 +258,31 @@ def test_zero_counts_are_accepted(capsys, argv, expected):
     assert code == 0 and out.strip() == expected
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "lots", ""])
-def test_bad_budget_environment_variable(capsys, monkeypatch, value):
-    monkeypatch.setenv("KJDT_BUDGET", value)
-    code, out, err = run(capsys, "word", "equiv", "--u", "1,2,1", "--v", "2,1,2")
-    assert code == 2 and out == ""
-    assert "error: KJDT_BUDGET must be a positive integer" in err
+def test_budget_default_is_the_library_default(capsys, monkeypatch):
+    # --budget is the one way to set it: the environment is not read
+    monkeypatch.setenv("KJDT_BUDGET", "5")
+    code, out, _ = run(capsys, "class", "--poset", "e6", "--tableau", "1,2", "--json")
+    assert code == 0 and json.loads(out)["budget"] == 200000
     code, out, _ = run(
         capsys, "word", "equiv", "--u", "1,2,1", "--v", "2,1,2", "--budget", "50",
     )
     assert code == 0 and out.strip() == "equivalent"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # argparse reads the unknown option's value as the subcommand
+        (["--threads", "1", "verify", "--only", "cayley"], "argument command: invalid choice: '1'"),
+        (["verify-paper", "--only", "cayley"], "invalid choice: 'verify-paper'"),
+        (["rectify", "--poset", "a:3,3", "--tableau", "1,2", "--all"],
+         "unrecognized arguments: --all"),
+    ],
+)
+def test_each_setting_has_one_spelling(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_minimal_render_fixture(capsys):
@@ -311,7 +316,7 @@ def test_json_output_is_canonical(capsys):
     ]
 
 
-# Every fixture's line of `kjdt --threads 1 verify`, as printed.  A change to
+# Every fixture's line of `kjdt verify --threads 1`, as printed.  A change to
 # an iteration order or a count anywhere under a fixture shows here.
 VERIFY_STDOUT = """\
 PASS cayley: G[2]*G[2] = {(3, 1): 1, (4,): 1, (4, 1): 1}
@@ -338,28 +343,24 @@ PASS quadric-pattern: divisor action and middle squares match for n=2..5
 
 
 def test_verify_stdout_is_pinned(capsys):
-    code, out, _ = run(capsys, "--threads", "1", "verify")
+    code, out, _ = run(capsys, "verify", "--threads", "1")
     assert code == 0
     assert out == VERIFY_STDOUT
 
 
 def test_verify_single_fixture(capsys):
-    code, out, err = run(capsys, "--threads", "1", "verify", "--only", "cayley")
+    code, out, err = run(capsys, "verify", "--threads", "1", "--only", "cayley")
     assert code == 0 and out.startswith("PASS cayley")
     assert len(out.splitlines()) == 1
     assert re.search(r"^cayley: \d+\.\d{3} s$", err, re.MULTILINE)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["--threads", "1", "verify"], ["verify", "--threads", "1"]],
-)
-def test_verify_threads_before_or_after_subcommand(argv):
-    assert build_parser().parse_args(argv).threads == 1
+def test_verify_threads_is_an_option_of_verify():
+    assert build_parser().parse_args(["verify", "--threads", "1"]).threads == 1
 
 
 def test_verify_runs_fixtures_in_a_worker_pool():
-    proc = python("-m", "kjdt.cli", "--threads", "2", "verify")
+    proc = python("-m", "kjdt.cli", "verify", "--threads", "2")
     assert proc.returncode == 0
     assert sorted(line.split(":")[0] for line in proc.stdout.splitlines()) == sorted(
         f"PASS {name}" for name in FIXTURES
@@ -372,17 +373,12 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_verify_threads_default_is_top_level():
+def test_verify_threads_default_is_the_core_count():
     assert build_parser().parse_args(["verify"]).threads == (os.cpu_count() or 1)
 
 
-def test_verify_alias(capsys):
-    code, out, _ = run(capsys, "--threads", "1", "verify-paper", "--only", "dual-shape")
-    assert code == 0 and "PASS" in out
-
-
 def test_verify_unknown_fixture(capsys):
-    code, _, err = run(capsys, "--threads", "1", "verify", "--only", "nope")
+    code, _, err = run(capsys, "verify", "--threads", "1", "--only", "nope")
     assert code == 2
 
 

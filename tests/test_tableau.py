@@ -205,18 +205,9 @@ def test_reverse_slide_anti_rectification_step():
     assert anti == expected
 
 
-def _slide_key(poset, levels, dots, forward):
-    """``_slide_levels`` on a levels key: split it, slide its masks, zip the values back."""
-    values = tuple(v for v, _ in levels)
-    masks, holes = tableau_module._slide_levels(
-        poset, tuple(m for _, m in levels), dots, forward
-    )
-    return tuple(zip(values, masks)), holes
-
-
-def _levels_support(levels):
-    """The boxes a levels key fills: the union of its masks."""
-    return reduce(or_, (m for _, m in levels), 0)
+def _support(masks):
+    """The boxes a tuple of level masks fills: their union."""
+    return reduce(or_, masks, 0)
 
 
 def _slide_by_swaps(poset, tab, start, forward):
@@ -244,8 +235,8 @@ def test_slide_levels_matches_swap_composition(spec, seed, forward, data):
         return
     start = data.draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True))
     c_mask = sum(1 << i for i in start)
-    levels, holes = _slide_key(poset, tab.levels(), c_mask, forward)
-    assert (Tableau.from_levels(poset, levels).as_dict(), holes) == _slide_by_swaps(
+    masks, holes = tableau_module._slide_levels(poset, tab.masks, c_mask, forward)
+    assert (Tableau.from_masks(poset, tab.level_values, masks).as_dict(), holes) == _slide_by_swaps(
         poset, tab, start, forward
     )
 
@@ -261,10 +252,10 @@ def test_slide_is_undone_from_its_holes_and_keeps_its_support(spec, seed):
     _, _, forward_starts, reverse_starts = poset.skew_geometry(tab.mask)
     for starts, forward in ((forward_starts, True), (reverse_starts, False)):
         for start in starts:
-            levels, holes = _slide_key(poset, tab.levels(), start, forward)
-            back = _slide_key(poset, levels, holes, not forward)
-            assert back == (tab.levels(), start)
-            assert (tab.mask | start) & ~holes == _levels_support(levels)
+            masks, holes = tableau_module._slide_levels(poset, tab.masks, start, forward)
+            back = tableau_module._slide_levels(poset, masks, holes, not forward)
+            assert back == (tab.masks, start)
+            assert (tab.mask | start) & ~holes == _support(masks)
 
 
 # -- rectification ----------------------------------------------------------------
@@ -323,26 +314,23 @@ def test_cayley_class_of_row_two():
 def _jdt_class_reference(tab, budget=None, stop_second_straight=False):
     """``jdt_class`` as a plain loop: every start of every state is slid.
 
-    Returns ``(member_keys, straight, exhausted)``.
+    Returns ``(states, straight, exhausted)``.
     """
-    poset = tab.poset
-    start = tab.levels()
-    seen = {start}
-    frontier = [start]
+    poset, values = tab.poset, tab.level_values
+    seen = {tab.masks}
+    frontier = [tab.masks]
     straight = []
     while frontier:
         new = []
-        for levels in frontier:
-            _, inner, forward_starts, reverse_starts = poset.skew_geometry(
-                _levels_support(levels)
-            )
+        for masks in frontier:
+            _, inner, forward_starts, reverse_starts = poset.skew_geometry(_support(masks))
             if inner == 0:
-                straight.append(Tableau.from_levels(poset, levels))
+                straight.append(Tableau.from_masks(poset, values, masks))
                 if stop_second_straight and len(straight) > 1:
                     return seen, straight, False
             for starts, fwd in ((forward_starts, True), (reverse_starts, False)):
                 for c_mask in starts:
-                    nxt, _ = _slide_key(poset, levels, c_mask, fwd)
+                    nxt, _ = tableau_module._slide_levels(poset, masks, c_mask, fwd)
                     if nxt not in seen:
                         seen.add(nxt)
                         new.append(nxt)
@@ -354,19 +342,19 @@ def _jdt_class_reference(tab, budget=None, stop_second_straight=False):
 
 def _rectify_all_reference(tab, budget=None):
     """``rectify_all`` as a plain loop, recomputing each state's support."""
-    poset = tab.poset
-    seen = {tab.levels()}
-    frontier = [tab.levels()]
+    poset, values = tab.poset, tab.level_values
+    seen = {tab.masks}
+    frontier = [tab.masks]
     results = set()
     while frontier:
         new = []
-        for levels in frontier:
-            forward_starts = poset.skew_geometry(_levels_support(levels))[2]
+        for masks in frontier:
+            forward_starts = poset.skew_geometry(_support(masks))[2]
             if not forward_starts:
-                results.add(Tableau.from_levels(poset, levels))
+                results.add(Tableau.from_masks(poset, values, masks))
                 continue
             for c_mask in forward_starts:
-                nxt, _ = _slide_key(poset, levels, c_mask, True)
+                nxt, _ = tableau_module._slide_levels(poset, masks, c_mask, True)
                 if nxt not in seen:
                     seen.add(nxt)
                     new.append(nxt)
@@ -388,7 +376,7 @@ def _closure_seeds():
 
 
 def _as_reference(cls):
-    return cls.member_keys, cls.straight, cls.exhausted
+    return cls.states, cls.straight, cls.exhausted
 
 
 def test_closures_match_the_reference_loops():
@@ -465,7 +453,7 @@ def _greedy_tree_seeds():
 def test_greedy_tree_of_a_urt_is_its_class():
     for tab in _greedy_tree_seeds():
         tree = jdt_class(tab, seed_is_urt=True)
-        assert tree.member_keys == jdt_class(tab).member_keys, tab
+        assert tree.states == jdt_class(tab).states, tab
         assert tree.straight == [tab] and tree.exhausted
 
 
@@ -473,10 +461,10 @@ def test_greedy_tree_of_a_refuted_tableau_is_its_greedy_part():
     og = max_orthogonal(6)
     tab = superstandard(og.shape("4,2"), "col")
     assert tab in urt_census(og, max_size=6)["refuted"]
-    whole = jdt_class(tab).member_keys
-    greedy = {k for k in whole if rect_greedy(Tableau.from_levels(og, k)) == tab}
+    whole = jdt_class(tab).states
+    greedy = {m for m in whole if rect_greedy(Tableau.from_masks(og, tab.level_values, m)) == tab}
     tree = jdt_class(tab, seed_is_urt=True)
-    assert tree.member_keys == greedy
+    assert tree.states == greedy
     assert greedy < whole
 
 
@@ -495,8 +483,8 @@ def test_greedy_tree_budget_cuts_like_the_closure():
             cut = jdt_class(tab, budget=budget, seed_is_urt=True)
             assert cut.exhausted == jdt_class(tab, budget=budget).exhausted
             assert cut.exhausted == (whole.size <= budget)
-            assert cut.member_keys <= whole.member_keys
-            assert cut.size > budget or cut.member_keys == whole.member_keys
+            assert cut.states <= whole.states
+            assert cut.size > budget or cut.states == whole.states
 
 
 def _capped_tree_seeds():
@@ -600,25 +588,20 @@ def test_within_refuses_boxes_outside_the_poset():
         jdt_class(tab, within=e6.full_mask, seed_is_urt=True)
 
 
-def test_member_keys_view_zips_the_seed_values_with_each_state():
+def test_class_members_carry_the_seed_values():
     shifted = parse_poset("shifted:4")
     seeds = [minimal_tableau(cayley_plane().shape("4,2"))]
     seeds += [random_skew_tableau(random.Random(seed), shifted) for seed in range(5)]
     for tab in seeds:
         cls = jdt_class(tab)
-        values = tuple(v for v, _ in tab.levels())
-        keys = {tuple(zip(values, masks)) for masks in cls.states}
-        view = cls.member_keys
-        assert set(view) == keys
-        assert len(view) == cls.size == len(keys)
-        assert view == keys and keys == view
-        assert view <= keys and keys <= view
-        assert tab.levels() in view and tab in cls
+        members = set(cls.members())
+        assert {t.masks for t in members} == cls.states and len(members) == cls.size
+        assert all(t.level_values == tab.level_values and t in cls for t in members)
+        assert tab in cls and cls.member_keys == cls.states
         masks = next(iter(cls.states))
         if masks:
-            other = tuple(zip((v + 100 for v in values), masks))
-            assert other not in view
-            assert Tableau.from_levels(tab.poset, other) not in cls
+            other = tuple(v + 100 for v in tab.level_values)
+            assert Tableau.from_masks(tab.poset, other, masks) not in cls
 
 
 def _restrict(tab: Tableau, lo: int, hi: int) -> Tableau:
@@ -642,7 +625,7 @@ def test_restriction_compatibility(rng):
         restricted_cls = jdt_class(base)
         for member in cls.members():
             cut = _restrict(member, lo, lo + 1)
-            assert cut.levels() in restricted_cls.member_keys
+            assert cut in restricted_cls
 
 
 def test_is_urt_requires_straight():
@@ -723,6 +706,20 @@ def test_urt_census_og6_finds_failures():
     assert refuted == sorted(refuted, key=lambda t: (t.size, t.literal()))
 
 
+def test_census_and_is_urt_disagree_on_a_cut_class():
+    # docs/formats.md § URT census: a cut class gets no census verdict, even
+    # with two straight members seen, while is_urt stops at the second one
+    og = max_orthogonal(6)
+    tab = parse_tableau(og, "1,2,3,5/4")
+    report = urt_census(og, budget=200)
+    assert not report["exhausted"]
+    assert tab not in report["certified"] and tab not in report["refuted"]
+    verdict = is_urt(tab, budget=200)
+    assert verdict.status == "refuted" and verdict.class_size == 199
+    whole = jdt_class(tab)
+    assert whole.exhausted and whole.size == 246 and len(whole.straight) == 2
+
+
 @pytest.mark.parametrize("spec, max_size", [("a:3,4", 6), ("og:5", None), ("qeven:5", None)])
 def test_urt_census_reports_packed_tableaux(spec, max_size):
     # every class is seeded by a packed tableau and slides keep its values
@@ -730,7 +727,7 @@ def test_urt_census_reports_packed_tableaux(spec, max_size):
     reported = report["certified"] + report["refuted"]
     assert reported
     for t in reported:
-        assert t.value_set() == set(range(1, len(t.levels()) + 1)), t.literal()
+        assert t.value_set() == set(range(1, len(t.masks) + 1)), t.literal()
 
 
 def _urt_census_reference(poset, budget):
@@ -769,7 +766,7 @@ def test_urt_census_matches_the_whole_class_reference(monkeypatch, spec, budget)
     closure = tableau_module.jdt_class
 
     def counted(tab, **kwargs):
-        closures.append(tab.levels())
+        closures.append((tab.level_values, tab.masks))
         return closure(tab, **kwargs)
 
     monkeypatch.setattr(tableau_module, "jdt_class", counted)
@@ -779,8 +776,8 @@ def test_urt_census_matches_the_whole_class_reference(monkeypatch, spec, budget)
     closures.clear()
     report = urt_census(poset, budget=budget)
     assert closures == reference_closures
-    assert sorted(t.levels() for t in report["certified"]) == sorted(
-        t.levels() for t in certified
+    assert sorted((t.level_values, t.masks) for t in report["certified"]) == sorted(
+        (t.level_values, t.masks) for t in certified
     )
     assert report["refuted"] == refuted
     assert report["exhausted"] == exhausted
@@ -996,8 +993,8 @@ def _infusion_by_swaps(s_tab, t_tab):
     """Infusion as it was computed before it ran on the slide engine."""
     poset = s_tab.poset
     expand = poset.expand_neighbors
-    s_levels = dict(s_tab.levels())
-    t_levels = dict(t_tab.levels())
+    s_levels = dict(zip(s_tab.level_values, s_tab.masks))
+    t_levels = dict(zip(t_tab.level_values, t_tab.masks))
     for a in sorted(s_levels, reverse=True):
         for b in sorted(t_levels):
             am, bm = s_levels[a], t_levels[b]
@@ -1170,7 +1167,7 @@ def test_tableau_identity_does_not_depend_on_constructor(spec, seed):
     tab = random_skew_tableau(random.Random(seed), poset)
     copies = [
         Tableau.from_masks(poset, tab.level_values, tab.masks),
-        Tableau.from_levels(poset, tab.levels()),
+        Tableau.from_levels(poset, tuple(zip(tab.level_values, tab.masks))),
         Tableau(poset, tab.mask, tab.values),
         Tableau.from_dict(poset, tab.as_dict()),
     ]
