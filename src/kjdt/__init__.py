@@ -93,7 +93,6 @@ from .words import (
     kknuth_equiv,
     lds,
     lis,
-    weak_kknuth_equiv,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .errors import BudgetExceeded, KjdtError, NonMinusculePoset, PosetError
+from .errors import BudgetExceeded, KjdtError, NonMinusculePoset
 from .kring import (
     GammaElement,
     SignedKElement,
@@ -114,11 +114,11 @@ def cmd_lr(args) -> int:
     mu = poset.shape(args.m)
     if args.n is not None:
         nu = poset.shape(args.n)
-        c = structure_constant(lam, mu, nu, assume_urp=args.assume_urp)
+        c = structure_constant(lam, mu, nu)
         _emit({"l": lam.literal(), "m": mu.literal(), "n": nu.literal(), "c": c},
               args.json, str(c))
         return EXIT_OK
-    coeffs = basis_product(lam, mu, assume_urp=args.assume_urp)
+    coeffs = basis_product(lam, mu)
     rows = sorted(
         ((poset.row_lengths(m), c) for m, c in coeffs.items()),
         key=lambda t: (sum(t[0]), t[0]),
@@ -141,9 +141,7 @@ def cmd_product(args) -> int:
     else:
         a = GammaElement.basis(lam)
         b = GammaElement.basis(mu)
-    out = multiply(a, b, assume_urp=args.assume_urp)
-    if args.assume_urp and not poset.is_minuscule:
-        _progress("warning: non-minuscule poset, output unverified")
+    out = multiply(a, b)
     _emit(out.to_json(), args.json, out.render())
     return EXIT_OK
 
@@ -177,9 +175,6 @@ def cmd_urt(args) -> int:
             for t in refuted:
                 print(f"  not a URT: {t.literal()}")
         return EXIT_OK if exhausted else EXIT_BUDGET
-    if args.tableau is None:
-        _progress("urt needs --tableau or --all")
-        return EXIT_PARSE
     tab = parse_tableau(poset, args.tableau)
     if not tab.is_straight:
         # skew input: report whether the rectification is unique instead
@@ -236,38 +231,34 @@ def cmd_class(args) -> int:
     return EXIT_OK if cls.exhausted else EXIT_BUDGET
 
 
-def cmd_word(args) -> int:
-    if args.action == "equiv":
-        if args.u is None or args.v is None:
-            _progress("word equiv needs --u and --v")
-            return EXIT_PARSE
-        verdict = kknuth_equiv(
-            _parse_word(args.u), _parse_word(args.v),
-            slack=args.slack, budget=args.budget, weak=args.weak,
-        )
-        data = {"status": verdict.status, "explored": verdict.explored}
-        if verdict.invariant:
-            data["invariant"] = verdict.invariant
-        if verdict.path and args.json:
-            data["path"] = [",".join(map(str, w)) for w in verdict.path]
-        _emit(data, args.json, verdict.status
-              + (f" (invariant {verdict.invariant})" if verdict.invariant else ""))
-        return EXIT_OK if verdict.status != "inconclusive" else EXIT_BUDGET
-    if args.action in {"hecke", "stats"} and args.w is None:
-        _progress(f"word {args.action} needs --w")
-        return EXIT_PARSE
-    if args.action == "hecke":
-        w = hecke_of_word(_parse_word(args.w))
-        cycles, length = w.cycles(), w.length()
-        _emit({"cycles": cycles, "length": length}, args.json,
-              f"{cycles} length {length}")
-        return EXIT_OK
-    if args.action == "stats":
-        word = _parse_word(args.w)
-        _emit({"lis": lis(word), "lds": lds(word)}, args.json,
-              f"lis {lis(word)} lds {lds(word)}")
-        return EXIT_OK
-    raise PosetError(f"unknown word action {args.action!r}")
+def cmd_word_equiv(args) -> int:
+    verdict = kknuth_equiv(
+        _parse_word(args.u), _parse_word(args.v),
+        slack=args.slack, budget=args.budget, weak=args.weak,
+    )
+    data = {"status": verdict.status, "explored": verdict.explored}
+    if verdict.invariant:
+        data["invariant"] = verdict.invariant
+    if verdict.path and args.json:
+        data["path"] = [",".join(map(str, w)) for w in verdict.path]
+    _emit(data, args.json, verdict.status
+          + (f" (invariant {verdict.invariant})" if verdict.invariant else ""))
+    return EXIT_OK if verdict.status != "inconclusive" else EXIT_BUDGET
+
+
+def cmd_word_hecke(args) -> int:
+    w = hecke_of_word(_parse_word(args.w))
+    cycles, length = w.cycles(), w.length()
+    _emit({"cycles": cycles, "length": length}, args.json,
+          f"{cycles} length {length}")
+    return EXIT_OK
+
+
+def cmd_word_stats(args) -> int:
+    word = _parse_word(args.w)
+    _emit({"lis": lis(word), "lds": lds(word)}, args.json,
+          f"lis {lis(word)} lds {lds(word)}")
+    return EXIT_OK
 
 
 def cmd_minimal(args) -> int:
@@ -322,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, func, into=sub, **kwargs):
+        p = into.add_parser(name, **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit JSON")
         return p
@@ -339,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", required=True)
     p.add_argument("--m", required=True)
     p.add_argument("--n")
-    p.add_argument("--assume-urp", action="store_true")
 
     p = add("product", cmd_product, help="basis products")
     p.add_argument("--poset", required=True)
@@ -347,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True)
     p.add_argument("--signed", action="store_true",
                    help="structure-sheaf basis with alternating signs")
-    p.add_argument("--assume-urp", action="store_true")
 
     p = add("urt", cmd_urt, help="unique rectification target checks")
     p.add_argument("--poset", required=True)
-    p.add_argument("--tableau")
-    p.add_argument("--all", action="store_true")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--tableau")
+    which.add_argument("--all", action="store_true")
     p.add_argument("--max-size", type=_non_negative_int)
     p.add_argument("--pad", type=_non_negative_int, default=2)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
@@ -369,14 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tableau", required=True)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
 
-    p = add("word", cmd_word, help="word operations")
-    p.add_argument("action", choices=["equiv", "hecke", "stats"])
-    p.add_argument("--u")
-    p.add_argument("--v")
-    p.add_argument("--w")
+    actions = sub.add_parser("word", help="word operations").add_subparsers(
+        dest="action", required=True
+    )
+    p = add("equiv", cmd_word_equiv, actions, help="K-Knuth equivalence of two words")
+    p.add_argument("--u", required=True)
+    p.add_argument("--v", required=True)
     p.add_argument("--weak", action="store_true")
     p.add_argument("--slack", type=_non_negative_int, default=3)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+    p = add("hecke", cmd_word_hecke, actions, help="Hecke permutation of a word")
+    p.add_argument("--w", required=True)
+    p = add("stats", cmd_word_stats, actions, help="longest monotone subsequences")
+    p.add_argument("--w", required=True)
 
     p = add("minimal", cmd_minimal, help="minimal increasing tableau")
     p.add_argument("--poset", required=True)

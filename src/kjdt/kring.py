@@ -9,15 +9,18 @@ is exactly nu minus lambda.  The class is built once per factor and
 cached, which makes full multiplication tables over the exceptional
 posets cheap.
 
+Products are taken on minuscule posets only.  The two bounded families
+that are not minuscule each have the box poset of a minuscule twin:
+lg:n that of og:(n+1), qodd:n that of a:1,2n-1.  Their counts would be
+the twin's numbers under a label whose K-theory they are not, so both
+are refused.
+
 The K-theory ring of a minuscule variety is commutative, so either
 factor's class gives the product.  It is read from the class of the
 larger factor mu, cut at |mu| inner boxes: a member counted for lambda
 has its inner shape inside lambda, so at most |lambda| <= |mu| boxes.
 Every product with mu as the larger factor reads the same cut of mu's
 class, and the members with larger inner shapes are never built.
-On posets taken under ``assume_urp`` the symmetry is seen in the data
-but not proved, so their products are read from the whole class of the
-second factor.
 
 An independent route computes a single structure constant by direct
 enumeration: count the increasing surjective fillings of the skew shape
@@ -195,7 +198,7 @@ def from_schubert_basis(o: SignedKElement) -> GammaElement:
 
 # -- products ----------------------------------------------------------------
 
-def _ring_poset(assume_urp: bool, **shapes: Shape) -> MinusculePoset:
+def _ring_poset(**shapes: Shape) -> MinusculePoset:
     """The one poset of ``shapes``, refused unless its products are K-theory constants.
 
     The shapes come by argument name, and one that is not a ``Shape`` is
@@ -210,11 +213,10 @@ def _ring_poset(assume_urp: bool, **shapes: Shape) -> MinusculePoset:
             "ring products need a bounded poset; use the Pieri and "
             "Grothendieck operations on ambient windows"
         )
-    if not poset.is_minuscule and not assume_urp:
+    if not poset.is_minuscule:
         raise NonMinusculePoset(
             f"poset {poset.family.spec()} is not minuscule; it is unverified that "
-            "its products are the K-theory structure constants of the geometry "
-            "(pass assume_urp to experiment, output is then unverified)"
+            "its products are the K-theory structure constants of the geometry"
         )
     return poset
 
@@ -253,27 +255,21 @@ def _attach(poset: MinusculePoset, lam: int, supports: Mapping[int, int]) -> dic
     return {nu: supports[nu & ~lam] for nu in poset._above_memo[lam] if nu & ~lam in supports}
 
 
-def basis_product(
-    lam: Shape, mu: Shape, assume_urp: bool = False
-) -> dict[int, int]:
+def basis_product(lam: Shape, mu: Shape) -> dict[int, int]:
     """Coefficients of G_lam * G_mu as a map from outer-shape masks.
 
     The coefficient of G_nu counts the tableaux of shape nu/lam that
-    rectify to M_mu.  On a minuscule poset the ring is commutative, so the
-    factors are first ordered with |lam| <= |mu|; such a tableau's inner
-    shape lies inside lam, so mu's class is read only up to |mu| inner
-    boxes.  Under ``assume_urp`` the factors keep their order and the
-    whole class of M_mu is read.
+    rectify to M_mu.  The ring is commutative, so the factors are first
+    ordered with |lam| <= |mu|; such a tableau's inner shape lies inside
+    lam, so mu's class is read only up to |mu| inner boxes.
     """
-    poset = _ring_poset(assume_urp, lam=lam, mu=mu)
-    if not poset.is_minuscule:
-        return _attach(poset, lam.mask, class_supports(poset, mu))
+    poset = _ring_poset(lam=lam, mu=mu)
     if lam.size > mu.size:
         lam, mu = mu, lam
     return _attach(poset, lam.mask, class_supports(poset, mu, max_inner=mu.size))
 
 
-def multiply(a: GammaElement, b: GammaElement, assume_urp: bool = False) -> GammaElement:
+def multiply(a: GammaElement, b: GammaElement) -> GammaElement:
     _check_elements(a=a, b=b)
     if type(a) is not type(b):
         raise PosetError("cannot multiply elements written in different bases")
@@ -281,21 +277,17 @@ def multiply(a: GammaElement, b: GammaElement, assume_urp: bool = False) -> Gamm
     if isinstance(a, SignedKElement):
         ga = from_schubert_basis(a)
         gb = from_schubert_basis(b)
-        return to_schubert_basis(multiply(ga, gb, assume_urp))
+        return to_schubert_basis(multiply(ga, gb))
     poset = a.poset
     out: dict[int, int] = {}
     for ma, ca in a.coeffs.items():
         for mb, cb in b.coeffs.items():
-            for nu, c in basis_product(
-                Shape(poset, ma), Shape(poset, mb), assume_urp
-            ).items():
+            for nu, c in basis_product(Shape(poset, ma), Shape(poset, mb)).items():
                 out[nu] = out.get(nu, 0) + ca * cb * c
     return GammaElement(poset, out)
 
 
-def structure_constant(
-    lam: Shape, mu: Shape, nu: Shape, assume_urp: bool = False
-) -> int:
+def structure_constant(lam: Shape, mu: Shape, nu: Shape) -> int:
     """One structure constant by direct enumeration plus greedy rectification.
 
     Counts increasing fillings of nu minus lam whose value set equals the
@@ -305,7 +297,7 @@ def structure_constant(
     which cuts a partial filling at the first level whose rectification
     differs from M_mu.
     """
-    poset = _ring_poset(assume_urp, lam=lam, mu=mu, nu=nu)
+    poset = _ring_poset(lam=lam, mu=mu, nu=nu)
     if lam.mask & ~nu.mask:
         return 0
     return _greedy_count(poset, lam, mu, nu)
@@ -331,10 +323,10 @@ def dual_class(lam: Shape) -> SignedKElement:
     return SignedKElement(poset, coeffs)
 
 
-def euler_pairing(lam: Shape, mu: Shape, assume_urp: bool = False) -> int:
+def euler_pairing(lam: Shape, mu: Shape) -> int:
     """Sheaf Euler characteristic of O_lam * O_mu (each O_nu pairs to 1)."""
     total = 0
-    for nu, c in basis_product(lam, mu, assume_urp).items():
+    for nu, c in basis_product(lam, mu).items():
         total += (-1) ** (nu.bit_count() - lam.size - mu.size) * c
     return total
 

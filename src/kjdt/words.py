@@ -408,11 +408,6 @@ def kknuth_equiv(
     return EquivalenceVerdict("inconclusive", explored=explored)
 
 
-def weak_kknuth_equiv(u, v, slack: int = 3, budget: int = 20000) -> EquivalenceVerdict:
-    """Bounded search for the weak relation (initial swaps allowed)."""
-    return kknuth_equiv(u, v, slack=slack, budget=budget, weak=True)
-
-
 def conjecture_search(
     max_len: int,
     max_letter: int,
@@ -452,7 +447,7 @@ def conjecture_search(
             for j in range(i + 1, len(group)):
                 u, v = group[i], group[j]
                 report["searched"] += 1
-                weak_v = weak_kknuth_equiv(u, v, slack=slack, budget=budget)
+                weak_v = kknuth_equiv(u, v, slack=slack, budget=budget, weak=True)
                 dbl_v = kknuth_equiv(
                     doubled_word(u), doubled_word(v), slack=slack, budget=budget
                 )

@@ -27,7 +27,7 @@ PUBLIC = [
     "reverse_slide", "rook_strips_over", "root_system", "stable_grothendieck_coeffs",
     "structure_constant", "superstandard", "swap", "tableau_product",
     "to_schubert_basis", "type_a", "urt_census", "verify_poset_embedding",
-    "weak_kknuth_equiv", "wx_act",
+    "wx_act",
 ]
 
 
@@ -332,7 +332,7 @@ REFUSALS = [
     ("fat_hook_urt-negative-pad", lambda: kjdt.fat_hook_urt((2, 1), _corner(), pad=-1), kjdt.KjdtError),
     ("kknuth_equiv-negative-slack", lambda: kjdt.kknuth_equiv((1, 1), (1,), slack=-5), kjdt.KjdtError),
     ("kknuth_equiv-float-slack", lambda: kjdt.kknuth_equiv((1, 1), (1,), slack=1.5), kjdt.KjdtError),
-    ("weak_kknuth_equiv-negative-slack", lambda: kjdt.weak_kknuth_equiv((1, 1), (1,), slack=-5), kjdt.KjdtError),
+    ("kknuth_equiv-weak-negative-slack", lambda: kjdt.kknuth_equiv((1, 1), (1,), weak=True, slack=-5), kjdt.KjdtError),
     ("conjecture_search-str-max_len", lambda: kjdt.conjecture_search("2", 2), kjdt.KjdtError),
     ("conjecture_search-float-max_letter", lambda: kjdt.conjecture_search(2, 1.5), kjdt.KjdtError),
     ("conjecture_search-negative-slack", lambda: kjdt.conjecture_search(1, 2, slack=-1), kjdt.KjdtError),
@@ -364,7 +364,7 @@ def test_malformed_input_is_refused_with_a_kjdt_error(call, error):
         ("fat_hook_urt-negative-pad", "pad"),
         ("kknuth_equiv-negative-slack", "slack"),
         ("kknuth_equiv-float-slack", "slack"),
-        ("weak_kknuth_equiv-negative-slack", "slack"),
+        ("kknuth_equiv-weak-negative-slack", "slack"),
         ("conjecture_search-str-max_len", "max_len"),
         ("conjecture_search-float-max_letter", "max_letter"),
         ("conjecture_search-negative-slack", "slack"),

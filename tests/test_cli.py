@@ -277,6 +277,17 @@ def test_budget_default_is_the_library_default(capsys, monkeypatch):
         (["verify-paper", "--only", "cayley"], "invalid choice: 'verify-paper'"),
         (["rectify", "--poset", "a:3,3", "--tableau", "1,2", "--all"],
          "unrecognized arguments: --all"),
+        (["lr", "--poset", "lg:3", "--l", "1", "--m", "1", "--assume-urp"],
+         "unrecognized arguments: --assume-urp"),
+        (["urt", "--poset", "a:2,2", "--all", "--tableau", "1,2"],
+         "argument --tableau: not allowed with argument --all"),
+        (["urt", "--poset", "a:2,2"], "one of the arguments --tableau --all is required"),
+        (["word", "stats", "--w", "1,2", "--weak", "--budget", "5", "--slack", "9"],
+         "unrecognized arguments: --weak --budget 5 --slack 9"),
+        (["word", "hecke", "--w", "1,2", "--u", "1"], "unrecognized arguments: --u 1"),
+        (["word", "equiv", "--u", "1,2"], "the following arguments are required: --v"),
+        (["word", "stats"], "the following arguments are required: --w"),
+        (["word", "--json", "hecke", "--w", "1,2"], "unrecognized arguments: --json"),
     ],
 )
 def test_each_setting_has_one_spelling(capsys, argv, message):

@@ -44,6 +44,7 @@ from kjdt.poset import (
     max_orthogonal,
     parse_poset,
     quadric_even,
+    quadric_odd,
     rook_strips_over,
     type_a,
 )
@@ -249,20 +250,26 @@ def _greedy_reference(poset, lam: int, nu: int, d: int) -> Counter:
     )
 
 
+# The bounded posets that are not minuscule, each with the minuscule poset
+# whose boxes, covers and wx it has (see test_refused_posets_are_their_twins_box_posets).
+TWINS = {"lg:3": "og:4", "qodd:3": "a:1,5"}
+
+
 @pytest.mark.parametrize(
-    "spec, max_skew, assume_urp",
+    "spec, max_skew, refused",
     [
         ("e6", 6, False),
         ("e7", 6, False),
         ("og:5", None, False),
         ("a:3,4", None, False),
-        # not minuscule: the class route is no oracle here
+        # not minuscule: the ring refuses them, so the routes run on the twin
         ("lg:3", None, True),
         ("qodd:3", None, True),
     ],
 )
-def test_pruned_greedy_count_matches_the_unpruned_loop(spec, max_skew, assume_urp):
+def test_pruned_greedy_count_matches_the_unpruned_loop(spec, max_skew, refused):
     poset = parse_poset(spec)
+    ring = parse_poset(TWINS[spec]) if refused else poset
     shapes = enumerate_shapes(poset)
     minimal = {mu: minimal_tableau(mu).masks for mu in shapes}
     nonzero = 0
@@ -281,9 +288,9 @@ def test_pruned_greedy_count_matches_the_unpruned_loop(spec, max_skew, assume_ur
                 walked = increasing_fillings(poset, lam.mask, nu.mask, len(target), keep=keep)
                 c = sum(1 for _ in walked)
                 assert c == rects[len(target)][target], (lam.literal(), mu.literal(), nu.literal())
-                assert c == structure_constant(lam, mu, nu, assume_urp=assume_urp)
-                if not assume_urp:
-                    assert c == basis_product(lam, mu).get(nu.mask, 0)
+                shapes_on_ring = [Shape(ring, s.mask) for s in (lam, mu, nu)]
+                assert c == structure_constant(*shapes_on_ring)
+                assert c == basis_product(*shapes_on_ring[:2]).get(nu.mask, 0)
                 nonzero += c > 0
     assert nonzero > 0
 
@@ -419,23 +426,30 @@ def test_e8_fails_constant():
 
 
 def test_refuses_non_minuscule():
-    lg = lagrangian(3)
-    with pytest.raises(NonMinusculePoset, match="unverified that its products are the K-theory structure constants"):
-        basis_product(lg.shape("1"), lg.shape("1"))
-    assert basis_product(lg.shape("1"), lg.shape("1"), assume_urp=True)
+    for poset in (lagrangian(3), quadric_odd(3)):
+        one = poset.shape("1")
+        for call in (
+            lambda: basis_product(one, one),
+            lambda: structure_constant(one, one, poset.shape("2")),
+            lambda: multiply(GammaElement.basis(one), GammaElement.basis(one)),
+            lambda: euler_pairing(one, one),
+        ):
+            with pytest.raises(NonMinusculePoset, match="unverified that its products are the K-theory structure constants"):
+                call()
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_lagrangian_products_are_the_orthogonal_ones(n):
-    # lg:n has the box set of og:(n+1), so under assume_urp its ring is
-    # the og:(n+1) ring, shape mask for shape mask.
-    lg, og = lagrangian(n), max_orthogonal(n + 1)
-    masks = [s.mask for s in enumerate_shapes(lg)]
-    assert masks == [s.mask for s in enumerate_shapes(og)]
-    for a in masks:
-        for b in masks:
-            got = basis_product(Shape(lg, a), Shape(lg, b), assume_urp=True)
-            assert got == basis_product(Shape(og, a), Shape(og, b)), (a, b)
+@pytest.mark.parametrize(
+    "spec, twin",
+    [(f"lg:{n}", f"og:{n + 1}") for n in range(1, 7)]
+    + [(f"qodd:{n}", f"a:1,{2 * n - 1}") for n in range(1, 7)],
+)
+def test_refused_posets_are_their_twins_box_posets(spec, twin):
+    # so the refused ring would only repeat the twin's numbers under another label
+    poset, other = parse_poset(spec), parse_poset(twin)
+    assert not poset.is_minuscule and other.is_minuscule
+    assert poset.boxes == other.boxes
+    assert poset.covers == other.covers
+    assert poset.wx == other.wx
 
 
 def test_refuses_mixed_posets():

@@ -437,8 +437,8 @@ def test_closure_never_slides_back_along_a_slide_it_made(monkeypatch):
 
 
 def _greedy_tree_seeds():
-    """Minimal tableaux on four bounded posets (lg:5 is the ``assume_urp``
-    path), and the one-row tableaux of p <= 3 boxes in the shifted windows
+    """Minimal tableaux on four bounded posets (lg:5, not minuscule, has
+    og:6's box poset), and the one-row tableaux of p <= 3 boxes in the shifted windows
     of up to 7 columns that ``pieri_B_by_class`` closes in the tests."""
     for spec in ["a:3,4", "og:6", "qeven:5", "lg:5"]:
         poset = parse_poset(spec)

@@ -34,7 +34,6 @@ from kjdt.words import (
     lds,
     lis,
     reduced_word,
-    weak_kknuth_equiv,
 )
 
 words_strategy = st.lists(st.integers(min_value=1, max_value=4), max_size=6).map(tuple)
@@ -506,11 +505,11 @@ def test_near_counterexample_pair_is_equivalent():
 
 
 def test_weak_equiv():
-    assert weak_kknuth_equiv((1, 2), (2, 1)).status == "equivalent"
+    assert kknuth_equiv((1, 2), (2, 1), weak=True).status == "equivalent"
     v = kknuth_equiv((1, 2), (2, 1))
     assert v.status == "refuted"
     # any plainly equivalent pair stays weakly equivalent
-    assert weak_kknuth_equiv((1, 2, 1), (2, 1, 2)).status == "equivalent"
+    assert kknuth_equiv((1, 2, 1), (2, 1, 2), weak=True).status == "equivalent"
 
 
 def test_inconclusive_on_tiny_budget():
@@ -693,7 +692,7 @@ def test_diagonal_resolution_words_weakly_equivalent():
     # reading words (b,a,b,d,c,y) and (c,a,b,d,c,y)
     u = (2, 1, 2, 5, 4, 3)
     v = (4, 1, 2, 5, 4, 3)
-    assert weak_kknuth_equiv(u, v, budget=200000).status == "equivalent"
+    assert kknuth_equiv(u, v, budget=200000, weak=True).status == "equivalent"
     assert kknuth_equiv(doubled_word(u), doubled_word(v), budget=200000).status != "refuted"
 
 
