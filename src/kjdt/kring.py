@@ -47,8 +47,10 @@ codimension.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Mapping
 from functools import reduce
+from itertools import islice
 from operator import or_
 from types import MappingProxyType
 
@@ -244,15 +246,23 @@ def class_supports(
         return remember(poset.class_supports_memo, key, MappingProxyType(counts))
 
 
-def _attach(poset: MinusculePoset, lam: int, supports: Mapping[int, int]) -> dict[int, int]:
+def _attach(
+    poset: MinusculePoset, lam: int, supports: Mapping[int, int], least: int
+) -> dict[int, int]:
     """Counts of the shapes ``nu`` above the ideal ``lam``: that of the support ``nu & ~lam``.
 
     For ideals ``lam <= nu``, only the support ``s = nu & ~lam`` gives
     ``nu = lam | s``.  The down-closure of ``s`` lies in ``nu``, so its
     inner shape lies in ``lam`` and needs no test: the lookup over the
-    memoised shapes above ``lam`` is exact.
+    memoised shapes above ``lam`` is exact.  Only shapes of at least
+    ``least`` boxes are looked up; the caller passes ``|lam|`` plus a size
+    no support is smaller than.  The shapes above ``lam`` come from a
+    breadth-first search that adds one box at a time, so in nondecreasing
+    size, and the first of ``least`` boxes is found by bisection.
     """
-    return {nu: supports[nu & ~lam] for nu in poset._above_memo[lam] if nu & ~lam in supports}
+    above = poset._above_memo[lam]
+    start = bisect_left(above, least, key=int.bit_count)
+    return {nu: supports[nu & ~lam] for nu in islice(above, start, None) if nu & ~lam in supports}
 
 
 def basis_product(lam: Shape, mu: Shape) -> dict[int, int]:
@@ -261,12 +271,16 @@ def basis_product(lam: Shape, mu: Shape) -> dict[int, int]:
     The coefficient of G_nu counts the tableaux of shape nu/lam that
     rectify to M_mu.  The ring is commutative, so the factors are first
     ordered with |lam| <= |mu|; such a tableau's inner shape lies inside
-    lam, so mu's class is read only up to |mu| inner boxes.
+    lam, so mu's class is read only up to |mu| inner boxes.  A product has
+    no term G_nu with |nu| < |lam| + |mu|.  So no member of that cut class
+    has fewer than |mu| boxes (its inner shape, as lam, would give such a
+    term), and smaller shapes are not looked up.
     """
     poset = _ring_poset(lam=lam, mu=mu)
     if lam.size > mu.size:
         lam, mu = mu, lam
-    return _attach(poset, lam.mask, class_supports(poset, mu, max_inner=mu.size))
+    supports = class_supports(poset, mu, max_inner=mu.size)
+    return _attach(poset, lam.mask, supports, lam.size + mu.size)
 
 
 def multiply(a: GammaElement, b: GammaElement) -> GammaElement:
@@ -463,7 +477,9 @@ def pieri_B_by_class(lam, p: int, cols: int) -> GammaElement:
     """Independent shifted Pieri check via the class of the one-row tableau."""
     lam_shape = _pieri_b_window(lam, p, cols)
     poset, lam_mask = lam_shape.poset, lam_shape.mask
-    return GammaElement(poset, _attach(poset, lam_mask, class_supports(poset, poset.shape([p]))))
+    supports = class_supports(poset, poset.shape([p]))
+    # a member of the class carries the p values of the one-row tableau
+    return GammaElement(poset, _attach(poset, lam_mask, supports, lam_shape.size + p))
 
 
 # -- stable Grothendieck classes -------------------------------------------------

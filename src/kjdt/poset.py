@@ -574,6 +574,7 @@ def parse_poset(spec: str) -> MinusculePoset:
 
 def enumerate_shapes(poset: MinusculePoset) -> list[Shape]:
     """All straight shapes, each once, ordered by size then row lengths."""
+    _check_type(MinusculePoset, "poset", poset)
     if poset.is_ambient:
         raise PosetError("shape enumeration is only meaningful on bounded posets")
     shapes = [Shape(poset, m) for m in poset.ideals_between(0, poset.full_mask)]
@@ -581,11 +582,16 @@ def enumerate_shapes(poset: MinusculePoset) -> list[Shape]:
     return shapes
 
 
+def _check_type(kind: type, name: str, value) -> None:
+    """Refuse the argument ``name`` unless it is a ``kind``, with a ``PosetError`` that names it."""
+    if not isinstance(value, kind):
+        raise PosetError(f"{name} must be a {kind.__name__}, not {value!r}")
+
+
 def check_shapes(**shapes) -> None:
     """Refuse an argument that is not a ``Shape`` with a ``PosetError`` that names it."""
     for name, value in shapes.items():
-        if not isinstance(value, Shape):
-            raise PosetError(f"{name} must be a Shape, not {value!r}")
+        _check_type(Shape, name, value)
 
 
 def rook_strips_over(shape: Shape) -> list[Shape]:

@@ -37,6 +37,7 @@ from .poset import (
     enumerate_shapes,
     parse_entry,
     _Memo,
+    _check_type,
     _union,
 )
 from .words import Permutation, hecke_of_word, kknuth_equiv, lds, lis
@@ -267,17 +268,18 @@ def _slide_levels(
     """
     expand = poset._expand_cache  # neighbour unions, read without a call
     near = expand[dots]  # boxes next to a hole; looked up again only after a move
-    out = list(masks)
-    n = len(out)
-    for k in range(n) if forward else range(n - 1, -1, -1):
-        m = out[k]
+    out = []
+    for m in masks if forward else reversed(masks):
         moved = m & near
         if moved:
             # Adjacency is symmetric: a hole next to m is next to a box of moved.
             recv = dots & expand[moved]
-            out[k] = (m & ~moved) | recv
+            m = (m & ~moved) | recv
             dots = (dots & ~recv) | moved
             near = expand[dots]
+        out.append(m)
+    if not forward:
+        out.reverse()
     return tuple(out), dots
 
 
@@ -390,6 +392,7 @@ def rect_greedy(tab: Tableau, inner: int | None = None) -> Tableau:
     must contain the canonical inner shape); by default the canonical
     presentation is used.
     """
+    _check_type(Tableau, "tab", tab)
     poset = tab.poset
     masks = tab.masks
     pres = poset.skew_geometry(tab.mask)[1] if inner is None else inner
@@ -405,6 +408,7 @@ def rect_greedy(tab: Tableau, inner: int | None = None) -> Tableau:
 
 def rectify_all(tab: Tableau, budget: int | None = None) -> set[Tableau]:
     """All straight-shape tableaux reachable by forward slides: the closure with ``within=0``."""
+    _check_type(Tableau, "tab", tab)
     cls = _closure(tab, budget, within=0)
     if not cls.exhausted:
         raise BudgetExceeded(f"rectify_all exceeded {budget} intermediate tableaux")
@@ -464,6 +468,7 @@ def jdt_class(
     shape has at most that many boxes; ``None`` keeps them all.  It bounds
     the greedy tree alone, as ``within`` bounds the closure alone.
     """
+    _check_type(Tableau, "tab", tab)
     if seed_is_urt:
         if within is not None:
             raise KjdtError("the greedy tree takes no within bound")
@@ -508,7 +513,7 @@ def _closure(tab: Tableau, budget, stop_second_straight=False, within=None) -> J
             raise PosetError(f"within has boxes outside the poset: {within:#x}")
         outside = ~within
     both_ways = within != 0
-    geometry = poset.skew_geometry
+    geometry = poset._skew_memo  # memo read without a call
     values, start = tab.level_values, tab.masks
     seen = {start}
     backs: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
@@ -517,7 +522,7 @@ def _closure(tab: Tableau, budget, stop_second_straight=False, within=None) -> J
     while frontier:
         new = []
         for masks, support in frontier:
-            _, inner, forward_starts, reverse_starts = geometry(support)
+            _, inner, forward_starts, reverse_starts = geometry[support]
             if inner == 0:
                 straight.append(
                     tab if masks is start
@@ -528,24 +533,35 @@ def _closure(tab: Tableau, budget, stop_second_straight=False, within=None) -> J
             if within is not None:
                 reverse_starts = [c for c in reverse_starts if not c & outside]
             forward_backs, reverse_backs = backs.pop(masks, ((), ()))
-            for starts, fwd, skip in (
-                (forward_starts, True, forward_backs),
-                (reverse_starts, False, reverse_backs),
-            ):
-                for c_mask in starts:
-                    if c_mask in skip:
-                        continue
-                    nxt, holes = _slide_levels(poset, masks, c_mask, fwd)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        new.append((nxt, (support | c_mask) & ~holes))
-                        if both_ways:
-                            backs[nxt] = ([], [holes]) if fwd else ([holes], [])
-                    else:
-                        waiting = backs.get(nxt)
-                        if waiting is not None:
-                            # index 1 holds reverse starts, the way back from a forward slide
-                            waiting[fwd].append(holes)
+            # A slide result is hashed once for the seen test: ``add`` grows
+            # ``seen`` exactly when the state is new.
+            for c_mask in forward_starts:
+                if c_mask in forward_backs:
+                    continue
+                nxt, holes = _slide_levels(poset, masks, c_mask, True)
+                size = len(seen)
+                seen.add(nxt)
+                if len(seen) != size:
+                    new.append((nxt, (support | c_mask) & ~holes))
+                    if both_ways:
+                        backs[nxt] = ([], [holes])
+                else:
+                    waiting = backs.get(nxt)
+                    if waiting is not None:
+                        waiting[1].append(holes)  # a reverse start undoes a forward slide
+            for c_mask in reverse_starts:
+                if c_mask in reverse_backs:
+                    continue
+                nxt, holes = _slide_levels(poset, masks, c_mask, False)
+                size = len(seen)
+                seen.add(nxt)
+                if len(seen) != size:
+                    new.append((nxt, (support | c_mask) & ~holes))
+                    backs[nxt] = ([holes], [])
+                else:
+                    waiting = backs.get(nxt)
+                    if waiting is not None:
+                        waiting[0].append(holes)  # a forward start undoes a reverse slide
             if budget is not None and len(seen) > budget:
                 return JdtClass(tab, seen, straight, False)
         frontier = new
@@ -629,8 +645,10 @@ def increasing_fillings(
     value fills at least one box; level k of a yielded tuple holds the
     value k + 1.  ``nu=None`` leaves the end open: the chain may stop at
     any ideal of the poset.  A branch is cut when fewer boxes than values
-    remain, or (fixed end) a longer chain of boxes than values.  The order
-    of the fillings is unspecified.
+    remain, or (fixed end) a longer chain of boxes than values.  The
+    fillings come depth first, each level's starts in the order
+    ``skew_geometry`` lists them; the census closes its classes in this
+    order.
 
     ``keep`` sees the masks placed so far after each level is added; a
     false answer cuts the branch.
@@ -651,25 +669,37 @@ def increasing_fillings(
                 deep[r] = tail
         if rest & deep[d]:
             return
-    geometry = poset.skew_geometry
+    if not d:
+        yield ()
+        return
+    # A depth-first walk on an explicit stack: stack[k] iterates the starts
+    # of the ideal after the k levels of ``key``, and ``left`` values remain
+    # after the level being chosen.
+    geometry = poset._skew_memo  # memo read without a call
     key: list[int] = []
-
-    def rec(ideal: int, left: int):
-        if not left:
-            yield tuple(key)
-            return
-        left -= 1
-        for step in geometry(ideal)[3]:
+    ideal, left = lam, d - 1
+    stack = [iter(geometry[lam][3])]
+    while stack:
+        for step in stack[-1]:
             grown = ideal | step
             rest = end & ~grown
             if step & ~end or rest & deep[left] or rest.bit_count() < left:
                 continue
             key.append(step)
-            if keep is None or keep(key):
-                yield from rec(grown, left)
-            key.pop()
-
-    yield from rec(lam, d)
+            if keep is not None and not keep(key):
+                key.pop()
+            elif not left:
+                yield tuple(key)
+                key.pop()
+            else:
+                ideal, left = grown, left - 1
+                stack.append(iter(geometry[grown][3]))
+                break
+        else:
+            stack.pop()
+            if key:
+                ideal ^= key.pop()
+                left += 1
 
 
 def rectifies_to(poset: MinusculePoset, lam: int, target: tuple[int, ...]):
@@ -855,6 +885,7 @@ def _census_classes(poset: MinusculePoset, max_size: int | None, budget: int | N
     ``visited`` keeps only the straight members of refuted classes and the
     straight states of cut ones.  Seeds with d values share one ``(1..d)``.
     """
+    _check_type(MinusculePoset, "poset", poset)
     if poset.is_ambient:
         raise PosetError("the census needs a bounded poset")
     if max_size is not None:

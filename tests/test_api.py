@@ -338,6 +338,11 @@ REFUSALS = [
     ("conjecture_search-negative-slack", lambda: kjdt.conjecture_search(1, 2, slack=-1), kjdt.KjdtError),
     ("conjecture_search-zero-budget", lambda: kjdt.conjecture_search(1, 2, budget=0), kjdt.KjdtError),
     ("reading_words-str-limit", lambda: kjdt.reading_words(_grid_row(), limit="x"), kjdt.KjdtError),
+    ("jdt_class-int", lambda: kjdt.jdt_class(3), kjdt.PosetError),
+    ("rectify_all-int", lambda: kjdt.rectify_all(3), kjdt.PosetError),
+    ("rect_greedy-int", lambda: kjdt.rect_greedy(3), kjdt.PosetError),
+    ("urt_census-int", lambda: kjdt.urt_census(3), kjdt.PosetError),
+    ("enumerate_shapes-int", lambda: kjdt.enumerate_shapes(3), kjdt.PosetError),
 ]
 
 
@@ -400,6 +405,11 @@ def test_a_weak_that_is_not_a_bool_is_named(name):
         ("dual_class-str", "lam", "Shape"),
         ("to_schubert_basis-int", "g", "GammaElement"),
         ("rook_strips_over-int", "shape", "Shape"),
+        ("jdt_class-int", "tab", "Tableau"),
+        ("rectify_all-int", "tab", "Tableau"),
+        ("rect_greedy-int", "tab", "Tableau"),
+        ("urt_census-int", "poset", "MinusculePoset"),
+        ("enumerate_shapes-int", "poset", "MinusculePoset"),
     ],
 )
 def test_a_refused_ring_argument_is_named(name, argument, kind):

@@ -90,7 +90,7 @@ def test_attach_inner_test_matches_is_ideal(spec, rows):
     for mu in mus:
         supports = class_supports(poset, mu)
         for lam in lams:
-            assert _attach(poset, lam, supports) == _attach_by_is_ideal(poset, lam, supports)
+            assert _attach(poset, lam, supports, 0) == _attach_by_is_ideal(poset, lam, supports)
 
 
 def _attach_by_scanning(poset, lam, supports):
@@ -115,6 +115,25 @@ def test_products_match_the_scanning_reference(spec):
             assert basis_product(lam, mu) == _attach_by_scanning(poset, lam.mask, supports)
 
 
+@pytest.mark.parametrize("spec", ["a:3,4", "og:6", "e6", "e7", "qeven:5"])
+def test_attach_skips_only_shapes_below_the_least_product_term(spec):
+    # basis_product starts its lookup at the first shape above lam of
+    # |lam| + |mu| boxes.  That skips no counted shape because the shapes
+    # above lam come in nondecreasing size and no member of the cut class of
+    # M_mu has fewer than |mu| boxes.
+    poset = parse_poset(spec)
+    shapes = enumerate_shapes(poset)
+    for lam in shapes:
+        sizes = [nu.bit_count() for nu in poset._above_memo[lam.mask]]
+        assert sizes == sorted(sizes), lam
+    for mu in shapes:
+        supports = class_supports(poset, mu, max_inner=mu.size)
+        assert min(s.bit_count() for s in supports) >= mu.size, mu
+        for lam in shapes:
+            if lam.size <= mu.size:
+                assert basis_product(lam, mu) == _attach(poset, lam.mask, supports, 0)
+
+
 @pytest.mark.parametrize("spec", ["a:3,3", "og:5", "e6", "qeven:5"])
 def test_basis_product_is_commutative_and_reads_either_whole_class(spec):
     # basis_product reads the larger factor's cut class; the paper's rule read
@@ -125,8 +144,8 @@ def test_basis_product_is_commutative_and_reads_either_whole_class(spec):
         for mu in shapes:
             product = basis_product(lam, mu)
             assert product == basis_product(mu, lam)
-            assert product == _attach(poset, lam.mask, class_supports(poset, mu))
-            assert product == _attach(poset, mu.mask, class_supports(poset, lam))
+            assert product == _attach(poset, lam.mask, class_supports(poset, mu), 0)
+            assert product == _attach(poset, mu.mask, class_supports(poset, lam), 0)
 
 
 def test_a_product_table_closes_each_cut_class_once(monkeypatch):

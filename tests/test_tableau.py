@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -786,6 +787,38 @@ def test_urt_census_matches_the_whole_class_reference(monkeypatch, spec, budget)
         assert len(refuted) == {None: 8, 3: 0, 24: 4}[budget]
 
 
+@pytest.mark.parametrize(
+    "spec, slides, forward, closures, states, largest, calls_digest",
+    [
+        ("og:5", 726, 14, 175, 747, 38, "2509f1857791"),
+        ("e6", 16555, 33, 3026, 16600, 156, "8c4102fc564e"),
+    ],
+)
+def test_urt_census_makes_the_pinned_slides_and_closures(
+    monkeypatch, spec, slides, forward, closures, states, largest, calls_digest
+):
+    # The census's work, pinned: every slide call in order (by digest) and
+    # the size of every class it closes.  A faster loop must do the same.
+    calls, sizes = [], []
+    slide, closure = tableau_module._slide_levels, tableau_module.jdt_class
+
+    def recorded_slide(poset, masks, dots, fwd):
+        calls.append((masks, dots, fwd))
+        return slide(poset, masks, dots, fwd)
+
+    def recorded_closure(tab, **kwargs):
+        cls = closure(tab, **kwargs)
+        sizes.append(cls.size)
+        return cls
+
+    monkeypatch.setattr(tableau_module, "_slide_levels", recorded_slide)
+    monkeypatch.setattr(tableau_module, "jdt_class", recorded_closure)
+    urt_census(parse_poset(spec))
+    assert (len(calls), sum(fwd for _, _, fwd in calls)) == (slides, forward)
+    assert (len(sizes), sum(sizes), max(sizes)) == (closures, states, largest)
+    assert hashlib.sha256(repr(calls).encode()).hexdigest()[:12] == calls_digest
+
+
 def test_urt_census_does_not_keep_whole_classes():
     # Remembering every closure state peaked at 9-10 MB here; the straight
     # members alone, under 2 MB.
@@ -1411,6 +1444,80 @@ def test_filling_row_words_match_tableau_row_words(spec, outer, inner, vmin, vma
             if all(keep(tuple(v for v in word if v <= k)) for k in range(1, d + 1)):
                 want.append((lam | tab.mask, word))
         assert list(filling_row_words(poset, lam, d, keep)) == want, d
+
+
+def _increasing_fillings_recursive(poset, lam, nu, d, keep=None):
+    """``increasing_fillings`` as a recursive walk, one generator per node of the walk."""
+    end = poset.full_mask if nu is None else nu
+    rest = end & ~lam
+    if rest.bit_count() < d:
+        return
+    deep = [0] * (d + 1)
+    if nu is not None:
+        layers = poset.greedy_layers(nu)
+        tail = 0
+        for r in reversed(range(len(layers))):
+            tail |= layers[r]
+            if r <= d:
+                deep[r] = tail
+        if rest & deep[d]:
+            return
+    key = []
+
+    def rec(ideal, left):
+        if not left:
+            yield tuple(key)
+            return
+        left -= 1
+        for step in poset.skew_geometry(ideal)[3]:
+            grown = ideal | step
+            rest = end & ~grown
+            if step & ~end or rest & deep[left] or rest.bit_count() < left:
+                continue
+            key.append(step)
+            if keep is None or keep(key):
+                yield from rec(grown, left)
+            key.pop()
+
+    yield from rec(lam, d)
+
+
+def _recording_keep(seen):
+    """A keep that records each key it sees and cuts some branches at every level."""
+    def keep(key):
+        seen.append(tuple(key))
+        return sum(m.bit_count() for m in key) % 3 != 1
+    return keep
+
+
+@pytest.mark.parametrize(
+    "spec, whole, kept", [("a:3,4", 18229, 674), ("og:5", 931, 64), ("e6", 3048, 137), ("grid:3,3", 2909, 156)]
+)
+def test_increasing_fillings_yield_the_recursive_walks_sequence(spec, whole, kept):
+    # The census closes classes in the order of the fillings, so the order
+    # is pinned, and with a keep so are the keys it sees, in turn.  Fixed
+    # ends up to 7 boxes above each ideal, open ends up to 5 values.
+    poset = parse_poset(spec)
+    ideals = poset.ideals_between(0, poset.full_mask)
+    cases = [
+        (lam, nu, d)
+        for lam in ideals
+        for nu in ideals
+        if not lam & ~nu and (nu & ~lam).bit_count() <= 7
+        for d in range((nu & ~lam).bit_count() + 2)
+    ]
+    cases += [(lam, None, d) for lam in ideals for d in range(6)]
+    for cut, count in ((False, whole), (True, kept)):
+        yielded = 0
+        for lam, nu, d in cases:
+            got_keys, want_keys = [], []
+            got_keep = _recording_keep(got_keys) if cut else None
+            want_keep = _recording_keep(want_keys) if cut else None
+            got = list(increasing_fillings(poset, lam, nu, d, keep=got_keep))
+            assert got == list(_increasing_fillings_recursive(poset, lam, nu, d, keep=want_keep))
+            assert got_keys == want_keys
+            yielded += len(got)
+        assert yielded == count, cut
 
 
 @pytest.mark.parametrize(
