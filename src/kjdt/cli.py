@@ -32,7 +32,7 @@ from .tableau import (
     rectify_all,
     tableau_to_json,
     _census_classes,
-    _census_order,
+    _census_refuted,
 )
 from .words import kknuth_equiv, hecke_of_word, lds, lis
 
@@ -153,13 +153,13 @@ def cmd_urt(args) -> int:
         # certified classes are counted, not kept: a long census holds only the refuted
         certified, refuted, exhausted = 0, [], True
         for status, members in _census_classes(poset, args.max_size, budget):
-            if status == "cut":
-                exhausted = False
-            elif status == "certified":
+            if status == "certified":
                 certified += len(members)
-            else:
+            elif status == "refuted":
                 refuted.extend(members)
-        refuted.sort(key=_census_order)
+            else:
+                exhausted = False
+        refuted = _census_refuted(refuted)
         summary = {
             "poset": poset.family.spec(),
             "certified": certified,
@@ -175,19 +175,7 @@ def cmd_urt(args) -> int:
             for t in refuted:
                 print(f"  not a URT: {t.literal()}")
         return EXIT_OK if exhausted else EXIT_BUDGET
-    tab = parse_tableau(poset, args.tableau)
-    if not tab.is_straight:
-        # skew input: report whether the rectification is unique instead
-        rects = sorted(rectify_all(tab, budget=budget), key=lambda t: t.values)
-        status = "certified" if len(rects) == 1 else "refuted"
-        data = {
-            "status": status,
-            "rectifications": [t.literal() for t in rects],
-        }
-        _emit(data, args.json,
-              f"{status} (rectifications: {', '.join(data['rectifications'])})")
-        return EXIT_OK
-    verdict = is_urt(tab, pad=args.pad, budget=budget)
+    verdict = is_urt(parse_tableau(poset, args.tableau), pad=args.pad, budget=budget)
     data = {"status": verdict.status}
     if verdict.witness is not None:
         data["witness"] = verdict.witness.literal()

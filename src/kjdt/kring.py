@@ -61,9 +61,9 @@ from .poset import (
     ambient_grid,
     ambient_shifted,
     bits,
-    check_shapes,
     remember,
     rook_strips_over,
+    _check_type,
 )
 from .tableau import (
     Tableau,
@@ -181,16 +181,9 @@ def _flip_signs(coeffs: dict[int, int]) -> dict[int, int]:
     return {m: (-1) ** m.bit_count() * c for m, c in coeffs.items()}
 
 
-def _check_elements(**elements) -> None:
-    """Refuse an argument that is not a ring element with a ``KjdtError`` that names it."""
-    for name, x in elements.items():
-        if not isinstance(x, GammaElement):
-            raise KjdtError(f"{name} must be a GammaElement, not {x!r}")
-
-
 def to_schubert_basis(g: GammaElement) -> SignedKElement:
     """G_lambda maps to (-1)^size O_lambda."""
-    _check_elements(g=g)
+    _check_type(GammaElement, g=g)
     return SignedKElement(g.poset, _flip_signs(g.coeffs))
 
 
@@ -206,7 +199,7 @@ def _ring_poset(**shapes: Shape) -> MinusculePoset:
     The shapes come by argument name, and one that is not a ``Shape`` is
     refused with a ``PosetError`` that names it.
     """
-    check_shapes(**shapes)
+    _check_type(Shape, **shapes)
     poset = shapes["lam"].poset
     if any(s.poset is not poset for s in shapes.values()):
         raise PosetError("shapes live on different posets")
@@ -284,7 +277,7 @@ def basis_product(lam: Shape, mu: Shape) -> dict[int, int]:
 
 
 def multiply(a: GammaElement, b: GammaElement) -> GammaElement:
-    _check_elements(a=a, b=b)
+    _check_type(GammaElement, a=a, b=b)
     if type(a) is not type(b):
         raise PosetError("cannot multiply elements written in different bases")
     a._check_same(b)
@@ -328,7 +321,7 @@ def _greedy_count(poset, lam: Shape, mu: Shape, nu: Shape) -> int:
 
 def dual_class(lam: Shape) -> SignedKElement:
     """Alternating sum of O_nu over rook-strip extensions of the dual shape."""
-    check_shapes(lam=lam)
+    _check_type(Shape, lam=lam)
     poset = lam.poset
     base = lam.dual()
     coeffs = {}
@@ -538,8 +531,7 @@ def fat_hook_urt(lam, u_tab: Tableau, pad: int = 2) -> dict:
     """
     check_count("pad", pad)
     a, b, c, d = _fat_hook_params(lam)
-    if not isinstance(u_tab, Tableau):
-        raise PosetError(f"the attached tableau must be a Tableau, not {u_tab!r}")
+    _check_type(Tableau, u_tab=u_tab)
     u_rows = u_tab.straight_rows() if u_tab.size else ()
     if len(u_rows) > d or any(len(r) > a - c for r in u_rows):
         raise PosetError("the attached tableau does not fit in the corner")

@@ -574,7 +574,7 @@ def parse_poset(spec: str) -> MinusculePoset:
 
 def enumerate_shapes(poset: MinusculePoset) -> list[Shape]:
     """All straight shapes, each once, ordered by size then row lengths."""
-    _check_type(MinusculePoset, "poset", poset)
+    _check_type(MinusculePoset, poset=poset)
     if poset.is_ambient:
         raise PosetError("shape enumeration is only meaningful on bounded posets")
     shapes = [Shape(poset, m) for m in poset.ideals_between(0, poset.full_mask)]
@@ -582,16 +582,16 @@ def enumerate_shapes(poset: MinusculePoset) -> list[Shape]:
     return shapes
 
 
-def _check_type(kind: type, name: str, value) -> None:
-    """Refuse the argument ``name`` unless it is a ``kind``, with a ``PosetError`` that names it."""
-    if not isinstance(value, kind):
-        raise PosetError(f"{name} must be a {kind.__name__}, not {value!r}")
+def _check_type(kind: type | tuple[type, ...], **arguments) -> None:
+    """Refuse an argument that is not a ``kind`` with a ``PosetError`` that names it.
 
-
-def check_shapes(**shapes) -> None:
-    """Refuse an argument that is not a ``Shape`` with a ``PosetError`` that names it."""
-    for name, value in shapes.items():
-        _check_type(Shape, name, value)
+    The arguments come by name; ``kind`` is a type or, as for
+    ``isinstance``, a tuple of types.
+    """
+    for name, value in arguments.items():
+        if not isinstance(value, kind):
+            kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+            raise PosetError(f"{name} must be a {kinds}, not {value!r}")
 
 
 def rook_strips_over(shape: Shape) -> list[Shape]:
@@ -602,7 +602,7 @@ def rook_strips_over(shape: Shape) -> list[Shape]:
     those extends ``shape`` to an ideal: the strips are ``shape`` and
     ``shape | s`` for each reverse slide start ``s`` of ``shape``.
     """
-    check_shapes(shape=shape)
+    _check_type(Shape, shape=shape)
     poset = shape.poset
     starts = poset.skew_geometry(shape.mask)[3]
     shapes = [Shape(poset, shape.mask | s) for s in (0, *starts)]

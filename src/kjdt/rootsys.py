@@ -17,7 +17,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import PosetError
-from .poset import MinusculePoset, PosetFamily, Shape, bits, build_poset, enumerate_shapes
+from .poset import MinusculePoset, PosetFamily, Shape, bits, build_poset, enumerate_shapes, _check_type
 
 Coeffs = tuple[int, ...]
 
@@ -321,6 +321,8 @@ def verify_poset_embedding(
     Returns a report with ``pass`` and either the isomorphism (as a list
     of root-to-box pairs) or a witness explaining the failure.
     """
+    _check_type(RootSystem, system=system)
+    _check_type(MinusculePoset, poset=poset)
     roots = lambda_from_root_data(system, node)
     report: dict = {"check": "poset_embedding", "pass": False}
     if len(roots) != poset.n:

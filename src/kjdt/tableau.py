@@ -40,7 +40,7 @@ from .poset import (
     _check_type,
     _union,
 )
-from .words import Permutation, hecke_of_word, kknuth_equiv, lds, lis
+from .words import Permutation, hecke_of_word, kknuth_equiv
 
 
 class _Dot:
@@ -392,7 +392,7 @@ def rect_greedy(tab: Tableau, inner: int | None = None) -> Tableau:
     must contain the canonical inner shape); by default the canonical
     presentation is used.
     """
-    _check_type(Tableau, "tab", tab)
+    _check_type(Tableau, tab=tab)
     poset = tab.poset
     masks = tab.masks
     pres = poset.skew_geometry(tab.mask)[1] if inner is None else inner
@@ -408,7 +408,7 @@ def rect_greedy(tab: Tableau, inner: int | None = None) -> Tableau:
 
 def rectify_all(tab: Tableau, budget: int | None = None) -> set[Tableau]:
     """All straight-shape tableaux reachable by forward slides: the closure with ``within=0``."""
-    _check_type(Tableau, "tab", tab)
+    _check_type(Tableau, tab=tab)
     cls = _closure(tab, budget, within=0)
     if not cls.exhausted:
         raise BudgetExceeded(f"rectify_all exceeded {budget} intermediate tableaux")
@@ -468,7 +468,7 @@ def jdt_class(
     shape has at most that many boxes; ``None`` keeps them all.  It bounds
     the greedy tree alone, as ``within`` bounds the closure alone.
     """
-    _check_type(Tableau, "tab", tab)
+    _check_type(Tableau, tab=tab)
     if seed_is_urt:
         if within is not None:
             raise KjdtError("the greedy tree takes no within bound")
@@ -628,6 +628,17 @@ class URTVerdict:
 
     def __bool__(self):
         return self.status == "certified"
+
+
+def _urt_status(straight: int, exhausted: bool) -> str:
+    """The one URT rule, for a class closure that met ``straight`` straight members.
+
+    Two straight members refute the class; one certifies it only when the
+    closure ran to its end; otherwise the class is inconclusive.
+    """
+    if straight > 1:
+        return "refuted"
+    return "certified" if exhausted else "inconclusive"
 
 
 def increasing_fillings(
@@ -793,44 +804,36 @@ def _urt_by_words(tab: Tableau, shifted: bool, budget: int) -> URTVerdict:
 
     Any straight tableau sharing the jeu de taquin class of ``tab`` has a
     K-Knuth (weakly, in the shifted case) equivalent row word, hence the
-    same letter set, Hecke permutation and monotone subsequence bounds.
-    That candidate set is finite; each candidate is compared by bounded
-    search, so the verdict stays three-valued.
+    same letter set.  That candidate set is finite; ``kknuth_equiv``
+    compares each candidate's row word by its invariants, then by bounded
+    search, so the verdict stays three-valued.  A straight tableau's row
+    word determines it, so the candidate whose word is that of ``tab`` is
+    ``tab`` itself.
     """
-    letters = sorted(tab.value_set())
     word = tab.row_word()
-    target = hecke_of_tableau(tab)
-    window = _urt_window(tab, shifted, pad=0)
-    inv = (lis(word), lds(word)) if not shifted else None
     inconclusive = False
-    for cand in straight_tableaux_with_values(window, letters):
-        if cand.as_dict() == tab.as_dict():
-            continue
-        if hecke_of_tableau(cand) != target:
-            continue
+    for cand in straight_tableaux_with_values(_urt_window(tab, shifted, pad=0), tab.level_values):
         cword = cand.row_word()
-        if not shifted and (lis(cword), lds(cword)) != inv:
+        if cword == word:
             continue
-        verdict = kknuth_equiv(cword, word, budget=budget, weak=shifted)
-        if verdict.status == "equivalent":
+        status = kknuth_equiv(cword, word, budget=budget, weak=shifted).status
+        if status == "equivalent":
             return URTVerdict("refuted", witness=Tableau.from_dict(tab.poset, cand.as_dict()))
-        if verdict.status == "inconclusive":
-            inconclusive = True
-    if inconclusive:
-        return URTVerdict("inconclusive")
-    return URTVerdict("certified")
+        inconclusive = inconclusive or status == "inconclusive"
+    return URTVerdict("inconclusive" if inconclusive else "certified")
 
 
 def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
     """Decide whether a straight tableau is a unique rectification target.
 
-    On a bounded poset the jeu de taquin class is enumerated exactly.  On
-    the ambient grid or shifted posets, a window of ``pad`` extra rows
-    and columns (at least one box) is searched first for a refuting
-    second straight member;
+    On a bounded poset the jeu de taquin class is enumerated exactly and
+    judged by ``_urt_status``.  On the ambient grid or shifted posets, a
+    window of ``pad`` extra rows and columns (at least one box) is
+    searched first for a refuting second straight member;
     if none appears, the word-equivalence certificate decides between
     ``certified`` and ``inconclusive`` (never trusting the window alone,
-    since classes roam past any fixed boundary).
+    since classes roam past any fixed boundary).  Either closure stops at
+    its second straight member, the witness; its first is the seed.
 
     On an ambient poset the one ``budget`` bounds the window closure in
     states and then each candidate's word search in explored words, so it
@@ -844,21 +847,17 @@ def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
     poset = tab.poset
     if not poset.is_ambient:
         cls = jdt_class(tab, budget=budget, stop_second_straight=True)
-        others = [t for t in cls.straight if t != tab]
-        if others:
-            return URTVerdict("refuted", witness=others[0], class_size=cls.size)
-        if not cls.exhausted:
-            return URTVerdict("inconclusive", class_size=cls.size)
-        return URTVerdict("certified", class_size=cls.size)
+        status = _urt_status(len(cls.straight), cls.exhausted)
+        witness = cls.straight[1] if status == "refuted" else None
+        return URTVerdict(status, witness=witness, class_size=cls.size)
 
     shifted = poset.reading == "doubled"
     window = _urt_window(tab, shifted, pad)
-    embedded = Tableau.from_dict(window, tab.as_dict())
     budget = DEFAULT_BUDGET if budget is None else budget
+    embedded = Tableau.from_dict(window, tab.as_dict())
     cls = jdt_class(embedded, budget=budget, stop_second_straight=True)
-    others = [t for t in cls.straight if t.as_dict() != embedded.as_dict()]
-    if others:
-        witness = Tableau.from_dict(poset, others[0].as_dict())
+    if _urt_status(len(cls.straight), cls.exhausted) == "refuted":
+        witness = Tableau.from_dict(poset, cls.straight[1].as_dict())
         return URTVerdict("refuted", witness=witness, class_size=cls.size)
     return replace(_urt_by_words(tab, shifted, budget=budget), class_size=cls.size)
 
@@ -870,22 +869,27 @@ def packed_straight_tableaux(poset: MinusculePoset, shape: Shape):
         yield from increasing_fillings(poset, 0, shape.mask, d)
 
 
-def _census_order(tab: Tableau):
-    """The order of refuted tableaux in a census report: by size, then literal."""
-    return tab.size, tab.literal()
+def _census_refuted(refuted: list[Tableau]) -> list[Tableau]:
+    """The refuted tableaux of a census report: each once, by size, then literal.
+
+    A class the budget cuts may be closed again from a seed its first
+    closure did not meet, and refuted again with some of the same members.
+    """
+    return sorted(set(refuted), key=lambda t: (t.size, t.literal()))
 
 
 def _census_classes(poset: MinusculePoset, max_size: int | None, budget: int | None):
     """Yield ``(status, straight members of at most max_size boxes)`` per class the census closes.
 
-    ``status`` is ``"certified"``, ``"refuted"`` or ``"cut"`` (by the
-    budget), judged on the whole class.  Only straight seeds are looked up,
-    by their masks, since seeds are packed and slides keep values.  A
-    certified class's one straight member is its seed, met once, so
-    ``visited`` keeps only the straight members of refuted classes and the
-    straight states of cut ones.  Seeds with d values share one ``(1..d)``.
+    ``status`` is ``_urt_status`` of the straight states the closure met:
+    every straight member when it ran to its end, and when the budget cut
+    it, its straight states, expanded or not, each a member of the class.
+    Only straight seeds are looked up, by their masks, since seeds are
+    packed and slides keep values.  A certified class's one straight member
+    is its seed, met once, so ``visited`` keeps only the straight states
+    of the other classes.  Seeds with d values share one ``(1..d)``.
     """
-    _check_type(MinusculePoset, "poset", poset)
+    _check_type(MinusculePoset, poset=poset)
     if poset.is_ambient:
         raise PosetError("the census needs a bounded poset")
     if max_size is not None:
@@ -899,40 +903,43 @@ def _census_classes(poset: MinusculePoset, max_size: int | None, budget: int | N
         for masks in packed_straight_tableaux(poset, shape):
             if masks in visited:
                 continue
-            cls = jdt_class(Tableau.from_masks(poset, runs[len(masks)], masks), budget=budget)
-            keep = [t for t in cls.straight if max_size is None or t.size <= max_size]
-            if not cls.exhausted:
-                visited.update(m for m in cls.states if poset.is_ideal(reduce(or_, m)))
-                yield "cut", keep
-            elif len(cls.straight) == 1:
-                yield "certified", keep
-            else:
-                visited.update(t.masks for t in cls.straight)
-                yield "refuted", keep
+            values = runs[len(masks)]
+            cls = jdt_class(Tableau.from_masks(poset, values, masks), budget=budget)
+            straight = cls.straight if cls.exhausted else [
+                Tableau.from_masks(poset, values, m)
+                for m in cls.states if poset.is_ideal(reduce(or_, m))
+            ]
+            status = _urt_status(len(straight), cls.exhausted)
+            if status != "certified":
+                visited.update(t.masks for t in straight)
+            yield status, [t for t in straight if max_size is None or t.size <= max_size]
 
 
 def urt_census(poset: MinusculePoset, max_size: int | None = None, budget: int | None = None):
     """Classify every straight packed tableau of a bounded poset as URT or not.
 
-    Classes are enumerated once each (``_census_classes``); all straight
-    members of a class share one verdict.  Returns a report with the
+    Classes are enumerated once each (``_census_classes``), but a class
+    the budget cuts may be closed again from a seed its closure missed;
+    all straight members of a class share one verdict.  Returns a report with the
     certified tableaux, in no specified order, and the refuted ones sorted
-    by size, then literal.  Only shapes of at most ``max_size`` boxes are
+    by size, then literal; ``exhausted`` is false exactly when some class
+    is left inconclusive.  Only shapes of at most ``max_size`` boxes are
     seeded; a ``max_size`` that is not ``None`` or a non-negative int, a
     bool excluded, raises ``KjdtError``.
     """
     certified, refuted, exhausted = [], [], True
     for status, members in _census_classes(poset, max_size, budget):
-        if status == "cut":
-            exhausted = False
+        if status == "certified":
+            certified.extend(members)
+        elif status == "refuted":
+            refuted.extend(members)
         else:
-            (certified if status == "certified" else refuted).extend(members)
-    refuted.sort(key=_census_order)
+            exhausted = False
     return {
         "poset": poset.family.spec(),
         "max_size": max_size,
         "certified": certified,
-        "refuted": refuted,
+        "refuted": _census_refuted(refuted),
         "exhausted": exhausted,
         "all_certified": exhausted and not refuted,
     }
@@ -990,6 +997,7 @@ def superstandard(shape: Shape, orientation: str = "row") -> Tableau:
 
 def wx_act(tab: Tableau) -> Tableau:
     """The involution T(a) -> -T(wx.a) on tableaux of a bounded poset."""
+    _check_type(Tableau, tab=tab)
     wx = tab.poset.wx
     if wx is None:
         raise PosetError("wx action needs a bounded poset")
@@ -1002,6 +1010,7 @@ def wx_act(tab: Tableau) -> Tableau:
 
 def doubling(tab: Tableau, target: MinusculePoset | None = None) -> Tableau:
     """Union of a shifted tableau with its reflection across the diagonal."""
+    _check_type(Tableau, tab=tab)
     if tab.poset.reading != "doubled":
         raise PosetError("doubling expects a tableau on a shifted poset")
     d = tab.as_dict()
@@ -1017,6 +1026,7 @@ def doubling(tab: Tableau, target: MinusculePoset | None = None) -> Tableau:
 
 def hecke_of_tableau(tab) -> Permutation:
     """Hecke permutation of a grid tableau (doubling a shifted one first)."""
+    _check_type(Tableau, tab=tab)
     reading = tab.poset.reading
     if reading == "doubled":
         tab = doubling(tab)
@@ -1027,6 +1037,7 @@ def hecke_of_tableau(tab) -> Permutation:
 
 def conjugate(tab: Tableau) -> Tableau:
     """Mirror a grid tableau in the north-west to south-east diagonal."""
+    _check_type(Tableau, tab=tab)
     if tab.poset.reading != "row":
         raise PosetError("conjugate expects a grid tableau")
     d = tab.as_dict()
@@ -1038,6 +1049,7 @@ def conjugate(tab: Tableau) -> Tableau:
 
 def attach_product(s_tab: Tableau, t_tab: Tableau) -> Tableau:
     """S * T: north-east corner of S attached to the south-west corner of T."""
+    _check_type(Tableau, s_tab=s_tab, t_tab=t_tab)
     if not (s_tab.is_straight and t_tab.is_straight):
         raise PosetError("the tableau product is defined for straight tableaux")
     s_rows = s_tab.straight_rows()
@@ -1177,6 +1189,7 @@ def reading_words(tab, limit: int | None = None):
     everything strictly east of it.  The support is checked at call time;
     the returned generator yields distinct words lazily.
     """
+    _check_type((Tableau, WeakTableau), tab=tab)
     if limit is not None:
         check_count("limit", limit)
     filling = tab.as_dict()
@@ -1272,6 +1285,7 @@ def infusion(s_tab: Tableau, t_tab: Tableau) -> tuple[Tableau, Tableau]:
     Requires nested shapes: S on mu/lambda and T on nu/mu.  The map is an
     involution on such pairs.
     """
+    _check_type(Tableau, s_tab=s_tab, t_tab=t_tab)
     poset = s_tab.poset
     if poset is not t_tab.poset:
         raise PosetError("infusion needs tableaux on one poset")

@@ -77,15 +77,27 @@ MUTANTS = [
     ),
     Mutant(
         "census-verdict", "tableau.py",
-        "elif len(cls.straight) == 1:",
-        "elif len(cls.straight) >= 1:",
+        "status = _urt_status(len(straight), cls.exhausted)",
+        "status = _urt_status(min(len(straight), 1), cls.exhausted)",
         "tests/test_cli.py::test_urt_census_holds_no_certified_tableaux",
     ),
     Mutant(
+        "urt-rule-cut-never-refutes", "tableau.py",
+        "if straight > 1:",
+        "if straight > 1 and exhausted:",
+        "tests/test_cli.py::test_urt_single_and_census",
+    ),
+    Mutant(
         "census-cut-class-expanded-only", "tableau.py",
-        "visited.update(m for m in cls.states if poset.is_ideal(reduce(or_, m)))",
-        "visited.update(t.masks for t in cls.straight)",
+        "straight = cls.straight if cls.exhausted else [",
+        "straight = cls.straight if True else [",
         "tests/test_tableau.py::test_urt_census_matches_the_whole_class_reference[a:3,3-24]",
+    ),
+    Mutant(
+        "census-refuted-listed-twice", "tableau.py",
+        "return sorted(set(refuted), key=lambda t: (t.size, t.literal()))",
+        "return sorted(refuted, key=lambda t: (t.size, t.literal()))",
+        "tests/test_tableau.py::test_urt_census_lists_a_member_refuted_twice_once",
     ),
     Mutant(
         "braid-move", "words.py",
@@ -130,6 +142,12 @@ MUTANTS = [
         "tests/test_tableau.py::test_closure_never_slides_back_along_a_slide_it_made",
     ),
     Mutant(
+        "closure-forward-backs-swapped", "tableau.py",
+        "backs[nxt] = ([], [holes])",
+        "backs[nxt] = ([holes], [])",
+        "tests/test_tableau.py::test_closure_of_a_skew_seed_never_slides_back_along_a_forward_slide",
+    ),
+    Mutant(
         "weak-initial-swap", "words.py",
         "if d and w >> b:",
         "if not d and w >> b:",
@@ -155,15 +173,15 @@ MUTANTS = [
     ),
     Mutant(
         "census-status-from-kept", "tableau.py",
-        "elif len(cls.straight) == 1:",
-        "elif len(keep) == 1:",
+        "straight = cls.straight if cls.exhausted else [",
+        "straight = [t for t in cls.straight if max_size is None or t.size <= max_size] if cls.exhausted else [",
         "tests/test_tableau.py::test_greedy_tree_of_a_refuted_tableau_is_its_greedy_part",
     ),
     Mutant(
         "census-refuted-not-remembered", "tableau.py",
-        "visited.update(t.masks for t in cls.straight)",
+        "visited.update(t.masks for t in straight)",
         "pass",
-        "tests/test_cli.py::test_urt_census_holds_no_certified_tableaux",
+        "tests/test_tableau.py::test_urt_census_matches_the_whole_class_reference[a:3,3-None]",
     ),
 ]
 

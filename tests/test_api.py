@@ -316,14 +316,14 @@ REFUSALS = [
         kjdt.PosetError,
     ),
     ("euler_pairing-str", lambda: kjdt.euler_pairing(_one_box(), "2"), kjdt.PosetError),
-    ("multiply-int", lambda: kjdt.multiply(5, 5), kjdt.KjdtError),
-    ("multiply-int-right", lambda: kjdt.multiply(_gamma(), 5), kjdt.KjdtError),
+    ("multiply-int", lambda: kjdt.multiply(5, 5), kjdt.PosetError),
+    ("multiply-int-right", lambda: kjdt.multiply(_gamma(), 5), kjdt.PosetError),
     ("jdt_class-bool-max_inner", lambda: kjdt.jdt_class(_grid_row(), seed_is_urt=True, max_inner=True), kjdt.KjdtError),
     ("jdt_class-negative-max_inner", lambda: kjdt.jdt_class(_grid_row(), seed_is_urt=True, max_inner=-1), kjdt.KjdtError),
     ("jdt_class-float-max_inner", lambda: kjdt.jdt_class(_grid_row(), seed_is_urt=True, max_inner=1.5), kjdt.KjdtError),
     ("jdt_class-max_inner-without-seed_is_urt", lambda: kjdt.jdt_class(_grid_row(), max_inner=1), kjdt.KjdtError),
     ("dual_class-str", lambda: kjdt.dual_class("2"), kjdt.PosetError),
-    ("to_schubert_basis-int", lambda: kjdt.to_schubert_basis(5), kjdt.KjdtError),
+    ("to_schubert_basis-int", lambda: kjdt.to_schubert_basis(5), kjdt.PosetError),
     ("rook_strips_over-int", lambda: kjdt.rook_strips_over(3), kjdt.PosetError),
     ("pieri_B-str-cols", lambda: kjdt.pieri_B((1,), 1, cols="3"), kjdt.KjdtError),
     ("pieri_B-float-cols", lambda: kjdt.pieri_B((1,), 1, cols=2.5), kjdt.KjdtError),
@@ -343,6 +343,25 @@ REFUSALS = [
     ("rect_greedy-int", lambda: kjdt.rect_greedy(3), kjdt.PosetError),
     ("urt_census-int", lambda: kjdt.urt_census(3), kjdt.PosetError),
     ("enumerate_shapes-int", lambda: kjdt.enumerate_shapes(3), kjdt.PosetError),
+    ("conjugate-int", lambda: kjdt.conjugate(3), kjdt.PosetError),
+    ("doubling-int", lambda: kjdt.doubling(3), kjdt.PosetError),
+    ("infusion-int", lambda: kjdt.infusion(3, 3), kjdt.PosetError),
+    ("infusion-int-right", lambda: kjdt.infusion(_corner(), 3), kjdt.PosetError),
+    ("wx_act-int", lambda: kjdt.wx_act(3), kjdt.PosetError),
+    ("hecke_of_tableau-int", lambda: kjdt.hecke_of_tableau(3), kjdt.PosetError),
+    ("reading_words-int", lambda: kjdt.reading_words(3), kjdt.PosetError),
+    ("tableau_product-int", lambda: kjdt.tableau_product(3, 3), kjdt.PosetError),
+    ("tableau_product-int-right", lambda: kjdt.tableau_product(_corner(), 3), kjdt.PosetError),
+    (
+        "verify_poset_embedding-int",
+        lambda: kjdt.verify_poset_embedding(kjdt.root_system("A", 3), 1, 3),
+        kjdt.PosetError,
+    ),
+    (
+        "verify_poset_embedding-int-system",
+        lambda: kjdt.verify_poset_embedding(3, 1, kjdt.type_a(1, 3)),
+        kjdt.PosetError,
+    ),
 ]
 
 
@@ -410,6 +429,17 @@ def test_a_weak_that_is_not_a_bool_is_named(name):
         ("rect_greedy-int", "tab", "Tableau"),
         ("urt_census-int", "poset", "MinusculePoset"),
         ("enumerate_shapes-int", "poset", "MinusculePoset"),
+        ("conjugate-int", "tab", "Tableau"),
+        ("doubling-int", "tab", "Tableau"),
+        ("infusion-int", "s_tab", "Tableau"),
+        ("infusion-int-right", "t_tab", "Tableau"),
+        ("wx_act-int", "tab", "Tableau"),
+        ("hecke_of_tableau-int", "tab", "Tableau"),
+        ("reading_words-int", "tab", "Tableau or WeakTableau"),
+        ("tableau_product-int", "s_tab", "Tableau"),
+        ("tableau_product-int-right", "t_tab", "Tableau"),
+        ("verify_poset_embedding-int", "poset", "MinusculePoset"),
+        ("verify_poset_embedding-int-system", "system", "RootSystem"),
     ],
 )
 def test_a_refused_ring_argument_is_named(name, argument, kind):

@@ -78,13 +78,10 @@ def test_exit_code_parse_error(capsys):
 
 
 def test_urt_single_and_census(capsys):
-    code, out, _ = run(
-        capsys, "urt", "--poset", "a:3,3", "--tableau", ".,.,./.,.,2/1,3,4", "--json"
-    )
-    # a skew tableau is judged by uniqueness of its rectifications
+    code, out, _ = run(capsys, "urt", "--poset", "a:3,3", "--tableau", "1,2,4/3", "--json")
+    # the two rectifications of .,.,./.,.,2/1,3,4 share one class
     assert code == 0
-    data = json.loads(out)
-    assert data["status"] == "refuted" and len(data["rectifications"]) == 2
+    assert json.loads(out) == {"status": "refuted", "witness": "1,2,4/3,4"}
     code, out, _ = run(capsys, "urt", "--poset", "a:2,2", "--all")
     assert code == 0 and "0 refuted" in out
 
@@ -200,7 +197,7 @@ def test_word_equiv_json_pins_the_search_order(capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["rectify", "urt"])
+@pytest.mark.parametrize("command", ["rectify"])
 def test_exhausted_rectification_budget_exits_4(capsys, command):
     code, out, err = run(
         capsys, command, "--poset", "a:3,3", "--tableau", ".,.,./.,.,2/1,3,4",
@@ -208,6 +205,15 @@ def test_exhausted_rectification_budget_exits_4(capsys, command):
     )
     assert code == 4 and out == ""
     assert err.startswith("budget exhausted: rectify_all exceeded 1 ")
+
+
+def test_urt_refuses_a_skew_tableau(capsys):
+    # `kjdt rectify` lists the rectifications; `urt` asks only the URT question
+    code, out, err = run(
+        capsys, "urt", "--poset", "a:3,3", "--tableau", ".,.,./.,.,2/1,3,4", "--budget", "1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: URT checks are defined for straight tableaux\n"
 
 
 @pytest.mark.parametrize("budget", ["0", "-5", "ten"])

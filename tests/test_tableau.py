@@ -34,6 +34,7 @@ from kjdt.tableau import (
     doubling,
     filling_row_words,
     forward_slide,
+    hecke_of_tableau,
     increasing_fillings,
     infusion,
     is_urt,
@@ -55,6 +56,8 @@ from kjdt.tableau import (
     value_rows,
     wx_act,
 )
+
+from kjdt.words import doubled_word, hecke_of_word
 
 from conftest import SLIDE_FAMILIES, fillings_skipping_values, random_skew_tableau, walk_tableau
 
@@ -365,15 +368,20 @@ def _rectify_all_reference(tab, budget=None):
     return results
 
 
+def _skew_seeds():
+    """Forty random skew tableaux on each of grid:3,3 and shifted:4."""
+    for spec in ["grid:3,3", "shifted:4"]:
+        poset = parse_poset(spec)
+        for seed in range(40):
+            yield random_skew_tableau(random.Random(seed), poset)
+
+
 def _closure_seeds():
     for spec in ["e6", "og:5"]:
         poset = parse_poset(spec)
         for shape in enumerate_shapes(poset):
             yield minimal_tableau(shape)
-    for spec in ["grid:3,3", "shifted:4"]:
-        poset = parse_poset(spec)
-        for seed in range(40):
-            yield random_skew_tableau(random.Random(seed), poset)
+    yield from _skew_seeds()
 
 
 def _as_reference(cls):
@@ -402,10 +410,8 @@ def test_closures_match_the_reference_loops():
                     assert rectify_all(tab, budget=budget) == expected
 
 
-def test_closure_never_slides_back_along_a_slide_it_made(monkeypatch):
-    # A slide is undone by the slide the other way from its holes, so that
-    # slide only finds a state already seen.  jdt_class skips every such
-    # slide back, not only the one to the state that found each state.
+def _record_slides(monkeypatch) -> list:
+    """Record every ``_slide_levels`` call as ``(masks, dots, forward, result)``."""
     calls = []
     slide = tableau_module._slide_levels
 
@@ -415,6 +421,21 @@ def test_closure_never_slides_back_along_a_slide_it_made(monkeypatch):
         return out
 
     monkeypatch.setattr(tableau_module, "_slide_levels", recorded)
+    return calls
+
+
+def _assert_no_slide_undoes_an_earlier_one(calls):
+    undone = set()
+    for masks, dots, forward, (nxt, holes) in calls:
+        assert (masks, dots, forward) not in undone
+        undone.add((nxt, holes, not forward))
+
+
+def test_closure_never_slides_back_along_a_slide_it_made(monkeypatch):
+    # A slide is undone by the slide the other way from its holes, so that
+    # slide only finds a state already seen.  jdt_class skips every such
+    # slide back, not only the one to the state that found each state.
+    calls = _record_slides(monkeypatch)
     e6 = cayley_plane()
     shapes = enumerate_shapes(e6)
     assert len(shapes) == 27
@@ -425,16 +446,28 @@ def test_closure_never_slides_back_along_a_slide_it_made(monkeypatch):
         every_start = len(calls)
         calls.clear()
         cls = jdt_class(tab)
-        undone = set()
-        for masks, dots, forward, (nxt, holes) in calls:
-            assert (masks, dots, forward) not in undone
-            undone.add((nxt, holes, not forward))
+        _assert_no_slide_undoes_an_earlier_one(calls)
         # skipping only the slide back to each parent made this many slides
         assert len(calls) <= every_start - (cls.size - 1)
         made += len(calls)
         parent_only += every_start - (cls.size - 1)
         calls.clear()
     assert made < parent_only
+
+
+def test_closure_of_a_skew_seed_never_slides_back_along_a_forward_slide(monkeypatch):
+    # The straight seeds above find no new state by a forward slide, so they
+    # never meet the reverse start that undoes one; these skew seeds do.  A
+    # closure that forgot it would make 2,703 slides here, 266 of them back.
+    calls = _record_slides(monkeypatch)
+    made = forward = 0
+    for tab in _skew_seeds():
+        calls.clear()
+        jdt_class(tab)
+        _assert_no_slide_undoes_an_earlier_one(calls)
+        made += len(calls)
+        forward += sum(fwd for _, _, fwd, _ in calls)
+    assert (made, forward) == (2437, 814)
 
 
 def _greedy_tree_seeds():
@@ -683,6 +716,38 @@ def test_ambient_urt_verdict_from_words_carries_the_window_closure_size(budget, 
     assert (v.status, v.class_size) == ("inconclusive", size)
 
 
+def test_ambient_urt_verdicts_of_the_small_packed_tableaux():
+    # Every packed straight tableau of at most 5 boxes in two ambient
+    # windows: the window closure, then the word route, at one budget.
+    rows = []
+    for poset in (ambient_grid(3, 3), ambient_shifted(4)):
+        for mask in poset.ideals_between(0, poset.full_mask)[1:]:
+            if mask.bit_count() > 5:
+                continue
+            for masks in packed_straight_tableaux(poset, Shape(poset, mask)):
+                tab = walk_tableau(poset, masks)
+                v = is_urt(tab, budget=3000)
+                rows.append((tab.literal(), v.status, v.witness and v.witness.literal(), v.class_size))
+    statuses = [status for _, status, _, _ in rows]
+    assert [statuses.count(s) for s in ("certified", "refuted", "inconclusive")] == [59, 11, 2]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:12] == "e0f66c527ef7"
+
+
+def test_shifted_hecke_permutation_is_that_of_the_doubled_word():
+    # The word route leaves the shifted Hecke test to kknuth_equiv, which
+    # reads it from reverse(w) + w instead of the doubled tableau.
+    poset = ambient_shifted(6)
+    count = 0
+    for mask in poset.ideals_between(0, poset.full_mask)[1:]:
+        if mask.bit_count() > 8:
+            continue
+        for masks in packed_straight_tableaux(poset, Shape(poset, mask)):
+            tab = walk_tableau(poset, masks)
+            assert hecke_of_tableau(tab) == hecke_of_word(doubled_word(tab.row_word()))
+            count += 1
+    assert count == 273
+
+
 def test_urt_census_small_grid():
     report = urt_census(type_a(2, 2))
     assert report["all_certified"]
@@ -707,16 +772,21 @@ def test_urt_census_og6_finds_failures():
     assert refuted == sorted(refuted, key=lambda t: (t.size, t.literal()))
 
 
-def test_census_and_is_urt_disagree_on_a_cut_class():
-    # docs/formats.md § URT census: a cut class gets no census verdict, even
-    # with two straight members seen, while is_urt stops at the second one
+def test_census_and_is_urt_agree_on_a_cut_class():
+    # One URT rule: two straight members refute a class, also one the budget
+    # cuts.  The census meets both straight members of this class among the
+    # states of its cut closure; is_urt stops at the second one.
     og = max_orthogonal(6)
     tab = parse_tableau(og, "1,2,3,5/4")
+    assert not jdt_class(tab, budget=200).exhausted
     report = urt_census(og, budget=200)
-    assert not report["exhausted"]
-    assert tab not in report["certified"] and tab not in report["refuted"]
+    assert tab in report["refuted"] and tab not in report["certified"]
+    # every other class of og:6 runs to its end at this budget
+    assert report["exhausted"]
+    assert (len(report["certified"]), len(report["refuted"])) == (12835, 244)
     verdict = is_urt(tab, budget=200)
     assert verdict.status == "refuted" and verdict.class_size == 199
+    assert verdict.witness.literal() == "1,2,3,5/4,5" and verdict.witness in report["refuted"]
     whole = jdt_class(tab)
     assert whole.exhausted and whole.size == 246 and len(whole.straight) == 2
 
@@ -732,7 +802,13 @@ def test_urt_census_reports_packed_tableaux(spec, max_size):
 
 
 def _urt_census_reference(poset, budget):
-    """The census that remembers every member of every class it closes."""
+    """The census that remembers every member of every class it closes.
+
+    Each closure is judged on every straight member it met, expanded or
+    not: two refute the class, one certifies it only when the closure ran
+    to its end.  A class the budget cuts may be closed again from a seed
+    the first closure missed, so refuted members are listed once.
+    """
     visited = set()
     certified, refuted, exhausted = [], [], True
     for shape in enumerate_shapes(poset):
@@ -743,13 +819,14 @@ def _urt_census_reference(poset, budget):
                 continue
             cls = tableau_module.jdt_class(walk_tableau(poset, key), budget=budget)
             visited.update(cls.states)
-            if not cls.exhausted:
-                exhausted = False
-            elif len(cls.straight) == 1:
-                certified.extend(cls.straight)
+            straight = [t for t in cls.members() if t.is_straight]
+            if len(straight) > 1:
+                refuted.extend(straight)
+            elif cls.exhausted:
+                certified.extend(straight)
             else:
-                refuted.extend(cls.straight)
-    refuted.sort(key=lambda t: (t.size, t.literal()))
+                exhausted = False
+    refuted = sorted(set(refuted), key=lambda t: (t.size, t.literal()))
     return certified, refuted, exhausted
 
 
@@ -762,7 +839,8 @@ def test_urt_census_matches_the_whole_class_reference(monkeypatch, spec, budget)
     # Only straight keys are looked up, so remembering the straight members
     # of each exhausted class gives the same report and the same closures.
     # At budget 24 some cut a:3,3 classes have seen a straight member other
-    # than their seed: a census that forgot it would close it again.
+    # than their seed: a census that forgot it would close it again, and
+    # those with two are refuted, as whole classes are without a budget.
     closures = []
     closure = tableau_module.jdt_class
 
@@ -784,7 +862,21 @@ def test_urt_census_matches_the_whole_class_reference(monkeypatch, spec, budget)
     assert report["exhausted"] == exhausted
     if spec == "a:3,3":
         assert len(reference_closures) == {None: 665, 3: 669, 24: 665}[budget]
-        assert len(refuted) == {None: 8, 3: 0, 24: 4}[budget]
+        assert len(refuted) == {None: 8, 3: 0, 24: 8}[budget]
+
+
+def test_urt_census_lists_a_member_refuted_twice_once():
+    # At budget 24 a cut a:3,4 class is closed again from a seed its first
+    # closure missed, and refuted again with a member it had already listed.
+    poset = parse_poset("a:3,4")
+    yielded = [
+        t for status, members in tableau_module._census_classes(poset, 7, 24)
+        if status == "refuted" for t in members
+    ]
+    assert len(yielded) == len(set(yielded)) + 1
+    report = urt_census(poset, max_size=7, budget=24)
+    assert report["refuted"] == sorted(set(yielded), key=lambda t: (t.size, t.literal()))
+    assert len(report["refuted"]) == 55
 
 
 @pytest.mark.parametrize(
