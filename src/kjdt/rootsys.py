@@ -151,25 +151,39 @@ class RootSystem:
     def _reflections_by_root(self) -> dict[Coeffs, "WeylElement"]:
         """Every reflection, keyed by its positive root; built on first use.
 
-        Each alpha reads one row ``r`` of the form, ``(beta, alpha) = beta . r``,
-        and its norm once, so every image is ``beta - k alpha`` with
-        ``k = 2 (beta . r) / (alpha . r)``.
+        Each alpha reads one row ``r`` of the form, ``(alpha_j, alpha) = r[j]``,
+        and its norm once.  ``2 (beta, alpha) / (alpha, alpha)`` is linear in
+        beta, so it is an integer for every positive beta exactly when
+        ``2 r[j]`` is a multiple of the norm for every j.  A simple
+        reflection sends beta to ``beta - k alpha``.  Any other alpha has a
+        first simple root alpha_i with ``(alpha, alpha_i) > 0``, so
+        ``s_i alpha`` is a lower root, already in the table, and
+        ``s_alpha = s_i s_(s_i alpha) s_i``: two products a root (Bjorner and
+        Brenti, *Combinatorics of Coxeter Groups*, 2005, section 1.4).
         """
         if self._reflection_table is None:
             table = {}
-            for alpha in self.positive_roots:
+            simple = set(self.simple_roots)
+            for alpha in self.positive_roots:  # in height order
                 r = [sum(map(mul, row, alpha)) for row in self.form]
                 norm = sum(map(mul, alpha, r))
-                images = []
-                for i, beta in enumerate(self.positive_roots, 1):
-                    k, rem = divmod(2 * sum(map(mul, beta, r)), norm)
-                    if rem:
-                        raise PosetError("non-integral coroot pairing")
-                    images.append(  # a root orthogonal to alpha is fixed
-                        self.signed_index(tuple(b - k * a for b, a in zip(beta, alpha)))
-                        if k else i
-                    )
-                table[alpha] = WeylElement(self, tuple(images))
+                if any(2 * x % norm for x in r):
+                    raise PosetError("non-integral coroot pairing")
+                if alpha in simple:
+                    images = []
+                    for j, beta in enumerate(self.positive_roots, 1):
+                        k = 2 * sum(map(mul, beta, r)) // norm
+                        images.append(  # a root orthogonal to alpha is fixed
+                            self.signed_index(tuple(b - k * a for b, a in zip(beta, alpha)))
+                            if k else j
+                        )
+                    table[alpha] = WeylElement(self, tuple(images))
+                else:
+                    i = next(j for j, x in enumerate(r) if x > 0)
+                    k = 2 * r[i] // self.form[i][i]
+                    lower = tuple(c - k * (j == i) for j, c in enumerate(alpha))
+                    s_i = table[self.simple_roots[i]]
+                    table[alpha] = s_i * table[lower] * s_i
             self._reflection_table = table
         return self._reflection_table
 
@@ -234,12 +248,14 @@ class WeylElement:
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         """(self * other) acts by other first, then self."""
-        out = []
-        for i in range(len(self.images)):
-            j = other.images[i]
-            k = self.images[abs(j) - 1]
-            out.append(k if j > 0 else -k)
-        return WeylElement(self.system, tuple(out))
+        if other.system is not self.system:
+            raise PosetError(
+                f"cannot multiply Weyl elements of {self.system!r} and {other.system!r}"
+            )
+        images = self.images
+        return WeylElement(
+            self.system, tuple([images[j - 1] if j > 0 else -images[-j - 1] for j in other.images])
+        )
 
     def inverse(self) -> "WeylElement":
         out = [0] * len(self.images)
@@ -383,16 +399,23 @@ class MarkedRootData:
             self.box_to_root[self.poset.index[tuple(box)]] = tuple(root)
         self.w0 = self.system.longest_element()
         self.wx = self.system.longest_element(avoid=self.node)
-        # the shape checks read each shape's Weyl element from here
+        # the shape checks read each shape's Weyl element from here; shapes
+        # come by size, so a shape's smaller shape is in the table before it
         self.shapes = enumerate_shapes(self.poset)
-        self.weyl = {shape.mask: self.weyl_of_shape(shape) for shape in self.shapes}
+        self.weyl: dict[int, WeylElement] = {}
+        for shape in self.shapes:
+            self.weyl[shape.mask] = self.weyl_of_shape(shape)
 
     def weyl_of_shape(self, shape: Shape) -> WeylElement:
-        """Product of box reflections along any linear extension."""
-        w = self.system.identity()
-        for i in bits(shape.mask):  # row-major is a linear extension
-            w = w * self.system.reflection(self.box_to_root[i])
-        return w
+        """The product of box reflections along row-major order, one product a shape.
+
+        Row-major index order is a linear extension, so the shape less its
+        last box is a shape, whose element is already in ``self.weyl``.
+        """
+        if not shape.mask:
+            return self.system.identity()
+        last = shape.mask.bit_length() - 1
+        return self.weyl[shape.mask ^ 1 << last] * self.system.reflection(self.box_to_root[last])
 
     def shape_root_indices(self, shape: Shape) -> set[int]:
         return {

@@ -641,6 +641,18 @@ def _urt_status(straight: int, exhausted: bool) -> str:
     return "certified" if exhausted else "inconclusive"
 
 
+def _met_straight(cls: JdtClass) -> list[Tableau]:
+    """The straight members a closure met: every one when it ran to its end,
+    and when the budget cut it, its straight states, expanded or not."""
+    if cls.exhausted:
+        return cls.straight
+    poset, values = cls.seed.poset, cls.seed.level_values
+    return [
+        Tableau.from_masks(poset, values, m)
+        for m in cls.states if poset.is_ideal(reduce(or_, m))
+    ]
+
+
 def increasing_fillings(
     poset: MinusculePoset,
     lam: int,
@@ -827,7 +839,10 @@ def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
     """Decide whether a straight tableau is a unique rectification target.
 
     On a bounded poset the jeu de taquin class is enumerated exactly and
-    judged by ``_urt_status``.  On the ambient grid or shifted posets, a
+    judged by ``_urt_status``.  When the budget cuts that closure, every
+    straight state it met counts, expanded or not, as in the census, and
+    the witness is the one other than the seed that comes first by size,
+    then literal.  On the ambient grid or shifted posets, a
     window of ``pad`` extra rows and columns (at least one box) is
     searched first for a refuting second straight member;
     if none appears, the word-equivalence certificate decides between
@@ -847,8 +862,13 @@ def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
     poset = tab.poset
     if not poset.is_ambient:
         cls = jdt_class(tab, budget=budget, stop_second_straight=True)
-        status = _urt_status(len(cls.straight), cls.exhausted)
-        witness = cls.straight[1] if status == "refuted" else None
+        straight = cls.straight
+        if not cls.exhausted and len(straight) < 2:  # the budget cut the closure
+            straight = sorted(
+                _met_straight(cls), key=lambda t: (t.masks != tab.masks, t.size, t.literal())
+            )
+        status = _urt_status(len(straight), cls.exhausted)
+        witness = straight[1] if status == "refuted" else None
         return URTVerdict(status, witness=witness, class_size=cls.size)
 
     shifted = poset.reading == "doubled"
@@ -905,10 +925,7 @@ def _census_classes(poset: MinusculePoset, max_size: int | None, budget: int | N
                 continue
             values = runs[len(masks)]
             cls = jdt_class(Tableau.from_masks(poset, values, masks), budget=budget)
-            straight = cls.straight if cls.exhausted else [
-                Tableau.from_masks(poset, values, m)
-                for m in cls.states if poset.is_ideal(reduce(or_, m))
-            ]
+            straight = _met_straight(cls)
             status = _urt_status(len(straight), cls.exhausted)
             if status != "certified":
                 visited.update(t.masks for t in straight)

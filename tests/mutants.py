@@ -77,8 +77,8 @@ MUTANTS = [
     ),
     Mutant(
         "census-verdict", "tableau.py",
-        "status = _urt_status(len(straight), cls.exhausted)",
-        "status = _urt_status(min(len(straight), 1), cls.exhausted)",
+        "            status = _urt_status(len(straight), cls.exhausted)",
+        "            status = _urt_status(min(len(straight), 1), cls.exhausted)",
         "tests/test_cli.py::test_urt_census_holds_no_certified_tableaux",
     ),
     Mutant(
@@ -89,15 +89,15 @@ MUTANTS = [
     ),
     Mutant(
         "census-cut-class-expanded-only", "tableau.py",
-        "straight = cls.straight if cls.exhausted else [",
-        "straight = cls.straight if True else [",
-        "tests/test_tableau.py::test_urt_census_matches_the_whole_class_reference[a:3,3-24]",
+        "    if cls.exhausted:",
+        "    if True:",
+        "tests/test_tableau.py::test_is_urt_counts_every_straight_state_of_a_cut_closure",
     ),
     Mutant(
         "census-refuted-listed-twice", "tableau.py",
         "return sorted(set(refuted), key=lambda t: (t.size, t.literal()))",
         "return sorted(refuted, key=lambda t: (t.size, t.literal()))",
-        "tests/test_tableau.py::test_urt_census_lists_a_member_refuted_twice_once",
+        "tests/test_tableau.py::test_is_urt_counts_every_straight_state_of_a_cut_closure",
     ),
     Mutant(
         "braid-move", "words.py",
@@ -173,8 +173,8 @@ MUTANTS = [
     ),
     Mutant(
         "census-status-from-kept", "tableau.py",
-        "straight = cls.straight if cls.exhausted else [",
-        "straight = [t for t in cls.straight if max_size is None or t.size <= max_size] if cls.exhausted else [",
+        "straight = _met_straight(cls)",
+        "straight = [t for t in _met_straight(cls) if max_size is None or t.size <= max_size]",
         "tests/test_tableau.py::test_greedy_tree_of_a_refuted_tableau_is_its_greedy_part",
     ),
     Mutant(
@@ -182,6 +182,30 @@ MUTANTS = [
         "visited.update(t.masks for t in straight)",
         "pass",
         "tests/test_tableau.py::test_urt_census_matches_the_whole_class_reference[a:3,3-None]",
+    ),
+    Mutant(
+        "is-urt-cut-expanded-only", "tableau.py",
+        "if not cls.exhausted and len(straight) < 2:",
+        "if False:",
+        "tests/test_tableau.py::test_is_urt_counts_every_straight_state_of_a_cut_closure",
+    ),
+    Mutant(
+        "weyl-shape-reflection-first", "rootsys.py",
+        "return self.weyl[shape.mask ^ 1 << last] * self.system.reflection(self.box_to_root[last])",
+        "return self.system.reflection(self.box_to_root[last]) * self.weyl[shape.mask ^ 1 << last]",
+        "tests/test_acceptance.py::test_criterion_10_root_system_suite",
+    ),
+    Mutant(
+        "reflection-conjugated-on-one-side", "rootsys.py",
+        "table[alpha] = s_i * table[lower] * s_i",
+        "table[alpha] = table[lower] * s_i",
+        "tests/test_acceptance.py::test_criterion_10_root_system_suite",
+    ),
+    Mutant(
+        "weyl-product-any-system", "rootsys.py",
+        "if other.system is not self.system:",
+        "if False:",
+        "tests/test_rootsys.py::test_weyl_elements_of_two_root_systems_do_not_multiply[left0-right0]",
     ),
 ]
 

@@ -449,3 +449,11 @@ def test_memos_stay_bounded_past_the_cap(monkeypatch):
             assert len(fresh._expand_cache) <= cap
             assert fresh.expand_neighbors(mask) == expected
             assert len(fresh._expand_cache) <= cap
+
+
+@pytest.mark.parametrize("spec", SLIDE_FAMILIES)
+def test_box_index_order_is_a_linear_extension(spec):
+    # each cover goes up in index, so the last box of a shape is maximal in it
+    # (rootsys.MarkedRootData.weyl_of_shape, minimal_tableau, maximal_tableau)
+    poset = parse_poset(spec)
+    assert all(i < j for i in range(poset.n) for j in poset.up[i])

@@ -1,3 +1,5 @@
+from collections import Counter
+from functools import lru_cache
 from itertools import islice
 import random
 
@@ -9,6 +11,7 @@ import kjdt.rootsys as rootsys_module
 from kjdt.rootsys import (
     MarkedRootData,
     RootSystem,
+    WeylElement,
     check_bruhat_containment,
     check_incomparable_orthogonal,
     check_inversion_sets,
@@ -296,6 +299,75 @@ def test_marked_root_data_computes_each_weyl_element_once(monkeypatch):
     assert calls == []
     for shape in data.shapes:
         assert data.weyl[shape.mask] == data.weyl_of_shape(shape)
+
+
+def _weyl_along(data: MarkedRootData, order) -> WeylElement:
+    """Reference: the product of the box reflections in the given order, from the identity."""
+    w = data.system.identity()
+    for i in order:
+        w = w * data.system.reflection(data.box_to_root[i])
+    return w
+
+
+_REFERENCE_CASES = [("E6", 6, 1), ("E6", 6, 6), ("E7", 7, 7), ("D", 5, 5), ("A", 4, 2)] + [
+    case for case in _SUITE_CASES if case[0] in "BC"
+]
+
+
+@pytest.mark.parametrize("kind,rank,node", _REFERENCE_CASES)
+def test_weyl_table_matches_products_along_two_linear_extensions(kind, rank, node):
+    # the table takes one product a shape from a smaller shape; the reference
+    # multiplies every box reflection, in row-major and in column-major order
+    data = MarkedRootData(kind, rank, node)
+    poset = data.poset
+    for shape in data.shapes:
+        boxes = list(bits(shape.mask))
+        by_columns = sorted(boxes, key=lambda i: poset.boxes[i][::-1])
+        assert data.weyl[shape.mask] == _weyl_along(data, boxes), shape
+        assert data.weyl[shape.mask] == _weyl_along(data, by_columns), shape
+
+
+def test_marked_root_data_makes_one_product_a_shape_and_two_a_reflection(monkeypatch):
+    # On a fresh E7: one product for each of the 55 nonempty shapes, two for
+    # each of the 56 non-simple positive roots, and one for each step of
+    # longest_element, which lengthens by one a step: l(w0) + l(wX) = 63 + 36.
+    monkeypatch.setattr(rootsys_module, "_root_system", lru_cache(maxsize=None)(RootSystem))
+    phase, counts = ["shapes"], Counter()
+    multiply = WeylElement.__mul__
+
+    def counted(self, other):
+        counts[phase[-1]] += 1
+        return multiply(self, other)
+
+    def in_phase(name, method):
+        def run(*args, **kwargs):
+            phase.append(name)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                phase.pop()
+        return run
+
+    monkeypatch.setattr(WeylElement, "__mul__", counted)
+    monkeypatch.setattr(
+        RootSystem, "_reflections_by_root", in_phase("table", RootSystem._reflections_by_root)
+    )
+    monkeypatch.setattr(
+        RootSystem, "longest_element", in_phase("longest", RootSystem.longest_element)
+    )
+    data = MarkedRootData("E7", 7, 7)
+    assert counts == {"shapes": 55, "table": 2 * (63 - 7), "longest": 63 + 36}
+    assert (data.w0.length(), data.wx.length()) == (63, 36)
+
+
+@pytest.mark.parametrize("left,right", [(("B", 3), ("C", 3)), (("E6", 6), ("E7", 7))])
+def test_weyl_elements_of_two_root_systems_do_not_multiply(left, right):
+    # B3 and C3 have as many positive roots, E6 fewer than E7
+    u, v = root_system(*left).simple_reflection(2), root_system(*right).simple_reflection(2)
+    with pytest.raises(PosetError, match="cannot multiply Weyl elements of"):
+        u * v
+    with pytest.raises(PosetError, match="cannot multiply Weyl elements of"):
+        v * u
 
 
 def test_shape_lengths_everywhere():

@@ -791,6 +791,28 @@ def test_census_and_is_urt_agree_on_a_cut_class():
     assert whole.exhausted and whole.size == 246 and len(whole.straight) == 2
 
 
+def test_is_urt_counts_every_straight_state_of_a_cut_closure():
+    # From the class's other straight member the closure is cut before it
+    # expands 1,2,3,5/4, but it has met it: the census rule refutes.
+    og = max_orthogonal(6)
+    verdict = is_urt(parse_tableau(og, "1,2,3,5/4,5"), budget=200)
+    assert verdict.status == "refuted" and verdict.class_size == 202
+    assert verdict.witness.literal() == "1,2,3,5/4"
+    # is_urt refutes each tableau the census refutes whose own cut closure
+    # already holds two straight states
+    report = urt_census(og, budget=100)
+    cut = held = 0
+    for tab in report["refuted"]:
+        cls = jdt_class(tab, budget=100)
+        if cls.exhausted:
+            continue
+        cut += 1
+        if sum(og.is_ideal(reduce(or_, masks)) for masks in cls.states) > 1:
+            held += 1
+            assert is_urt(tab, budget=100).status == "refuted", tab.literal()
+    assert (len(report["refuted"]), cut, held) == (240, 18, 17)
+
+
 @pytest.mark.parametrize("spec, max_size", [("a:3,4", 6), ("og:5", None), ("qeven:5", None)])
 def test_urt_census_reports_packed_tableaux(spec, max_size):
     # every class is seeded by a packed tableau and slides keep its values
