@@ -300,8 +300,7 @@ def check_mininc_urt_e6():
     e6 = cayley_plane()
     bad = []
     for lam in enumerate_shapes(e6):
-        cls = jdt_class(minimal_tableau(lam))
-        if len(cls.straight) != 1:
+        if is_urt(minimal_tableau(lam)).status != "certified":
             bad.append(lam.literal())
     return not bad, f"27 shapes, straight-member failures: {bad}"
 

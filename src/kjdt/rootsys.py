@@ -248,6 +248,7 @@ class WeylElement:
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         """(self * other) acts by other first, then self."""
+        _check_type(WeylElement, other=other)
         if other.system is not self.system:
             raise PosetError(
                 f"cannot multiply Weyl elements of {self.system!r} and {other.system!r}"
@@ -453,12 +454,13 @@ def check_inversion_sets(data: MarkedRootData) -> dict:
 def check_bruhat_containment(data: MarkedRootData) -> dict:
     """Covering Bruhat order matches containment of shapes."""
     refl, weyl = data.system.reflections(), data.weyl
+    by_size: dict[int, list[Shape]] = {}
+    for shape in data.shapes:
+        by_size.setdefault(shape.size, []).append(shape)
     failures = []
     for mu in data.shapes:
         wmu_inv = weyl[mu.mask].inverse()
-        for lam in data.shapes:
-            if lam.size != mu.size + 1:
-                continue
+        for lam in by_size.get(mu.size + 1, ()):
             cover = (wmu_inv * weyl[lam.mask]).images in refl
             if cover != (mu.mask | lam.mask == lam.mask):
                 failures.append((mu.literal(), lam.literal()))

@@ -630,27 +630,28 @@ class URTVerdict:
         return self.status == "certified"
 
 
-def _urt_status(straight: int, exhausted: bool) -> str:
-    """The one URT rule, for a class closure that met ``straight`` straight members.
+def _judge(cls: JdtClass) -> tuple[str, list[Tableau]]:
+    """The one URT rule, read on the straight members a class closure met.
 
-    Two straight members refute the class; one certifies it only when the
-    closure ran to its end; otherwise the class is inconclusive.
+    They come in one order: first the straight states the closure
+    expanded, in the order it met them; then, only when the budget or a
+    stop cut the closure, its other straight states, by size, then
+    literal.  Two straight members refute the class; one certifies it
+    only when the closure ran to its end; anything else is inconclusive.
+    Returns the status and the straight members in that order.
     """
-    if straight > 1:
-        return "refuted"
-    return "certified" if exhausted else "inconclusive"
-
-
-def _met_straight(cls: JdtClass) -> list[Tableau]:
-    """The straight members a closure met: every one when it ran to its end,
-    and when the budget cut it, its straight states, expanded or not."""
-    if cls.exhausted:
-        return cls.straight
-    poset, values = cls.seed.poset, cls.seed.level_values
-    return [
-        Tableau.from_masks(poset, values, m)
-        for m in cls.states if poset.is_ideal(reduce(or_, m))
-    ]
+    straight = cls.straight
+    if not cls.exhausted:
+        poset, values = cls.seed.poset, cls.seed.level_values
+        expanded = {t.masks for t in straight}
+        met = [
+            Tableau.from_masks(poset, values, m)
+            for m in cls.states if m not in expanded and poset.is_ideal(reduce(or_, m))
+        ]
+        straight = straight + sorted(met, key=lambda t: (t.size, t.literal()))
+    if len(straight) > 1:
+        return "refuted", straight
+    return ("certified" if cls.exhausted else "inconclusive"), straight
 
 
 def increasing_fillings(
@@ -838,17 +839,19 @@ def _urt_by_words(tab: Tableau, shifted: bool, budget: int) -> URTVerdict:
 def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
     """Decide whether a straight tableau is a unique rectification target.
 
-    On a bounded poset the jeu de taquin class is enumerated exactly and
-    judged by ``_urt_status``.  When the budget cuts that closure, every
-    straight state it met counts, expanded or not, as in the census, and
-    the witness is the one other than the seed that comes first by size,
-    then literal.  On the ambient grid or shifted posets, a
-    window of ``pad`` extra rows and columns (at least one box) is
-    searched first for a refuting second straight member;
-    if none appears, the word-equivalence certificate decides between
-    ``certified`` and ``inconclusive`` (never trusting the window alone,
-    since classes roam past any fixed boundary).  Either closure stops at
-    its second straight member, the witness; its first is the seed.
+    One closure from ``tab`` stops at its second straight member and is
+    judged by the one URT rule (``_judge``): the straight states it
+    expanded come first, in the order it met them, and when the budget or
+    that stop cut it, its other straight states follow, by size, then
+    literal.  Two of them refute ``tab``, and the second is the witness;
+    one certifies it only when the closure ran to its end; anything else
+    is inconclusive.  On a bounded poset the closure is the whole class
+    and that judgement is the verdict.  On the ambient grid or shifted
+    posets it runs in a window of ``pad`` extra rows and columns (at
+    least one box); a window that does not refute ``tab`` is never
+    trusted to certify it, since classes roam past any fixed boundary,
+    and the word-equivalence certificate decides between ``certified``
+    and ``inconclusive``.
 
     On an ambient poset the one ``budget`` bounds the window closure in
     states and then each candidate's word search in explored words, so it
@@ -859,26 +862,20 @@ def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
     check_count("pad", pad)
     if not tab.is_straight:
         raise PosetError("URT checks are defined for straight tableaux")
-    poset = tab.poset
-    if not poset.is_ambient:
-        cls = jdt_class(tab, budget=budget, stop_second_straight=True)
-        straight = cls.straight
-        if not cls.exhausted and len(straight) < 2:  # the budget cut the closure
-            straight = sorted(
-                _met_straight(cls), key=lambda t: (t.masks != tab.masks, t.size, t.literal())
-            )
-        status = _urt_status(len(straight), cls.exhausted)
-        witness = straight[1] if status == "refuted" else None
+    poset, seed = tab.poset, tab
+    if poset.is_ambient:
+        shifted = poset.reading == "doubled"
+        budget = DEFAULT_BUDGET if budget is None else budget
+        seed = Tableau.from_dict(_urt_window(tab, shifted, pad), tab.as_dict())
+    cls = jdt_class(seed, budget=budget, stop_second_straight=True)
+    status, straight = _judge(cls)
+    if status == "refuted":
+        witness = straight[1]
+        if poset.is_ambient:
+            witness = Tableau.from_dict(poset, witness.as_dict())
         return URTVerdict(status, witness=witness, class_size=cls.size)
-
-    shifted = poset.reading == "doubled"
-    window = _urt_window(tab, shifted, pad)
-    budget = DEFAULT_BUDGET if budget is None else budget
-    embedded = Tableau.from_dict(window, tab.as_dict())
-    cls = jdt_class(embedded, budget=budget, stop_second_straight=True)
-    if _urt_status(len(cls.straight), cls.exhausted) == "refuted":
-        witness = Tableau.from_dict(poset, cls.straight[1].as_dict())
-        return URTVerdict("refuted", witness=witness, class_size=cls.size)
+    if not poset.is_ambient:
+        return URTVerdict(status, class_size=cls.size)
     return replace(_urt_by_words(tab, shifted, budget=budget), class_size=cls.size)
 
 
@@ -901,9 +898,9 @@ def _census_refuted(refuted: list[Tableau]) -> list[Tableau]:
 def _census_classes(poset: MinusculePoset, max_size: int | None, budget: int | None):
     """Yield ``(status, straight members of at most max_size boxes)`` per class the census closes.
 
-    ``status`` is ``_urt_status`` of the straight states the closure met:
-    every straight member when it ran to its end, and when the budget cut
-    it, its straight states, expanded or not, each a member of the class.
+    ``status`` and the straight members are ``_judge``'s: every straight
+    member when the closure ran to its end, and when the budget cut it,
+    its straight states, expanded or not, each a member of the class.
     Only straight seeds are looked up, by their masks, since seeds are
     packed and slides keep values.  A certified class's one straight member
     is its seed, met once, so ``visited`` keeps only the straight states
@@ -925,8 +922,7 @@ def _census_classes(poset: MinusculePoset, max_size: int | None, budget: int | N
                 continue
             values = runs[len(masks)]
             cls = jdt_class(Tableau.from_masks(poset, values, masks), budget=budget)
-            straight = _met_straight(cls)
-            status = _urt_status(len(straight), cls.exhausted)
+            status, straight = _judge(cls)
             if status != "certified":
                 visited.update(t.masks for t in straight)
             yield status, [t for t in straight if max_size is None or t.size <= max_size]

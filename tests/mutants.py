@@ -3,7 +3,7 @@
 Run from anywhere, with no arguments for every mutant or with mutant names::
 
     python tests/mutants.py
-    python tests/mutants.py census-status-from-kept within-filter
+    python tests/mutants.py census-verdict within-filter
 
 Each mutant replaces one line of a module under ``src/kjdt``: the text
 ``old`` must occur exactly once in it.  The probe copies the checkout (no
@@ -77,21 +77,39 @@ MUTANTS = [
     ),
     Mutant(
         "census-verdict", "tableau.py",
-        "            status = _urt_status(len(straight), cls.exhausted)",
-        "            status = _urt_status(min(len(straight), 1), cls.exhausted)",
+        "            status, straight = _judge(cls)",
+        "            straight = _judge(cls)[1]; status = \"certified\" if cls.exhausted else \"inconclusive\"",
         "tests/test_cli.py::test_urt_census_holds_no_certified_tableaux",
     ),
     Mutant(
         "urt-rule-cut-never-refutes", "tableau.py",
-        "if straight > 1:",
-        "if straight > 1 and exhausted:",
+        "if len(straight) > 1:",
+        "if len(straight) > 1 and cls.exhausted:",
         "tests/test_cli.py::test_urt_single_and_census",
     ),
     Mutant(
-        "census-cut-class-expanded-only", "tableau.py",
-        "    if cls.exhausted:",
-        "    if True:",
-        "tests/test_tableau.py::test_is_urt_counts_every_straight_state_of_a_cut_closure",
+        "urt-rule-needs-three", "tableau.py",
+        "if len(straight) > 1:",
+        "if len(straight) > 2:",
+        "tests/test_cli.py::test_urt_single_and_census",
+    ),
+    Mutant(
+        "judge-cut-expanded-only", "tableau.py",
+        "straight = straight + sorted(met, key=lambda t: (t.size, t.literal()))",
+        "straight = list(straight)",
+        "tests/test_tableau.py::test_ambient_urt_counts_every_straight_state_of_a_cut_window[1,2,4/3/4-300-1,2,4/3,4/4-302-654]",
+    ),
+    Mutant(
+        "judge-cut-read-below-two", "tableau.py",
+        "straight = straight + sorted(met, key=lambda t: (t.size, t.literal()))",
+        "straight = straight + sorted(met, key=lambda t: (t.size, t.literal())) if len(straight) < 2 else straight",
+        "tests/test_tableau.py::test_urt_census_matches_the_whole_class_reference[a:3,4-24]",
+    ),
+    Mutant(
+        "judge-expanded-resorted", "tableau.py",
+        "straight = straight + sorted(met, key=lambda t: (t.size, t.literal()))",
+        "straight = straight[:1] + sorted(straight[1:] + met, key=lambda t: (t.size, t.literal()))",
+        "tests/test_tableau.py::test_is_urt_witness_is_the_second_straight_member_the_closure_expands",
     ),
     Mutant(
         "census-refuted-listed-twice", "tableau.py",
@@ -172,22 +190,16 @@ MUTANTS = [
         "perfbench/test_perfbench.py::test_ring_oracles_pass_on_published_values",
     ),
     Mutant(
-        "census-status-from-kept", "tableau.py",
-        "straight = _met_straight(cls)",
-        "straight = [t for t in _met_straight(cls) if max_size is None or t.size <= max_size]",
-        "tests/test_tableau.py::test_greedy_tree_of_a_refuted_tableau_is_its_greedy_part",
+        "census-reports-past-max-size", "tableau.py",
+        "yield status, [t for t in straight if max_size is None or t.size <= max_size]",
+        "yield status, straight",
+        "tests/test_tableau.py::test_urt_census_lists_a_member_refuted_twice_once",
     ),
     Mutant(
         "census-refuted-not-remembered", "tableau.py",
         "visited.update(t.masks for t in straight)",
         "pass",
         "tests/test_tableau.py::test_urt_census_matches_the_whole_class_reference[a:3,3-None]",
-    ),
-    Mutant(
-        "is-urt-cut-expanded-only", "tableau.py",
-        "if not cls.exhausted and len(straight) < 2:",
-        "if False:",
-        "tests/test_tableau.py::test_is_urt_counts_every_straight_state_of_a_cut_closure",
     ),
     Mutant(
         "weyl-shape-reflection-first", "rootsys.py",

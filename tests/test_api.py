@@ -362,6 +362,7 @@ REFUSALS = [
         lambda: kjdt.verify_poset_embedding(3, 1, kjdt.type_a(1, 3)),
         kjdt.PosetError,
     ),
+    ("WeylElement-mul-int", lambda: kjdt.root_system("A", 2).identity() * 3, kjdt.PosetError),
 ]
 
 
@@ -440,6 +441,7 @@ def test_a_weak_that_is_not_a_bool_is_named(name):
         ("tableau_product-int-right", "t_tab", "Tableau"),
         ("verify_poset_embedding-int", "poset", "MinusculePoset"),
         ("verify_poset_embedding-int-system", "system", "RootSystem"),
+        ("WeylElement-mul-int", "other", "WeylElement"),
     ],
 )
 def test_a_refused_ring_argument_is_named(name, argument, kind):

@@ -733,6 +733,29 @@ def test_ambient_urt_verdicts_of_the_small_packed_tableaux():
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:12] == "e0f66c527ef7"
 
 
+@pytest.mark.parametrize(
+    "literal, budget, witness, size, whole_size",
+    [
+        ("1,2,4/3/4", 300, "1,2,4/3,4/4", 302, 654),
+        ("1,2,4/3,5/5", 600, "1,2,4/3,4/5", 601, 1054),
+        ("1,3,5/2,5/4", 600, "1,3,5/2,4/4", 603, 1054),
+    ],
+)
+def test_ambient_urt_counts_every_straight_state_of_a_cut_window(
+    literal, budget, witness, size, whole_size
+):
+    # The window closure is cut before it expands a second straight member,
+    # but it has met one: the one URT rule refutes, as on a bounded poset.
+    tab = parse_tableau(ambient_grid(3, 3), literal)
+    v = is_urt(tab, pad=1, budget=budget)
+    assert (v.status, v.witness.literal(), v.class_size) == ("refuted", witness, size)
+    # the witness lies in the whole class of the pad-1 window, grid:4,4
+    window = ambient_grid(4, 4)
+    whole = jdt_class(Tableau.from_dict(window, tab.as_dict()))
+    assert whole.exhausted and whole.size == whole_size
+    assert Tableau.from_dict(window, v.witness.as_dict()) in whole
+
+
 def test_shifted_hecke_permutation_is_that_of_the_doubled_word():
     # The word route leaves the shifted Hecke test to kknuth_equiv, which
     # reads it from reverse(w) + w instead of the doubled tableau.
@@ -813,6 +836,28 @@ def test_is_urt_counts_every_straight_state_of_a_cut_closure():
     assert (len(report["refuted"]), cut, held) == (240, 18, 17)
 
 
+def test_is_urt_witness_is_the_second_straight_member_the_closure_expands():
+    # The closure stops at its second straight member, which is the witness,
+    # even when it has met a third that comes first by size, then literal:
+    # the states it expanded keep the order it met them in.
+    og = max_orthogonal(6)
+    tab = parse_tableau(og, "1,2,3,6/4,5,7")
+    verdict = is_urt(tab)
+    assert (verdict.status, verdict.class_size) == ("refuted", 102)
+    assert verdict.witness.literal() == "1,2,3,6/4,5,7/7"
+    stopped = jdt_class(tab, stop_second_straight=True)
+    assert parse_tableau(og, "1,2,3,6/4,5/7") in stopped
+    earlier = 0
+    for refuted in urt_census(og)["refuted"]:
+        stopped = jdt_class(refuted, stop_second_straight=True)
+        verdict = is_urt(refuted)
+        assert verdict.witness == stopped.straight[1]
+        key = (verdict.witness.size, verdict.witness.literal())
+        met = [walk_tableau(og, m) for m in stopped.states if og.is_ideal(reduce(or_, m))]
+        earlier += any((t.size, t.literal()) < key for t in met if t != refuted)
+    assert earlier == 11
+
+
 @pytest.mark.parametrize("spec, max_size", [("a:3,4", 6), ("og:5", None), ("qeven:5", None)])
 def test_urt_census_reports_packed_tableaux(spec, max_size):
     # every class is seeded by a packed tableau and slides keep its values
@@ -855,7 +900,7 @@ def _urt_census_reference(poset, budget):
 @pytest.mark.parametrize(
     "spec, budget",
     [(spec, budget) for spec in ("a:3,3", "og:5", "qeven:5", "e6") for budget in (None, 3)]
-    + [("a:3,3", 24)],
+    + [("a:3,3", 24), ("a:3,4", 24)],
 )
 def test_urt_census_matches_the_whole_class_reference(monkeypatch, spec, budget):
     # Only straight keys are looked up, so remembering the straight members
