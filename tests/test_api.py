@@ -1,6 +1,7 @@
 """The public names of ``kjdt`` (change this list only on purpose), the imports of its
 modules, where family kinds are named, and the errors that refuse malformed input."""
 import ast
+import copy
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -8,6 +9,7 @@ from types import ModuleType
 import pytest
 
 import kjdt
+from kjdt import Shape
 
 PUBLIC = [
     "BudgetExceeded", "DOT", "DottedTableau", "EquivalenceVerdict", "GammaElement",
@@ -449,3 +451,68 @@ def test_a_refused_ring_argument_is_named(name, argument, kind):
     call = {r[0]: r[1] for r in REFUSALS}[name]
     with pytest.raises(kjdt.KjdtError, match=f"^{argument} must be a {kind}, not "):
         call()
+
+
+def _record_table():
+    """Per record: class, positional args, the same as keywords, fields left to
+    their defaults, args of an unequal record, exact repr, and whether it is frozen."""
+    poset = kjdt.type_a(2, 2)
+    one, two = poset.shape("1"), poset.shape("2")
+    tab = kjdt.parse_tableau(poset, "1,2/2")
+    other = kjdt.parse_tableau(poset, "1,2")
+    system = kjdt.root_system("A", 2)
+    images = system.identity().images
+    return [
+        (kjdt.PosetFamily, ("a", (2, 2)), {"kind": "a", "params": (2, 2)},
+         {"params": ()}, ("a", (2, 3)), "PosetFamily(kind='a', params=(2, 2))", True),
+        (kjdt.SkewShape, (two, one), {"outer": two, "inner": one},
+         {}, (two, Shape(poset, 0)), "SkewShape('2'/'1')", True),
+        (kjdt.WeylElement, (system, images), {"system": system, "images": images},
+         {}, (system, (-1, 3, 2)), "WeylElement(system=RootSystem(A2, 3 positive roots), "
+         "images=(1, 2, 3))", True),
+        (kjdt.JdtClass, (tab, {tab.masks}, [tab], True),
+         {"seed": tab, "states": {tab.masks}, "straight": [tab], "exhausted": True},
+         {}, (tab, {tab.masks}, [tab], False),
+         "JdtClass(seed=Tableau('1,2/2'), straight=[Tableau('1,2/2')], exhausted=True)", False),
+        (kjdt.URTVerdict, ("refuted", other, 4), {"status": "refuted", "witness": other, "class_size": 4},
+         {"witness": None, "class_size": 0}, ("refuted", other, 5),
+         "URTVerdict(status='refuted', witness=Tableau('1,2'), class_size=4)", True),
+        (kjdt.EquivalenceVerdict, ("equivalent", [(1,), (1, 1)], "lis", 7),
+         {"status": "equivalent", "path": [(1,), (1, 1)], "invariant": "lis", "explored": 7},
+         {"path": None, "invariant": None, "explored": 0}, ("refuted", None, "lis", 7),
+         "EquivalenceVerdict(status='equivalent', path=[(1,), (1, 1)], invariant='lis', "
+         "explored=7)", False),
+    ]
+
+
+@pytest.mark.parametrize("row", range(6))
+def test_record_construction_equality_hash_repr_and_assignment(row):
+    cls, args, kwargs, defaults, unequal, text, frozen = _record_table()[row]
+    record = cls(*args)
+    assert record == cls(**kwargs) and not record != cls(**kwargs)
+    assert record != cls(*unequal) and not record == cls(*unequal)
+    assert record != "record" and not record == "record"
+    assert copy.copy(record) == record
+    assert repr(record) == text
+    required = [kwargs[name] for name in kwargs if name not in defaults]
+    assert all(getattr(cls(*required), name) == value for name, value in defaults.items())
+    first = next(iter(kwargs))
+    if frozen:
+        assert hash(record) == hash(cls(**kwargs))
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{first}'"):
+            setattr(record, first, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{first}'"):
+            delattr(record, first)
+    else:
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(record)
+        setattr(record, first, kwargs[first])
+        assert record == cls(**kwargs)
+
+
+def test_skew_shape_refusals():
+    poset = kjdt.type_a(2, 2)
+    with pytest.raises(kjdt.PosetError, match="^skew shape needs both shapes on one poset$"):
+        kjdt.SkewShape(poset.shape("1"), kjdt.type_a(2, 3).shape("1"))
+    with pytest.raises(kjdt.PosetError, match="^inner shape is not contained in outer shape$"):
+        kjdt.SkewShape(poset.shape("1"), poset.shape("2"))

@@ -457,3 +457,12 @@ def test_box_index_order_is_a_linear_extension(spec):
     # (rootsys.MarkedRootData.weyl_of_shape, minimal_tableau, maximal_tableau)
     poset = parse_poset(spec)
     assert all(i < j for i in range(poset.n) for j in poset.up[i])
+
+
+@pytest.mark.parametrize("spec", ["a:3,4", "og:6", "e6", "e7", "qeven:5"])
+def test_shape_size_is_its_box_count(spec):
+    # the size is read in hot loops, so a change to how it is kept must not change it
+    p = parse_poset(spec)
+    for s in enumerate_shapes(p):
+        for shape in (s, s.dual(), p.shape(s.literal())):
+            assert shape.size == shape.mask.bit_count() == len(shape.boxes())
