@@ -19,7 +19,6 @@ raise :class:`~kjdt.errors.WindowExceeded` instead of silently clipping.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, groupby, islice
 from typing import NamedTuple
@@ -29,12 +28,34 @@ from .errors import PosetError, _partition
 Box = tuple[int, int]
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of a record whose fields are set once."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class PosetFamily:
     """Tagged family descriptor: ``kind``, a key of ``_FAMILIES``, plus integer parameters."""
 
-    kind: str
-    params: tuple[int, ...] = ()
+    __slots__ = ("kind", "params")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, kind: str, params: tuple[int, ...] = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+
+    def __eq__(self, other):
+        if other.__class__ is not PosetFamily:
+            return NotImplemented
+        return (self.kind, self.params) == (other.kind, other.params)
+
+    def __hash__(self):
+        return hash((self.kind, self.params))
+
+    def __reduce__(self):
+        return PosetFamily, (self.kind, self.params)
+
+    def __repr__(self):
+        return f"PosetFamily(kind={self.kind!r}, params={self.params!r})"
 
     def spec(self) -> str:
         if self.params:
@@ -359,15 +380,12 @@ class MinusculePoset:
 class Shape:
     """A lower order ideal of a poset, i.e. the index of a Schubert class."""
 
-    __slots__ = ("poset", "mask")
+    __slots__ = ("poset", "mask", "size")
 
     def __init__(self, poset: MinusculePoset, mask: int):
         self.poset = poset
         self.mask = mask
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
+        self.size = mask.bit_count()
 
     @property
     def row_lengths(self) -> tuple[int, ...]:
@@ -406,18 +424,30 @@ class Shape:
         return Shape(self.poset, self.poset.full_mask & ~image)
 
 
-@dataclass(frozen=True)
 class SkewShape:
     """A nested pair of straight shapes; the support is outer minus inner."""
 
-    outer: Shape
-    inner: Shape
+    __slots__ = ("outer", "inner")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if self.outer.poset is not self.inner.poset:
+    def __init__(self, outer: Shape, inner: Shape):
+        if outer.poset is not inner.poset:
             raise PosetError("skew shape needs both shapes on one poset")
-        if self.inner.mask & ~self.outer.mask:
+        if inner.mask & ~outer.mask:
             raise PosetError("inner shape is not contained in outer shape")
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+
+    def __eq__(self, other):
+        if other.__class__ is not SkewShape:
+            return NotImplemented
+        return (self.outer, self.inner) == (other.outer, other.inner)
+
+    def __hash__(self):
+        return hash((self.outer, self.inner))
+
+    def __reduce__(self):
+        return SkewShape, (self.outer, self.inner)
 
     @property
     def mask(self) -> int:

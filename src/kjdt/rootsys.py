@@ -12,12 +12,11 @@ against the grid poset by a backtracking order-isomorphism search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
 from .errors import PosetError
-from .poset import MinusculePoset, PosetFamily, Shape, bits, build_poset, enumerate_shapes, _check_type
+from .poset import MinusculePoset, PosetFamily, Shape, bits, build_poset, enumerate_shapes, _check_type, _frozen
 
 Coeffs = tuple[int, ...]
 
@@ -224,7 +223,7 @@ def root_system(kind: str, rank: int) -> RootSystem:
     return _root_system(kind, rank)
 
 
-# Unbounded on purpose: a WeylElement is a frozen dataclass whose ``system``
+# Unbounded on purpose: a WeylElement is a frozen record whose ``system``
 # field compares root systems by identity, so evicting one would make equal
 # elements compare unequal; it grows only with the (type, rank) pairs built.
 @lru_cache(maxsize=None)
@@ -232,12 +231,29 @@ def _root_system(kind: str, rank: int) -> RootSystem:
     return RootSystem(kind, rank)
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """Weyl group element as a signed permutation of the positive roots."""
 
-    system: RootSystem
-    images: tuple[int, ...]  # images[i] = +-(j+1): root_i -> +-root_j
+    __slots__ = ("system", "images")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, system: RootSystem, images: tuple[int, ...]):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "images", images)  # images[i] = +-(j+1): root_i -> +-root_j
+
+    def __eq__(self, other):
+        if other.__class__ is not WeylElement:
+            return NotImplemented
+        return (self.system, self.images) == (other.system, other.images)
+
+    def __hash__(self):
+        return hash((self.system, self.images))
+
+    def __reduce__(self):
+        return WeylElement, (self.system, self.images)
+
+    def __repr__(self):
+        return f"WeylElement(system={self.system!r}, images={self.images!r})"
 
     def act(self, root: Coeffs) -> tuple[int, int]:
         """Image of +-root as (sign, positive root index)."""

@@ -20,7 +20,6 @@ present is preserved by every slide.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import product
 from operator import or_
@@ -38,6 +37,7 @@ from .poset import (
     parse_entry,
     _Memo,
     _check_type,
+    _frozen,
     _union,
 )
 from .words import Permutation, hecke_of_word, kknuth_equiv
@@ -415,18 +415,32 @@ def rectify_all(tab: Tableau, budget: int | None = None) -> set[Tableau]:
     return set(cls.straight)
 
 
-@dataclass
 class JdtClass:
     """Closure of a tableau under forward and reverse slides.
 
     ``states`` holds the level masks of each member; every member carries
-    the seed's values.
+    the seed's values.  The repr leaves ``states`` out.
     """
 
-    seed: Tableau
-    states: set[tuple[int, ...]] = field(repr=False)
-    straight: list[Tableau]
-    exhausted: bool
+    __slots__ = ("seed", "states", "straight", "exhausted")
+
+    def __init__(
+        self, seed: Tableau, states: set[tuple[int, ...]], straight: list[Tableau], exhausted: bool
+    ):
+        self.seed = seed
+        self.states = states
+        self.straight = straight
+        self.exhausted = exhausted
+
+    def __eq__(self, other):
+        if other.__class__ is not JdtClass:
+            return NotImplemented
+        return (self.seed, self.states, self.straight, self.exhausted) == (
+            other.seed, other.states, other.straight, other.exhausted
+        )
+
+    def __repr__(self):
+        return f"JdtClass(seed={self.seed!r}, straight={self.straight!r}, exhausted={self.exhausted!r})"
 
     @property
     def member_keys(self) -> set[tuple[int, ...]]:
@@ -618,19 +632,41 @@ def _greedy_tree(tab: Tableau, budget: int | None, max_inner: int | None) -> Jdt
     return JdtClass(tab, members, [tab], True)
 
 
-@dataclass(frozen=True)
 class URTVerdict:
     """Outcome of a unique-rectification-target check."""
 
-    status: str  # "certified" | "refuted" | "inconclusive"
-    witness: Tableau | None = None
-    class_size: int = 0
+    __slots__ = ("status", "witness", "class_size")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, status: str, witness: Tableau | None = None, class_size: int = 0):
+        object.__setattr__(self, "status", status)  # "certified" | "refuted" | "inconclusive"
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "class_size", class_size)
+
+    def __eq__(self, other):
+        if other.__class__ is not URTVerdict:
+            return NotImplemented
+        return (self.status, self.witness, self.class_size) == (
+            other.status, other.witness, other.class_size
+        )
+
+    def __hash__(self):
+        return hash((self.status, self.witness, self.class_size))
+
+    def __reduce__(self):
+        return URTVerdict, (self.status, self.witness, self.class_size)
+
+    def __repr__(self):
+        return (
+            f"URTVerdict(status={self.status!r}, witness={self.witness!r}, "
+            f"class_size={self.class_size!r})"
+        )
 
     def __bool__(self):
         return self.status == "certified"
 
 
-def _judge(cls: JdtClass) -> tuple[str, list[Tableau]]:
+def _judge(cls: JdtClass, read: int | None = None) -> tuple[str, list[Tableau]]:
     """The one URT rule, read on the straight members a class closure met.
 
     They come in one order: first the straight states the closure
@@ -638,10 +674,12 @@ def _judge(cls: JdtClass) -> tuple[str, list[Tableau]]:
     stop cut the closure, its other straight states, by size, then
     literal.  Two straight members refute the class; one certifies it
     only when the closure ran to its end; anything else is inconclusive.
-    Returns the status and the straight members in that order.
+    Returns the status and the straight members in that order.  A caller
+    that reads only the first ``read`` members passes that count: when
+    the closure expanded that many, no other member is built.
     """
     straight = cls.straight
-    if not cls.exhausted:
+    if not cls.exhausted and (read is None or len(straight) < read):
         poset, values = cls.seed.poset, cls.seed.level_values
         expanded = {t.masks for t in straight}
         met = [
@@ -868,7 +906,7 @@ def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
         budget = DEFAULT_BUDGET if budget is None else budget
         seed = Tableau.from_dict(_urt_window(tab, shifted, pad), tab.as_dict())
     cls = jdt_class(seed, budget=budget, stop_second_straight=True)
-    status, straight = _judge(cls)
+    status, straight = _judge(cls, read=2)
     if status == "refuted":
         witness = straight[1]
         if poset.is_ambient:
@@ -876,7 +914,8 @@ def is_urt(tab: Tableau, pad: int = 2, budget: int | None = None) -> URTVerdict:
         return URTVerdict(status, witness=witness, class_size=cls.size)
     if not poset.is_ambient:
         return URTVerdict(status, class_size=cls.size)
-    return replace(_urt_by_words(tab, shifted, budget=budget), class_size=cls.size)
+    verdict = _urt_by_words(tab, shifted, budget=budget)
+    return URTVerdict(verdict.status, verdict.witness, cls.size)
 
 
 def packed_straight_tableaux(poset: MinusculePoset, shape: Shape):

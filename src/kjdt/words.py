@@ -13,7 +13,6 @@ differs, or ``inconclusive``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .errors import KjdtError, _partition, check_budget, check_count
@@ -316,14 +315,35 @@ def _invariants(word, weak: bool):
     return (hecke_of_word(word), lis(word), lds(word))
 
 
-@dataclass
 class EquivalenceVerdict:
     """Outcome of a bounded equivalence search."""
 
-    status: str  # "equivalent" | "refuted" | "inconclusive"
-    path: list[Word] | None = None
-    invariant: str | None = None
-    explored: int = 0
+    __slots__ = ("status", "path", "invariant", "explored")
+
+    def __init__(
+        self,
+        status: str,  # "equivalent" | "refuted" | "inconclusive"
+        path: list[Word] | None = None,
+        invariant: str | None = None,
+        explored: int = 0,
+    ):
+        self.status = status
+        self.path = path
+        self.invariant = invariant
+        self.explored = explored
+
+    def __eq__(self, other):
+        if other.__class__ is not EquivalenceVerdict:
+            return NotImplemented
+        return (self.status, self.path, self.invariant, self.explored) == (
+            other.status, other.path, other.invariant, other.explored
+        )
+
+    def __repr__(self):
+        return (
+            f"EquivalenceVerdict(status={self.status!r}, path={self.path!r}, "
+            f"invariant={self.invariant!r}, explored={self.explored!r})"
+        )
 
     def __bool__(self):
         return self.status == "equivalent"

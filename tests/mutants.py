@@ -106,10 +106,16 @@ MUTANTS = [
         "tests/test_tableau.py::test_urt_census_matches_the_whole_class_reference[a:3,4-24]",
     ),
     Mutant(
-        "judge-expanded-resorted", "tableau.py",
-        "straight = straight + sorted(met, key=lambda t: (t.size, t.literal()))",
-        "straight = straight[:1] + sorted(straight[1:] + met, key=lambda t: (t.size, t.literal()))",
+        "urt-witness-resorted", "tableau.py",
+        "status, straight = _judge(cls, read=2)",
+        "status, straight = _judge(cls); straight = straight[:1] + sorted(straight[1:], key=lambda t: (t.size, t.literal()))",
         "tests/test_tableau.py::test_is_urt_witness_is_the_second_straight_member_the_closure_expands",
+    ),
+    Mutant(
+        "is-urt-reads-one", "tableau.py",
+        "status, straight = _judge(cls, read=2)",
+        "status, straight = _judge(cls, read=1)",
+        "tests/test_tableau.py::test_ambient_urt_counts_every_straight_state_of_a_cut_window[1,2,4/3/4-300-1,2,4/3,4/4-302-654]",
     ),
     Mutant(
         "census-refuted-listed-twice", "tableau.py",

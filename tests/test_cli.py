@@ -390,6 +390,16 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_the_cli_does_not_import_dataclasses_or_inspect():
+    # they cost every kjdt process about 6 ms; the bare interpreter is the
+    # baseline, so modules that site imports at start-up do not count
+    probe = "import sys; print(*(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    bare = python("-c", probe)
+    cli = python("-c", "import kjdt.cli; " + probe)
+    assert bare.returncode == 0 and cli.returncode == 0, cli.stderr
+    assert set(cli.stdout.split()) <= set(bare.stdout.split())
+
+
 def test_verify_threads_default_is_the_core_count():
     assert build_parser().parse_args(["verify"]).threads == (os.cpu_count() or 1)
 
