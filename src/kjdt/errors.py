@@ -1,4 +1,4 @@
-"""Exception types and the argument checks that several modules share."""
+"""Exception types, the argument checks and the record bases that several modules share."""
 
 
 class KjdtError(Exception):
@@ -41,3 +41,51 @@ def _partition(lam) -> tuple[int, ...]:
     if any(a < b for a, b in zip(lam, lam[1:])):
         raise PosetError(f"{lam} is not a partition: entries must not increase")
     return tuple(x for x in lam if x)  # every zero trails now
+
+
+class _Record:
+    """A small record whose fields are its ``__slots__``.
+
+    Two records are equal when they are of one class and their fields are
+    equal; the repr names each field but those in ``_hidden``.  A record
+    that can change is unhashable.
+    """
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        shown = (
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._hidden
+        )
+        return f"{self.__class__.__name__}({', '.join(shown)})"
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields are set once, in ``__slots__`` order, by ``__init__``; it hashes."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()

@@ -23,39 +23,18 @@ from functools import partial
 from itertools import chain, groupby, islice
 from typing import NamedTuple
 
-from .errors import PosetError, _partition
+from .errors import PosetError, _FrozenRecord, _partition
 
 Box = tuple[int, int]
 
 
-def _frozen(self, name, *value):
-    """``__setattr__`` and ``__delattr__`` of a record whose fields are set once."""
-    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
-
-
-class PosetFamily:
+class PosetFamily(_FrozenRecord):
     """Tagged family descriptor: ``kind``, a key of ``_FAMILIES``, plus integer parameters."""
 
     __slots__ = ("kind", "params")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, kind: str, params: tuple[int, ...] = ()):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
-
-    def __eq__(self, other):
-        if other.__class__ is not PosetFamily:
-            return NotImplemented
-        return (self.kind, self.params) == (other.kind, other.params)
-
-    def __hash__(self):
-        return hash((self.kind, self.params))
-
-    def __reduce__(self):
-        return PosetFamily, (self.kind, self.params)
-
-    def __repr__(self):
-        return f"PosetFamily(kind={self.kind!r}, params={self.params!r})"
+        super().__init__(kind, params)
 
     def spec(self) -> str:
         if self.params:
@@ -424,30 +403,17 @@ class Shape:
         return Shape(self.poset, self.poset.full_mask & ~image)
 
 
-class SkewShape:
+class SkewShape(_FrozenRecord):
     """A nested pair of straight shapes; the support is outer minus inner."""
 
     __slots__ = ("outer", "inner")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, outer: Shape, inner: Shape):
         if outer.poset is not inner.poset:
             raise PosetError("skew shape needs both shapes on one poset")
         if inner.mask & ~outer.mask:
             raise PosetError("inner shape is not contained in outer shape")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-
-    def __eq__(self, other):
-        if other.__class__ is not SkewShape:
-            return NotImplemented
-        return (self.outer, self.inner) == (other.outer, other.inner)
-
-    def __hash__(self):
-        return hash((self.outer, self.inner))
-
-    def __reduce__(self):
-        return SkewShape, (self.outer, self.inner)
+        super().__init__(outer, inner)
 
     @property
     def mask(self) -> int:

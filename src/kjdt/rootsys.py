@@ -15,8 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .errors import PosetError
-from .poset import MinusculePoset, PosetFamily, Shape, bits, build_poset, enumerate_shapes, _check_type, _frozen
+from .errors import PosetError, _FrozenRecord
+from .poset import MinusculePoset, PosetFamily, Shape, bits, build_poset, enumerate_shapes, _check_type
 
 Coeffs = tuple[int, ...]
 
@@ -231,29 +231,13 @@ def _root_system(kind: str, rank: int) -> RootSystem:
     return RootSystem(kind, rank)
 
 
-class WeylElement:
+class WeylElement(_FrozenRecord):
     """Weyl group element as a signed permutation of the positive roots."""
 
     __slots__ = ("system", "images")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, system: RootSystem, images: tuple[int, ...]):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "images", images)  # images[i] = +-(j+1): root_i -> +-root_j
-
-    def __eq__(self, other):
-        if other.__class__ is not WeylElement:
-            return NotImplemented
-        return (self.system, self.images) == (other.system, other.images)
-
-    def __hash__(self):
-        return hash((self.system, self.images))
-
-    def __reduce__(self):
-        return WeylElement, (self.system, self.images)
-
-    def __repr__(self):
-        return f"WeylElement(system={self.system!r}, images={self.images!r})"
+        super().__init__(system, images)  # images[i] = +-(j+1): root_i -> +-root_j
 
     def act(self, root: Coeffs) -> tuple[int, int]:
         """Image of +-root as (sign, positive root index)."""

@@ -24,7 +24,16 @@ from functools import reduce
 from itertools import product
 from operator import or_
 
-from .errors import BudgetExceeded, KjdtError, PosetError, WindowExceeded, check_budget, check_count
+from .errors import (
+    BudgetExceeded,
+    KjdtError,
+    PosetError,
+    WindowExceeded,
+    _FrozenRecord,
+    _Record,
+    check_budget,
+    check_count,
+)
 from .poset import (
     Box,
     MinusculePoset,
@@ -37,7 +46,6 @@ from .poset import (
     parse_entry,
     _Memo,
     _check_type,
-    _frozen,
     _union,
 )
 from .words import Permutation, hecke_of_word, kknuth_equiv
@@ -415,7 +423,7 @@ def rectify_all(tab: Tableau, budget: int | None = None) -> set[Tableau]:
     return set(cls.straight)
 
 
-class JdtClass:
+class JdtClass(_Record):
     """Closure of a tableau under forward and reverse slides.
 
     ``states`` holds the level masks of each member; every member carries
@@ -423,6 +431,7 @@ class JdtClass:
     """
 
     __slots__ = ("seed", "states", "straight", "exhausted")
+    _hidden = ("states",)
 
     def __init__(
         self, seed: Tableau, states: set[tuple[int, ...]], straight: list[Tableau], exhausted: bool
@@ -431,16 +440,6 @@ class JdtClass:
         self.states = states
         self.straight = straight
         self.exhausted = exhausted
-
-    def __eq__(self, other):
-        if other.__class__ is not JdtClass:
-            return NotImplemented
-        return (self.seed, self.states, self.straight, self.exhausted) == (
-            other.seed, other.states, other.straight, other.exhausted
-        )
-
-    def __repr__(self):
-        return f"JdtClass(seed={self.seed!r}, straight={self.straight!r}, exhausted={self.exhausted!r})"
 
     @property
     def member_keys(self) -> set[tuple[int, ...]]:
@@ -632,35 +631,13 @@ def _greedy_tree(tab: Tableau, budget: int | None, max_inner: int | None) -> Jdt
     return JdtClass(tab, members, [tab], True)
 
 
-class URTVerdict:
+class URTVerdict(_FrozenRecord):
     """Outcome of a unique-rectification-target check."""
 
     __slots__ = ("status", "witness", "class_size")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, status: str, witness: Tableau | None = None, class_size: int = 0):
-        object.__setattr__(self, "status", status)  # "certified" | "refuted" | "inconclusive"
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "class_size", class_size)
-
-    def __eq__(self, other):
-        if other.__class__ is not URTVerdict:
-            return NotImplemented
-        return (self.status, self.witness, self.class_size) == (
-            other.status, other.witness, other.class_size
-        )
-
-    def __hash__(self):
-        return hash((self.status, self.witness, self.class_size))
-
-    def __reduce__(self):
-        return URTVerdict, (self.status, self.witness, self.class_size)
-
-    def __repr__(self):
-        return (
-            f"URTVerdict(status={self.status!r}, witness={self.witness!r}, "
-            f"class_size={self.class_size!r})"
-        )
+        super().__init__(status, witness, class_size)  # "certified" | "refuted" | "inconclusive"
 
     def __bool__(self):
         return self.status == "certified"

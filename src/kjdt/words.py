@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from itertools import product as iter_product
 
-from .errors import KjdtError, _partition, check_budget, check_count
+from .errors import KjdtError, _Record, _partition, check_budget, check_count
 
 Word = tuple[int, ...]
 
@@ -315,7 +315,7 @@ def _invariants(word, weak: bool):
     return (hecke_of_word(word), lis(word), lds(word))
 
 
-class EquivalenceVerdict:
+class EquivalenceVerdict(_Record):
     """Outcome of a bounded equivalence search."""
 
     __slots__ = ("status", "path", "invariant", "explored")
@@ -331,19 +331,6 @@ class EquivalenceVerdict:
         self.path = path
         self.invariant = invariant
         self.explored = explored
-
-    def __eq__(self, other):
-        if other.__class__ is not EquivalenceVerdict:
-            return NotImplemented
-        return (self.status, self.path, self.invariant, self.explored) == (
-            other.status, other.path, other.invariant, other.explored
-        )
-
-    def __repr__(self):
-        return (
-            f"EquivalenceVerdict(status={self.status!r}, path={self.path!r}, "
-            f"invariant={self.invariant!r}, explored={self.explored!r})"
-        )
 
     def __bool__(self):
         return self.status == "equivalent"
